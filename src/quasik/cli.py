@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import facering
 from .documents import InputError, build_polytope, load_document, load_tuple, resolve_order
-from .facering import NotInW, ResidualNonzero, TruncationUnstable
+from .facering import NotInW, OrdinaryRankFailure, ResidualNonzero
 from .gkm import build_gkm, dot_export, euler_coprimality_check, in_gamma, in_w
 from .harness import run_all
 from .polytope import (
@@ -80,10 +80,9 @@ def cmd_validate(doc, args) -> Report:
 
 def cmd_gkm(doc, args) -> Report:
     P = build_polytope(doc)
-    bad = _require_valid(doc, P, "gkm")
+    order, bad = _valid_order(doc, P, "gkm")
     if bad:
         return bad
-    order = resolve_order(doc, P)
     g = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
     rep = euler_coprimality_check(g)
     pos = order.position
@@ -113,10 +112,9 @@ def cmd_gkm(doc, args) -> Report:
 
 def cmd_facering(doc, args) -> Report:
     P = build_polytope(doc)
-    bad = _require_valid(doc, P, "facering")
+    order, bad = _valid_order(doc, P, "facering")
     if bad:
         return bad
-    order = resolve_order(doc, P)
     g = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
     nonfaces = [sorted(S) for S in P.minimal_nonfaces()]
     gens = facering.kernel_generators(g)
@@ -162,11 +160,13 @@ def cmd_facering(doc, args) -> Report:
             res = facering.ordinary_rank(g)
             lines.append(f"ordinary rank: {res.rank} "
                          f"({'torsion-free' if res.torsion_free else 'has torsion'}, "
-                         f"stable at degree {res.degree})")
+                         f"truncation degree {res.degree})")
             payload["ordinary_rank"] = {"rank": res.rank,
                                         "torsion_free": res.torsion_free,
-                                        "degree": res.degree}
-        except TruncationUnstable as exc:
+                                        "degree": res.degree,
+                                        "stats": {"monomials": len(res.model.monomials),
+                                                  "rows": len(res.model.rows)}}
+        except OrdinaryRankFailure as exc:
             status_ok = False
             lines.append(f"ordinary rank: FAIL ({exc})")
             payload["ordinary_rank"] = {"error": str(exc)}
@@ -176,7 +176,7 @@ def cmd_facering(doc, args) -> Report:
 
 def cmd_membership(doc, args) -> Report:
     P = build_polytope(doc)
-    bad = _require_valid(doc, P, "membership", need_order=False)
+    bad = _require_valid(doc, P, "membership")
     if bad:
         return bad
     order = None
@@ -207,10 +207,9 @@ def cmd_membership(doc, args) -> Report:
 
 def cmd_interpolate(doc, args) -> Report:
     P = build_polytope(doc)
-    bad = _require_valid(doc, P, "interpolate")
+    order, bad = _valid_order(doc, P, "interpolate")
     if bad:
         return bad
-    order = resolve_order(doc, P)
     g = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     try:
@@ -236,7 +235,7 @@ def cmd_interpolate(doc, args) -> Report:
 
 def cmd_proptest(doc, args) -> Report:
     P = build_polytope(doc)
-    bad = _require_valid(doc, P, "proptest", need_order=False)
+    bad = _require_valid(doc, P, "proptest")
     if bad:
         return bad
     order = None
@@ -260,7 +259,7 @@ def cmd_proptest(doc, args) -> Report:
                   0 if ok else 1, payload, "\n".join(lines))
 
 
-def _require_valid(doc, P, command, need_order=True):
+def _require_valid(doc, P, command):
     """None if the document passes validation, else a failure Report."""
     failures = list(validate_simple(P).failures)
     if not failures:
@@ -268,10 +267,22 @@ def _require_valid(doc, P, command, need_order=True):
     if failures:
         human = "input fails validation:\n" + "\n".join("  " + f for f in failures)
         return Report(command, doc.name, "fail", 1, {"failures": failures}, human)
-    if need_order and not doc.has_order_source:
-        raise InputError("this command needs 'vertex_order' or "
-                         "'vertex_coords'+'height_vector' in the input document")
     return None
+
+
+def _valid_order(doc, P, command):
+    """(order, None) for a valid document with a valid order, else (None, failure Report).
+
+    A document without an order source raises InputError.
+    """
+    bad = _require_valid(doc, P, command)
+    if bad:
+        return None, bad
+    order, err = _order_or_error(doc, P)
+    if err:
+        return None, Report(command, doc.name, "fail", 1, {"error": err},
+                            f"vertex order: FAIL ({err})")
+    return order, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,6 +330,9 @@ def main(argv=None) -> int:
         report = COMMANDS[args.command](doc, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        if args.json:
+            sys.stdout.write(_render(Report(args.command, str(args.input), "input-error", 2,
+                                            {"error": str(exc)}, ""), True))
         return 2
     sys.stdout.write(_render(report, args.json))
     return report.exit_code

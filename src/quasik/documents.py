@@ -125,6 +125,10 @@ def document_from_dict(obj, where="input") -> InputDocument:
         _expect(isinstance(hv, list), "field 'height_vector': expected a list")
         height_vector = tuple(_rational(x, f"field 'height_vector[{i}]'")
                               for i, x in enumerate(hv))
+        for i, row in enumerate(vertex_coords):
+            _expect(len(row) == len(height_vector),
+                    f"field 'vertex_coords[{i}]': {len(row)} entries, expected "
+                    f"{len(height_vector)} (the length of 'height_vector')")
 
     _expect(not (vertex_order is not None and vertex_coords is not None),
             "exactly one of 'vertex_order' and 'vertex_coords'+'height_vector' is allowed")

@@ -11,17 +11,20 @@ interpolate() inverts phi constructively: walking the vertices in height
 order, it rewrites the current entry through the dual basis at that vertex
 and subtracts, checking at every step that all earlier entries stay zero.
 
-ordinary_rank() computes the underlying Z-module of the ordinary quotient
-(kill the lattice relations by eliminating one vertex's facet variables,
-shift y = 1 + x, truncate above a total degree, and read rank and torsion
-off a Smith normal form), raising the degree until the answer stabilizes.
+ordinary_rank() computes the underlying Z-module of the ordinary quotient:
+kill the lattice relations by eliminating one vertex's facet variables,
+shift y = 1 + x, drop monomials above total degree n, and read rank and
+torsion off a Smith normal form.  Degree n is exact, because every x_i lies
+in the augmentation ideal of a 2n-dimensional complex with only even cells,
+so by the Atiyah-Hirzebruch filtration any product of n+1 of them vanishes.
+Theory also fixes the answer, a free module of rank m, and the result is
+checked against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 from .gkm import FixedPointTuple, GkmGraph, in_w
 from .lattice import IntMat, dot, snf_diagonal
@@ -61,8 +64,8 @@ class CertificateFailure(ValueError):
         self.entry = entry
 
 
-class TruncationUnstable(RuntimeError):
-    """Rank/torsion did not stabilize below the truncation-degree cap."""
+class OrdinaryRankFailure(RuntimeError):
+    """The degree-n model is not free of rank m, as theory requires."""
 
 
 # -- the two substitution directions ---------------------------------------
@@ -300,9 +303,11 @@ class OrdinaryKModel:
     """Z-module model of the ordinary quotient at one truncation degree.
 
     All face variables except the base vertex's block are shifted by
-    y = 1 + x; monomials of total degree > degree are declared zero, which
-    is exact once the truncation degree passes the nilpotency degree of
-    the augmentation classes.
+    y = 1 + x; monomials of total degree > degree are declared zero.  At
+    degree n this is exact: each x_i is in the first Atiyah-Hirzebruch
+    filtration of the 2n-dimensional even-cell complex, so any product of
+    n+1 of them is zero.  monomials and rows give the size of the relation
+    matrix (rows x monomials) whose Smith form yields rank and torsion.
     """
 
     def __init__(self, g: GkmGraph, degree: int):
@@ -330,8 +335,8 @@ class OrdinaryKModel:
                         hit = True
                 if hit and any(row):
                     rows.append(tuple(row))
-        self._rows = rows
-        diag = snf_diagonal(IntMat.from_rows(rows, cols=len(self.monomials))) if rows else ()
+        self.rows = rows
+        diag = snf_diagonal(IntMat.from_rows(rows, cols=len(self.monomials)))
         self._nonzero_factors = tuple(sorted(d for d in diag if d != 0))
         self.rank = len(self.monomials) - len(self._nonzero_factors)
         self.torsion = tuple(d for d in self._nonzero_factors if d != 1)
@@ -411,7 +416,7 @@ class OrdinaryKModel:
         v = self.reduce(elem)
         if not any(v):
             return True
-        stacked = self._rows + [v]
+        stacked = self.rows + [v]
         diag = snf_diagonal(IntMat.from_rows(stacked, cols=len(self.monomials)))
         return tuple(sorted(d for d in diag if d != 0)) == self._nonzero_factors
 
@@ -424,21 +429,17 @@ class OrdinaryRankResult:
     model: OrdinaryKModel
 
 
-def ordinary_rank(g: GkmGraph, degree_cap: Optional[int] = None) -> OrdinaryRankResult:
-    """Rank and torsion of the ordinary quotient as a Z-module.
+def ordinary_rank(g: GkmGraph) -> OrdinaryRankResult:
+    """Rank and torsion of the ordinary quotient as a Z-module, certified.
 
-    The truncation degree is raised until rank and torsion agree on two
-    consecutive degrees; hitting the cap without stabilizing is an error,
-    never a silent answer.
+    One model at the exact truncation degree n is built.  The ordinary
+    K-ring is free of rank m, so any other answer raises
+    OrdinaryRankFailure, never a silent answer.
     """
-    if degree_cap is None:
-        degree_cap = g.n * (g.d - g.n) + g.n + 1
-    prev = None
-    for D in range(1, degree_cap + 1):
-        model = OrdinaryKModel(g, D)
-        sig = (model.rank, model.torsion)
-        if prev is not None and prev == sig:
-            return OrdinaryRankResult(model.rank, model.torsion_free, D, model)
-        prev = sig
-    raise TruncationUnstable(
-        f"rank/torsion not stable up to truncation degree {degree_cap}")
+    model = OrdinaryKModel(g, g.n)
+    if model.rank != g.m or not model.torsion_free:
+        raise OrdinaryRankFailure(
+            f"truncation degree {g.n} gives rank {model.rank}"
+            + (f" with torsion {list(model.torsion)}" if model.torsion else "")
+            + f", expected a free module of rank {g.m}")
+    return OrdinaryRankResult(model.rank, model.torsion_free, g.n, model)

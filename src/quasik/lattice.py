@@ -330,16 +330,83 @@ def snf(A: IntMat) -> SnfDecomposition:
     )
 
 
+def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
+    """Eliminate +-1 pivots from a sparse matrix in place; return their number.
+
+    rows maps a row index to its nonzero entries {column: value}.  Each step
+    takes the unit entry of lowest Markowitz cost (row nnz - 1) * (col nnz - 1),
+    clears its column with row operations and drops its row and column.  A
+    unit pivot splits off exactly: SNF(A) = 1 (+) SNF(Schur complement), so
+    the rows left behind carry every other invariant factor.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    pivots = 0
+    while True:
+        best = None
+        best_cost = -1
+        for i, row in rows.items():
+            rn = len(row) - 1
+            for j, v in row.items():
+                if v == 1 or v == -1:
+                    cost = rn * (len(cols[j]) - 1)
+                    if best is None or cost < best_cost:
+                        best, best_cost = (i, j), cost
+                        if cost == 0:
+                            break
+            if best_cost == 0:
+                break
+        if best is None:
+            return pivots
+        i, j = best
+        prow = rows.pop(i)
+        for k in prow:
+            cols[k].discard(i)
+        p = prow[j]
+        for r in cols.pop(j):
+            row = rows[r]
+            f = row[j] * p           # row[j] / p, since p = +-1
+            for k, v in prow.items():
+                nv = row.get(k, 0) - f * v
+                if nv:
+                    if k not in row:
+                        cols[k].add(r)
+                    row[k] = nv
+                elif k in row:
+                    del row[k]
+                    if k != j:
+                        cols[k].discard(r)
+            if not row:
+                del rows[r]
+        pivots += 1
+
+
 def snf_diagonal(A: IntMat) -> Vector:
-    """Invariant factors only (no transform tracking; cheaper on large matrices)."""
-    M = [list(r) for r in A.data]
-    _snf_work(M, A.rows, A.cols, track=False)
-    k = min(A.rows, A.cols)
-    return tuple(M[i][i] for i in range(k))
+    """Invariant factors only, equal to snf(A).diagonal().
 
-
-def rank(A: IntMat) -> int:
-    return sum(1 for d in snf_diagonal(A) if d != 0)
+    Unit pivots are eliminated sparsely first; the dense Smith form runs
+    only on the block they leave, and the result is padded with zeros to
+    min(rows, cols).
+    """
+    rows = {}
+    for i, r in enumerate(A.data):
+        row = {j: v for j, v in enumerate(r) if v}
+        if row:
+            rows[i] = row
+    ones = _eliminate_unit_pivots(rows)
+    left = sorted({j for row in rows.values() for j in row})
+    where = {j: k for k, j in enumerate(left)}
+    M = []
+    for row in rows.values():
+        dense = [0] * len(left)
+        for j, v in row.items():
+            dense[where[j]] = v
+        M.append(dense)
+    t, _, _ = _snf_work(M, len(M), len(left), track=False)
+    diag = (1,) * ones + tuple(M[i][i] for i in range(t))
+    return diag + (0,) * (min(A.rows, A.cols) - len(diag))
 
 
 def right_kernel_basis(A: IntMat) -> list[Vector]:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from quasik import facering
 from quasik.documents import build_polytope, load_document, resolve_order
 from quasik.gkm import build_gkm
 
@@ -29,3 +30,15 @@ def graphs(documents):
         order = resolve_order(doc, P)
         out[name] = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
     return out
+
+
+@pytest.fixture
+def short_rank(monkeypatch):
+    """Every OrdinaryKModel reports one less than its true rank."""
+    init = facering.OrdinaryKModel.__init__
+
+    def patched(self, g, degree):
+        init(self, g, degree)
+        self.rank -= 1
+
+    monkeypatch.setattr(facering.OrdinaryKModel, "__init__", patched)

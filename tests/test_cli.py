@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quasik.cli import main
 
 from conftest import INPUTS, input_path
@@ -103,7 +105,19 @@ class TestFacering:
         assert code == 0
         payload = json.loads(out)["payload"]
         assert payload["minimal_nonfaces"] == [[1, 2, 3]]
-        assert payload["ordinary_rank"] == {"rank": 3, "torsion_free": True, "degree": 3}
+        assert payload["ordinary_rank"] == {"rank": 3, "torsion_free": True, "degree": 2,
+                                            "stats": {"monomials": 3, "rows": 0}}
+
+    def test_failed_rank_certificate(self, capsys, short_rank):
+        code, out, err = run(capsys, "facering", input_path("cp2"), "--ordinary")
+        assert code == 1
+        assert "ordinary rank: FAIL (truncation degree 2 gives rank 2" in out
+        assert "Traceback" not in out + err
+        code, out, _ = run(capsys, "facering", input_path("cp2"), "--ordinary", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "fail"
+        assert "expected a free module of rank 3" in doc["payload"]["ordinary_rank"]["error"]
 
     def test_square_two_generators(self, capsys):
         code, out, _ = run(capsys, "facering", input_path("square_h1"), "--json")
@@ -186,3 +200,45 @@ def test_module_entry_point():
         capture_output=True, text=True, cwd=str(INPUTS.parent))
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+class TestMalformedOrders:
+    """Order problems end in a readable report, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["validate", "membership", "facering"])
+    def test_coordinate_rows_longer_than_height(self, capsys, tmp_path, command):
+        doc = json.loads(input_path("square_h0").read_text())
+        doc["vertex_coords"] = [row + [0] for row in doc["vertex_coords"]]
+        bad = tmp_path / "long_rows.json"
+        bad.write_text(json.dumps(doc))
+        t = write_tuple(tmp_path, "t.json", [[{"coeff": 1, "exps": [0, 0]}]] * 4)
+        extra = [t] if command == "membership" else []
+        code, out, err = run(capsys, command, bad, *extra)
+        assert code == 2
+        assert "vertex_coords[0]': 3 entries, expected 2" in err
+        code, out, _ = run(capsys, command, bad, *extra, "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "input-error"
+        assert "vertex_coords[0]" in doc["payload"]["error"]
+
+    @pytest.mark.parametrize("command", ["gkm", "facering", "interpolate"])
+    def test_bad_order(self, capsys, tmp_path, command):
+        t = write_tuple(tmp_path, "t.json", [[{"coeff": 1, "exps": [0, 0]}]] * 4)
+        extra = [t] if command == "interpolate" else []
+        code, out, _ = run(capsys, command, input_path("bad_order"), *extra)
+        assert code == 1
+        assert out.startswith("vertex order: FAIL (") and "locally minimal" in out
+        code, out, _ = run(capsys, command, input_path("bad_order"), *extra, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "fail" and "locally minimal" in doc["payload"]["error"]
+
+    def test_height_tie_on_an_edge(self, capsys, tmp_path):
+        doc = json.loads(input_path("square_h0").read_text())
+        doc["height_vector"] = [1, 0]        # ties on the two vertical edges
+        bad = tmp_path / "tie.json"
+        bad.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "gkm", bad)
+        assert code == 1
+        assert "vertex order: FAIL (height ties on the edge" in out

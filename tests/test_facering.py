@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasik.facering import (
     NotInW,
+    OrdinaryRankFailure,
     basis_certificate,
     constant_tuple,
     equivariant_presentation,
@@ -233,6 +234,16 @@ class TestOrdinaryRank:
             res = ordinary_rank(g)
             assert res.rank == expect == g.m
             assert res.torsion_free
+
+    def test_single_exact_model_on_bundled_inputs(self, graphs):
+        for name, g in graphs.items():
+            res = ordinary_rank(g)
+            assert (res.degree, res.rank, res.torsion_free) == (g.n, g.m, True), name
+            assert res.model.degree == g.n
+
+    def test_violated_certificate_raises(self, short_rank):
+        with pytest.raises(OrdinaryRankFailure, match="rank 2, expected a free module of rank 3"):
+            ordinary_rank(CP2)
 
     def test_hirzebruch_all_k(self):
         for k in (0, 1, 2, 3):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasik.lattice import (
     IntMat,
+    _eliminate_unit_pivots,
     NotPrimitive,
     NotUnimodular,
     RankError,
@@ -108,6 +109,39 @@ class TestSnf:
         A = IntMat.from_rows(rows)
         s = check_snf_contract(A)
         assert snf_diagonal(A) == s.diagonal()
+
+
+class TestSnfDiagonal:
+    """snf_diagonal eliminates unit pivots sparsely, then runs the dense SNF."""
+
+    @pytest.mark.parametrize("rows, cols, expected", [
+        ([[1, -1], [1, 1]], 2, (1, 2)),                      # all units
+        ([[2, 4], [6, 8]], 2, (2, 4)),                       # no unit: dense block only
+        ([[1, 0, 0], [0, 2, 4], [0, 6, 8]], 3, (1, 2, 4)),   # unit pivot, then a 2x2 block
+        ([[1, 2], [3, 4]], 2, (1, 2)),                       # the pivot's Schur complement
+        ([[0, 0, 0], [0, 1, 0], [0, 0, 0]], 3, (1, 0, 0)),   # zero rows and columns
+        ([[2, 0, 0], [0, 1, 0]], 3, (1, 2)),                 # r < c
+        ([[2], [0], [4]], 1, (2,)),                          # r > c
+        ([], 3, ()),
+    ])
+    def test_cases(self, rows, cols, expected):
+        A = IntMat.from_rows(rows, cols=cols)
+        assert snf_diagonal(A) == expected == snf(A).diagonal()
+
+    def test_unit_pivot_leaves_the_schur_complement(self):
+        rows = {0: {0: 1, 1: 2}, 1: {0: 3, 1: 4}, 2: {2: 2}}
+        assert _eliminate_unit_pivots(rows) == 1
+        assert rows == {1: {1: -2}, 2: {2: 2}}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6),
+           st.sampled_from([(-1, 1), (-4, -2, 0, 2, 6), (-1, 0, 1), (-3, -1, 0, 0, 1, 2, 5)]),
+           st.data())
+    def test_matches_snf(self, r, c, values, data):
+        rows = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=c, max_size=c),
+                                  min_size=r, max_size=r))
+        A = IntMat.from_rows(rows, cols=c)
+        assert snf_diagonal(A) == snf(A).diagonal()
 
 
 class TestPrimitiveKernelVector:
