@@ -325,13 +325,15 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    name = str(args.input)
     try:
         doc = load_document(args.input)
+        name = doc.name
         report = COMMANDS[args.command](doc, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         if args.json:
-            sys.stdout.write(_render(Report(args.command, str(args.input), "input-error", 2,
+            sys.stdout.write(_render(Report(args.command, name, "input-error", 2,
                                             {"error": str(exc)}, ""), True))
         return 2
     sys.stdout.write(_render(report, args.json))

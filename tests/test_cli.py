@@ -222,6 +222,20 @@ class TestMalformedOrders:
         assert doc["status"] == "input-error"
         assert "vertex_coords[0]" in doc["payload"]["error"]
 
+    def test_input_error_report_names_document(self, capsys, tmp_path):
+        # a loaded document is reported by its name, as in every other report
+        t = write_tuple(tmp_path, "t.json", [[{"coeff": 1, "exps": [0, 0]}]] * 3)
+        code, out, _ = run(capsys, "membership", input_path("square_h0"), t, "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["status"], doc["input"]) == ("input-error", "square_h0")
+        assert "3 entries for 4 fixed points" in doc["payload"]["error"]
+        # a document that fails to load has only its path
+        missing = tmp_path / "missing.json"
+        code, out, _ = run(capsys, "validate", missing, "--json")
+        assert code == 2
+        assert json.loads(out)["input"] == str(missing)
+
     @pytest.mark.parametrize("command", ["gkm", "facering", "interpolate"])
     def test_bad_order(self, capsys, tmp_path, command):
         t = write_tuple(tmp_path, "t.json", [[{"coeff": 1, "exps": [0, 0]}]] * 4)
