@@ -2,7 +2,17 @@
 
 Subcommands: validate, gkm, facering, membership, interpolate, proptest.
 Exit codes: 0 success, 1 mathematical failure or non-membership, 2 input
-error.  Output is deterministic for fixed (input, flags, seed).
+error (including a polytope past the facet bound of the non-face search).
+Output is deterministic for fixed (input, flags, seed).
+
+Every command but validate runs one pipeline, _prepare: build the polytope,
+check it is simple, check the characteristic matrix, resolve the vertex
+order, build the GkmGraph.  The first failing check ends the command with
+exit 1.  What the pipeline does with the order is fixed per command in
+COMMANDS: gkm, facering and interpolate need it (without an order source
+they exit 2), proptest uses it when it is valid, and membership never
+resolves it.  validate runs the same checks itself so that it can report
+every step.
 """
 
 from __future__ import annotations
@@ -15,15 +25,19 @@ from dataclasses import dataclass
 from . import facering
 from .documents import InputError, build_polytope, load_document, load_tuple, resolve_order
 from .facering import NotInW, OrdinaryRankFailure, ResidualNonzero
-from .gkm import build_gkm, dot_export, euler_coprimality_check, in_gamma, in_w
+from .gkm import GkmGraph, dot_export, euler_coprimality_check, in_gamma, in_w
 from .harness import run_all
 from .polytope import (
     InvalidOrder,
     NonGenericHeight,
+    PolytopeTooLarge,
     fmt_facets,
     validate_characteristic,
     validate_simple,
 )
+
+# what a command does with the document's vertex order
+NEED, USE, IGNORE = "need", "use", "ignore"
 
 
 @dataclass
@@ -52,6 +66,31 @@ def _order_or_error(doc, P):
         return None, str(exc)
 
 
+def _prepare(doc, command, order):
+    """The shared pipeline: (graph, order error) or a failure Report.
+
+    order is NEED (a missing order source is an input error, an invalid
+    order a failure), USE (the graph carries the order only when it is
+    valid; the error says why not) or IGNORE (the order is not resolved).
+    """
+    P = build_polytope(doc)
+    failures = list(validate_simple(P).failures)
+    if not failures:
+        failures = list(validate_characteristic(P, doc.lam).failures)
+    if failures:
+        human = "input fails validation:\n" + "\n".join("  " + f for f in failures)
+        return Report(command, doc.name, "fail", 1, {"failures": failures}, human)
+    vo = err = None
+    if order == USE and not doc.has_order_source:
+        err = "no order source in the input document"
+    elif order != IGNORE:
+        vo, err = _order_or_error(doc, P)
+        if err and order == NEED:
+            return Report(command, doc.name, "fail", 1, {"error": err},
+                          f"vertex order: FAIL ({err})")
+    return GkmGraph(P, doc.lam, order=vo, bott=doc.use_bott), err
+
+
 def cmd_validate(doc, args) -> Report:
     P = build_polytope(doc)
     lines = []
@@ -78,14 +117,9 @@ def cmd_validate(doc, args) -> Report:
                   0 if ok else 1, payload, "\n".join(lines))
 
 
-def cmd_gkm(doc, args) -> Report:
-    P = build_polytope(doc)
-    order, bad = _valid_order(doc, P, "gkm")
-    if bad:
-        return bad
-    g = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
+def cmd_gkm(doc, args, g, _) -> Report:
     rep = euler_coprimality_check(g)
-    pos = order.position
+    pos = g.order.position
     edges = sorted(({"a": min(pos[e.v], pos[e.w]) + 1,
                      "b": max(pos[e.v], pos[e.w]) + 1,
                      "facets": sorted(e.facets),
@@ -110,12 +144,8 @@ def cmd_gkm(doc, args) -> Report:
                   0 if ok else 1, payload, "\n".join(lines))
 
 
-def cmd_facering(doc, args) -> Report:
-    P = build_polytope(doc)
-    order, bad = _valid_order(doc, P, "facering")
-    if bad:
-        return bad
-    g = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
+def cmd_facering(doc, args, g, _) -> Report:
+    P = g.polytope
     nonfaces = [sorted(S) for S in P.minimal_nonfaces()]
     gens = facering.kernel_generators(g)
     rvecs = {i: facering.r_vector(g, i) for i in range(1, g.d + 1)}
@@ -174,15 +204,8 @@ def cmd_facering(doc, args) -> Report:
                   0 if status_ok else 1, payload, "\n".join(lines))
 
 
-def cmd_membership(doc, args) -> Report:
-    P = build_polytope(doc)
-    bad = _require_valid(doc, P, "membership")
-    if bad:
-        return bad
-    order = None
-    if doc.has_order_source:
-        order, _ = _order_or_error(doc, P)
-    g = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
+def cmd_membership(doc, args, g, _) -> Report:
+    P = g.polytope
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     grep = in_gamma(g, t)
     wrep = in_w(g, t)
@@ -205,12 +228,8 @@ def cmd_membership(doc, args) -> Report:
                   0 if ok else 1, payload, "\n".join(lines))
 
 
-def cmd_interpolate(doc, args) -> Report:
-    P = build_polytope(doc)
-    order, bad = _valid_order(doc, P, "interpolate")
-    if bad:
-        return bad
-    g = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
+def cmd_interpolate(doc, args, g, _) -> Report:
+    P = g.polytope
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     try:
         res = facering.interpolate(g, t)
@@ -233,19 +252,9 @@ def cmd_interpolate(doc, args) -> Report:
     return Report("interpolate", doc.name, "pass", 0, payload, "\n".join(lines))
 
 
-def cmd_proptest(doc, args) -> Report:
-    P = build_polytope(doc)
-    bad = _require_valid(doc, P, "proptest")
-    if bad:
-        return bad
-    order = None
-    if doc.has_order_source:
-        order, order_err = _order_or_error(doc, P)
-    else:
-        order_err = "no order source in the input document"
-    g = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
+def cmd_proptest(doc, args, g, order_err) -> Report:
     results = run_all(g, args.seed, args.cases, coords=doc.vertex_coords)
-    if order is None:
+    if g.order is None:
         results = [r if r.cases or r.passed else
                    type(r)(r.name, r.cases, r.passed, order_err) for r in results]
     lines = [r.line() for r in results]
@@ -257,32 +266,6 @@ def cmd_proptest(doc, args) -> Report:
                            "passed": r.passed, "detail": r.detail} for r in results]}
     return Report("proptest", doc.name, "pass" if ok else "fail",
                   0 if ok else 1, payload, "\n".join(lines))
-
-
-def _require_valid(doc, P, command):
-    """None if the document passes validation, else a failure Report."""
-    failures = list(validate_simple(P).failures)
-    if not failures:
-        failures = list(validate_characteristic(P, doc.lam).failures)
-    if failures:
-        human = "input fails validation:\n" + "\n".join("  " + f for f in failures)
-        return Report(command, doc.name, "fail", 1, {"failures": failures}, human)
-    return None
-
-
-def _valid_order(doc, P, command):
-    """(order, None) for a valid document with a valid order, else (None, failure Report).
-
-    A document without an order source raises InputError.
-    """
-    bad = _require_valid(doc, P, command)
-    if bad:
-        return None, bad
-    order, err = _order_or_error(doc, P)
-    if err:
-        return None, Report(command, doc.name, "fail", 1, {"error": err},
-                            f"vertex order: FAIL ({err})")
-    return order, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,13 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (function, what the pipeline does with the vertex order);
+# validate (None) checks step by step itself
 COMMANDS = {
-    "validate": cmd_validate,
-    "gkm": cmd_gkm,
-    "facering": cmd_facering,
-    "membership": cmd_membership,
-    "interpolate": cmd_interpolate,
-    "proptest": cmd_proptest,
+    "validate": (cmd_validate, None),
+    "gkm": (cmd_gkm, NEED),
+    "facering": (cmd_facering, NEED),
+    "membership": (cmd_membership, IGNORE),
+    "interpolate": (cmd_interpolate, NEED),
+    "proptest": (cmd_proptest, USE),
 }
 
 
@@ -329,8 +314,14 @@ def main(argv=None) -> int:
     try:
         doc = load_document(args.input)
         name = doc.name
-        report = COMMANDS[args.command](doc, args)
-    except InputError as exc:
+        command, order = COMMANDS[args.command]
+        if order is None:
+            report = command(doc, args)
+        else:
+            prepared = _prepare(doc, args.command, order)
+            report = (prepared if isinstance(prepared, Report)
+                      else command(doc, args, *prepared))
+    except (InputError, PolytopeTooLarge) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         if args.json:
             sys.stdout.write(_render(Report(args.command, name, "input-error", 2,

@@ -31,7 +31,6 @@ from .lattice import IntMat, dot, snf_diagonal
 from .laurent import (
     DimensionMismatch,
     LaurentPoly,
-    char_profile,
     face_profile,
     substitute_monomial_map,
 )
@@ -68,33 +67,6 @@ class OrdinaryRankFailure(RuntimeError):
     """The degree-n model is not free of rank m, as theory requires."""
 
 
-# -- the two substitution directions ---------------------------------------
-
-def _phi_matrices(g: GkmGraph):
-    mats = getattr(g, "_phi_matrices", None)
-    if mats is None:
-        zero = (0,) * g.n
-        mats = []
-        for v in range(g.m):
-            cols = [g.mu[v].get(i, zero) for i in range(1, g.d + 1)]
-            mats.append(g._extend(IntMat.from_cols(cols, rows=g.n)))
-        g._phi_matrices = mats
-    return mats
-
-
-def _step_matrices(g: GkmGraph):
-    mats = getattr(g, "_step_matrices", None)
-    if mats is None:
-        zero = (0,) * g.n
-        mats = []
-        for v in range(g.m):
-            fs = g.polytope.vertices[v]
-            rows = [g.lam_row(i) if i in fs else zero for i in range(1, g.d + 1)]
-            mats.append(g._extend(IntMat.from_rows(rows, cols=g.n)))
-        g._step_matrices = mats
-    return mats
-
-
 def theta(g: GkmGraph, u) -> LaurentPoly:
     """R-algebra structure map: e^u -> prod_i y_i^{<u, lambda_i>}."""
     if len(u) != g.n:
@@ -124,9 +96,8 @@ def phi(g: GkmGraph, P: LaurentPoly) -> FixedPointTuple:
     """Evaluate a face-ring element on all fixed points at once."""
     if P.profile != g.face_profile:
         raise DimensionMismatch(f"{P.profile} != {g.face_profile}")
-    mats = _phi_matrices(g)
     return FixedPointTuple(g.char_profile, tuple(
-        substitute_monomial_map(P, mats[v], g.char_profile) for v in range(g.m)))
+        substitute_monomial_map(P, M, g.char_profile) for M in g.phi_maps))
 
 
 # -- interpolation ----------------------------------------------------------
@@ -158,13 +129,12 @@ def interpolate(g: GkmGraph, t: FixedPointTuple) -> InterpolationResult:
     if not rep.member:
         raise NotInW(rep)
     order = g.order.order
-    steps_mats = _step_matrices(g)
     residual = list(t.entries)
     total = LaurentPoly.zero(g.face_profile)
     steps = []
     for pos in range(g.m):
         v = order[pos]
-        p = substitute_monomial_map(residual[v], steps_mats[v], g.face_profile)
+        p = substitute_monomial_map(residual[v], g.step_maps[v], g.face_profile)
         if not p.is_zero:
             img = phi(g, p)
             for j in range(g.m):
@@ -255,13 +225,6 @@ class Presentation:
     lattice_relations: tuple[LaurentPoly, ...]
 
 
-def equivariant_presentation(g: GkmGraph) -> Presentation:
-    return Presentation(
-        generators=tuple(f"y{i}" for i in range(1, g.d + 1)),
-        j_generators=kernel_generators(g),
-        lattice_relations=())
-
-
 def ordinary_presentation(g: GkmGraph) -> Presentation:
     """Generators and relations of the ordinary K-ring: the non-face products
     plus one monomial relation theta(e_k) - 1 per standard basis character."""
@@ -274,22 +237,18 @@ def ordinary_presentation(g: GkmGraph) -> Presentation:
 
 def _elimination(g: GkmGraph):
     """Exponent map eliminating the facet variables of the base vertex."""
-    data = getattr(g, "_elimination_data", None)
-    if data is None:
-        v1 = g.order.order[0] if g.order is not None else 0
-        block = sorted(g.polytope.vertices[v1])
-        survivors = [i for i in range(1, g.d + 1) if i not in g.polytope.vertices[v1]]
-        mu = g.mu[v1]
-        rows = []
-        for si in survivors:
-            row = [0] * g.d
-            row[si - 1] = 1
-            for b in block:
-                row[b - 1] = -dot(mu[b], g.lam_row(si))
-            rows.append(row)
-        data = (v1, block, survivors, IntMat.from_rows(rows, cols=g.d))
-        g._elimination_data = data
-    return data
+    v1 = g.order.order[0] if g.order is not None else 0
+    block = sorted(g.polytope.vertices[v1])
+    survivors = [i for i in range(1, g.d + 1) if i not in g.polytope.vertices[v1]]
+    mu = g.mu[v1]
+    rows = []
+    for si in survivors:
+        row = [0] * g.d
+        row[si - 1] = 1
+        for b in block:
+            row[b - 1] = -dot(mu[b], g.lam_row(si))
+        rows.append(row)
+    return v1, block, survivors, IntMat.from_rows(rows, cols=g.d)
 
 
 def _binomial_series(e: int, cap: int):

@@ -20,6 +20,7 @@ reducing to edges so that the agreement stays independent evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .lattice import (
@@ -29,7 +30,6 @@ from .lattice import (
     primitive_kernel_vector,
     quotient_projection,
     right_kernel_basis,
-    solve,
 )
 from .laurent import (
     LaurentPoly,
@@ -206,27 +206,26 @@ class GkmGraph:
         target = char_profile(P.rows, self.bott)
         return substitute_monomial_map(a, self._extend(P), target)
 
-    def face_map(self, sub_facets: frozenset, super_facets: frozenset) -> IntMat:
-        """Matrix of the projection between the restriction rings of nested faces.
+    # -- per-vertex exponent maps, built on first use ------------------
+    @cached_property
+    def phi_maps(self) -> tuple[IntMat, ...]:
+        """Per vertex: face exponents -> character exponents, y_i -> e^{mu_i(v)}."""
+        zero = (0,) * self.n
+        return tuple(
+            self._extend(IntMat.from_cols(
+                [self.mu[v].get(i, zero) for i in range(1, self.d + 1)], rows=self.n))
+            for v in range(self.m))
 
-        sub_facets must define a face of the face defined by super_facets
-        (i.e. contain it as a set); the returned C satisfies C @ P_sub == P_super.
-        """
-        Psub = self.face_projection(frozenset(sub_facets))
-        Psup = self.face_projection(frozenset(super_facets))
-        cols = []
-        for j in range(Psup.rows):
-            col = solve(Psub.T, Psup.row(j))
-            if col is None:
-                raise ValueError("faces are not nested")
-            cols.append(col)
-        return IntMat.from_rows(cols, cols=Psub.rows)
-
-
-def build_gkm(P: SimplePolytope, lam, order: Optional[VertexOrder] = None,
-              bott: bool = False) -> GkmGraph:
-    """Assemble edge characters and dual bases for validated input."""
-    return GkmGraph(P, lam, order=order, bott=bott)
+    @cached_property
+    def step_maps(self) -> tuple[IntMat, ...]:
+        """Per vertex: e^u -> prod of y_i^{<u, lambda_i>} over the facets i at the
+        vertex, a right inverse of that vertex's phi map."""
+        zero = (0,) * self.n
+        return tuple(
+            self._extend(IntMat.from_rows(
+                [self.lam_row(i) if i in self.polytope.vertices[v] else zero
+                 for i in range(1, self.d + 1)], cols=self.n))
+            for v in range(self.m))
 
 
 def euler_coprimality_check(g: GkmGraph) -> ValidationReport:

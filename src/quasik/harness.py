@@ -21,9 +21,14 @@ from .facering import (
     r_vector,
     theta,
 )
-from .gkm import GkmGraph, build_gkm, euler_coprimality_check, in_gamma, in_w
+from .gkm import GkmGraph, euler_coprimality_check, in_gamma, in_w
 from .laurent import LaurentPoly
 from .polytope import InvalidOrder, NonGenericHeight, vertex_order_from_heights
+
+MAX_TERMS = 3       # terms in a random face element, products in a random member
+EXP_BOUND = 2       # largest |exponent| in random characters and face elements
+MAX_COEFF = 3       # largest |coefficient| in random face elements
+RANDOM_ORDERS = 3   # height orders besides the document's that the certificate suite tries
 
 
 @dataclass(frozen=True)
@@ -43,23 +48,23 @@ def _rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
-def random_character(rng, n, bound=2):
-    return tuple(rng.randint(-bound, bound) for _ in range(n))
+def random_character(rng, n):
+    return tuple(rng.randint(-EXP_BOUND, EXP_BOUND) for _ in range(n))
 
 
-def random_face_element(rng, g: GkmGraph, max_terms=3, bound=2, coeff=3) -> LaurentPoly:
+def random_face_element(rng, g: GkmGraph) -> LaurentPoly:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(rng.randint(-bound, bound) for _ in range(g.face_profile.nvars))
-        c = rng.choice([x for x in range(-coeff, coeff + 1) if x])
+    for _ in range(rng.randint(1, MAX_TERMS)):
+        exps = tuple(rng.randint(-EXP_BOUND, EXP_BOUND) for _ in range(g.face_profile.nvars))
+        c = rng.choice([x for x in range(-MAX_COEFF, MAX_COEFF + 1) if x])
         terms[exps] = terms.get(exps, 0) + c
     return LaurentPoly(g.face_profile, terms)
 
 
-def random_member_tuple(rng, g: GkmGraph, max_terms=3):
+def random_member_tuple(rng, g: GkmGraph):
     """Combination of r-vector products with diagonal monomial coefficients."""
     total = None
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, MAX_TERMS)):
         u = random_character(rng, g.n)
         eps = rng.choice([1, -1, 2, -2])
         part = constant_tuple(g, LaurentPoly.char_monomial(g.char_profile, u, eps))
@@ -117,9 +122,9 @@ def suite_gamma_w_agreement(g: GkmGraph, seed: int, cases: int) -> SuiteResult:
     return SuiteResult(name, cases, True, "")
 
 
-def suite_phi_homomorphism(g: GkmGraph, seed: int, cases: int,
-                           theta_cases: int = 50) -> SuiteResult:
-    """phi is a ring map, its image lies in the edge subring, theta goes diagonal."""
+def suite_phi_homomorphism(g: GkmGraph, seed: int, cases: int) -> SuiteResult:
+    """phi is a ring map, its image lies in the edge subring, theta goes diagonal
+    (checked on cases // 4 random characters)."""
     name = "phi-homomorphism"
     rng = _rng(seed, "phi")
     elements = [random_face_element(rng, g) for _ in range(cases)]
@@ -132,7 +137,7 @@ def suite_phi_homomorphism(g: GkmGraph, seed: int, cases: int,
     for k, p in enumerate(elements):
         if not in_gamma(g, phi(g, p)).member:
             return SuiteResult(name, cases, False, f"case {k}: image not in the edge subring")
-    for k in range(theta_cases):
+    for k in range(cases // 4):
         u = random_character(rng, g.n)
         expected = constant_tuple(g, LaurentPoly.char_monomial(g.char_profile, u))
         if phi(g, theta(g, u)) != expected:
@@ -168,8 +173,7 @@ def suite_kernel(g: GkmGraph) -> SuiteResult:
     return SuiteResult(name, len(gens), True, "")
 
 
-def suite_certificate(g: GkmGraph, seed: int, random_orders: int = 3,
-                      coords=None) -> SuiteResult:
+def suite_certificate(g: GkmGraph, seed: int, coords=None) -> SuiteResult:
     """Triangular basis certificate for the document order and random height orders."""
     name = "basis-certificate"
     if g.order is None:
@@ -184,7 +188,7 @@ def suite_certificate(g: GkmGraph, seed: int, random_orders: int = 3,
         rng = _rng(seed, "cert-orders")
         made = 0
         attempts = 0
-        while made < random_orders and attempts < 20 * random_orders:
+        while made < RANDOM_ORDERS and attempts < 20 * RANDOM_ORDERS:
             attempts += 1
             w = tuple(rng.randint(-9, 9) for _ in range(len(coords[0])))
             try:
@@ -192,7 +196,7 @@ def suite_certificate(g: GkmGraph, seed: int, random_orders: int = 3,
             except (NonGenericHeight, InvalidOrder):
                 continue
             made += 1
-            alt = build_gkm(g.polytope, g.lam, order=order, bott=g.bott)
+            alt = GkmGraph(g.polytope, g.lam, order=order, bott=g.bott)
             try:
                 basis_certificate(alt)
                 tried += 1
@@ -206,7 +210,7 @@ def run_all(g: GkmGraph, seed: int, cases: int, coords=None) -> list[SuiteResult
     return [
         suite_gkm_structure(g),
         suite_gamma_w_agreement(g, seed, cases),
-        suite_phi_homomorphism(g, seed, cases, theta_cases=cases // 4),
+        suite_phi_homomorphism(g, seed, cases),
         suite_interpolation(g, seed, cases),
         suite_kernel(g),
         suite_certificate(g, seed, coords=coords),

@@ -483,23 +483,3 @@ def quotient_projection(basis: Sequence[Vector], ambient: int) -> IntMat:
     if any(d not in (0, 1) for d in diag):
         raise ValueError(f"sublattice is not saturated (invariant factors {diag})")
     return IntMat(ambient - r, ambient, s.U.data[r:])
-
-
-def solve(A: IntMat, b: Sequence[int]) -> Optional[Vector]:
-    """Some integer x with A @ x == b, or None if no integral solution exists."""
-    if len(b) != A.rows:
-        raise ValueError("rhs length != rows")
-    s = snf(A)
-    cvec = s.U.matvec(b)
-    z = [0] * A.cols
-    k = min(A.rows, A.cols)
-    for i in range(A.rows):
-        d = s.D.data[i][i] if i < k else 0
-        if d == 0:
-            if cvec[i] != 0:
-                return None
-        else:
-            if cvec[i] % d != 0:
-                return None
-            z[i] = cvec[i] // d
-    return s.V.matvec(z)

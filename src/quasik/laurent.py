@@ -243,11 +243,6 @@ def _raw(profile: Profile, terms: dict) -> LaurentPoly:
     return p
 
 
-def eval_all_ones(f: LaurentPoly) -> int:
-    """Augmentation: the sum of all coefficients."""
-    return sum(f.terms.values())
-
-
 def substitute_monomial_map(f: LaurentPoly, A: IntMat, profile: Profile = None) -> LaurentPoly:
     """Apply the monomial substitution e^u -> e^{A u} to every term of f."""
     if A.cols != f.profile.nvars:
@@ -271,14 +266,12 @@ def substitute_monomial_map(f: LaurentPoly, A: IntMat, profile: Profile = None) 
 
 
 @lru_cache(maxsize=None)
-def _division_transform(u: tuple) -> tuple:
-    """(W, W_inv) with W unimodular, W u = e_1; used to make e^u a coordinate."""
-    C = complete_to_unimodular(u)
-    W = inverse_unimodular(C.T)
-    return W, C.T
+def _division_transform(u: tuple) -> IntMat:
+    """W unimodular with W u = e_1; used to make e^u a coordinate."""
+    return inverse_unimodular(complete_to_unimodular(u).T)
 
 
-def _checked_transform(f: LaurentPoly, u) -> tuple:
+def _checked_transform(f: LaurentPoly, u) -> IntMat:
     prof = f.profile
     if prof.kind != CHAR:
         raise ProfileMismatch("binomial divisibility lives in the character profile")
@@ -290,16 +283,8 @@ def _checked_transform(f: LaurentPoly, u) -> tuple:
     g = vec_gcd(u)
     if g != 1:
         raise NotPrimitive(f"gcd of {u} is {g}")
-    W, Winv = _division_transform(u)
-    if prof.bott:
-        one = IntMat.identity(1)
-        W, Winv = block_diag(W, one), block_diag(Winv, one)
-    return u, W, Winv
-
-
-def one_minus_char(profile: Profile, u) -> LaurentPoly:
-    """The binomial 1 - e^u."""
-    return LaurentPoly.one(profile) - LaurentPoly.char_monomial(profile, u)
+    W = _division_transform(u)
+    return block_diag(W, IntMat.identity(1)) if prof.bott else W
 
 
 def divides_one_minus(f: LaurentPoly, u) -> bool:
@@ -308,7 +293,7 @@ def divides_one_minus(f: LaurentPoly, u) -> bool:
     After a unimodular change of coordinates sending e^u to the first
     variable, divisibility is equivalent to vanishing under t1 = 1.
     """
-    _, W, _ = _checked_transform(f, u)
+    W = _checked_transform(f, u)
     if f.is_zero:
         return True
     g = substitute_monomial_map(f, W, f.profile)
@@ -317,35 +302,3 @@ def divides_one_minus(f: LaurentPoly, u) -> bool:
         key = (0,) + exp[1:]
         acc[key] = acc.get(key, 0) + c
     return all(v == 0 for v in acc.values())
-
-
-def quotient_one_minus(f: LaurentPoly, u) -> LaurentPoly:
-    """The exact quotient q with f == (1 - e^{-u}) * q; raises NotDivisible."""
-    uu, W, Winv = _checked_transform(f, u)
-    prof = f.profile
-    if f.is_zero:
-        return f
-    g = substitute_monomial_map(f, W, prof)
-    acc = {}
-    for exp, c in g.terms.items():
-        key = exp[1:]
-        acc[key] = acc.get(key, 0) + c
-    if any(acc.values()):
-        raise NotDivisible(f"{f.text()} is not divisible by 1 - e^-{uu}")
-    # g / (t1 - 1): a term c*t1^a contributes c to exponents m..a-1 (m = valuation);
-    # shifting by one more t1 gives g / (1 - t1^{-1})
-    m = min(exp[0] for exp in g.terms)
-    out = {}
-    for exp, c in g.terms.items():
-        rest = exp[1:]
-        for k in range(m, exp[0]):
-            key = (k + 1,) + rest
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    q = substitute_monomial_map(_raw(prof, out), Winv, prof)
-    if one_minus_char(prof, tuple(-x for x in uu)) * q != f:
-        raise NotDivisible("quotient verification failed")
-    return q

@@ -101,9 +101,6 @@ class SimplePolytope:
     def m(self) -> int:
         return len(self.vertices)
 
-    def facets_of(self, v: int) -> frozenset:
-        return self.vertices[v]
-
     def edges(self):
         """All edges: (v, w, shared facet set) with v < w sharing n-1 facets."""
         if self._edges is None:

@@ -4,7 +4,7 @@ import pytest
 
 from quasik import facering
 from quasik.documents import build_polytope, load_document, resolve_order
-from quasik.gkm import build_gkm
+from quasik.gkm import GkmGraph
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -28,7 +28,7 @@ def graphs(documents):
     for name, doc in documents.items():
         P = build_polytope(doc)
         order = resolve_order(doc, P)
-        out[name] = build_gkm(P, doc.lam, order=order, bott=doc.use_bott)
+        out[name] = GkmGraph(P, doc.lam, order=order, bott=doc.use_bott)
     return out
 
 

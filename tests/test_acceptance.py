@@ -92,7 +92,7 @@ def test_criterion_3_gamma_equals_w(graphs):
 def test_criterion_4_phi_homomorphism(graphs):
     failures = []
     for name, g in graphs.items():
-        res = suite_phi_homomorphism(g, SEED, 200, theta_cases=50)
+        res = suite_phi_homomorphism(g, SEED, 200)
         if not res.passed:
             failures.append(f"{name}: {res.detail}")
     _criterion(4, "phi homomorphism and image", failures)

@@ -256,3 +256,44 @@ class TestMalformedOrders:
         code, out, _ = run(capsys, "gkm", bad)
         assert code == 1
         assert "vertex order: FAIL (height ties on the edge" in out
+
+
+def cut_polygon(cuts):
+    """CP^2 with `cuts` corners cut off: each new facet sits between two
+    neighbours and gets the sum of their lambda rows, so every vertex stays
+    unimodular.  Vertices go around the cycle, in that order."""
+    rows, ids = [(1, 0), (0, 1), (-1, -1)], [1, 2, 3]
+    for k in range(cuts):
+        j = k % len(rows)
+        a, b = rows[j], rows[(j + 1) % len(rows)]
+        rows.insert(j + 1, (a[0] + b[0], a[1] + b[1]))
+        ids.insert(j + 1, len(ids) + 1)
+    lam = [list(r) for _, r in sorted(zip(ids, rows))]
+    k = len(ids)
+    return {"name": f"polygon{k}", "dim": 2, "facets": k,
+            "vertices": [[ids[i], ids[(i + 1) % k]] for i in range(k)],
+            "lambda": lam, "vertex_order": list(range(1, k + 1))}
+
+
+class TestFacetBound:
+    """A valid polytope past the non-face search bound is an input error."""
+
+    @pytest.fixture
+    def polygon25(self, tmp_path):
+        path = tmp_path / "polygon25.json"
+        path.write_text(json.dumps(cut_polygon(22)))
+        return path
+
+    @pytest.mark.parametrize("argv", [["facering"], ["proptest", "--cases", "1"]],
+                             ids=["facering", "proptest"])
+    def test_past_the_bound(self, capsys, polygon25, argv):
+        command, *flags = argv
+        assert run(capsys, "validate", polygon25)[0] == 0
+        code, out, err = run(capsys, command, polygon25, *flags)
+        assert (code, out) == (2, "")
+        assert err == "input error: 25 facets exceeds the enumeration bound 24\n"
+        code, out, _ = run(capsys, command, polygon25, *flags, "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["status"], doc["input"]) == ("input-error", "polygon25")
+        assert "enumeration bound 24" in doc["payload"]["error"]

@@ -7,7 +7,6 @@ from quasik.facering import (
     OrdinaryRankFailure,
     basis_certificate,
     constant_tuple,
-    equivariant_presentation,
     interpolate,
     kernel_generators,
     ordinary_presentation,
@@ -16,7 +15,7 @@ from quasik.facering import (
     r_vector,
     theta,
 )
-from quasik.gkm import FixedPointTuple, build_gkm, in_gamma, in_w
+from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
 from quasik.laurent import LaurentPoly, substitute_monomial_map
 from quasik.polytope import SimplePolytope, vertex_order_from_heights
 
@@ -46,7 +45,7 @@ def make(name):
     else:
         raise KeyError(name)
     order = vertex_order_from_heights(P, coords, w)
-    return build_gkm(P, lam, order=order)
+    return GkmGraph(P, lam, order=order)
 
 
 CP1 = make("cp1")
@@ -216,9 +215,6 @@ class TestPresentations:
         assert [p.text() for p in pres.j_generators] == ["1 - y2 - y1 + y1*y2"]
         assert [p.text() for p in pres.lattice_relations] == ["-1 + y1*y2^-1"]
 
-    def test_equivariant_has_no_lattice_relations(self):
-        assert equivariant_presentation(CP2).lattice_relations == ()
-
     def test_lattice_relations_die_under_elimination(self):
         from quasik.facering import _elimination
         from quasik.laurent import face_profile
@@ -272,7 +268,7 @@ class TestBottVariable:
     def test_full_pipeline_with_bott(self):
         P = SimplePolytope(2, 3, [[1, 2], [1, 3], [2, 3]])
         order = vertex_order_from_heights(P, [(0, 0), (0, 1), (1, 0)], (1, 2))
-        g = build_gkm(P, [[1, 0], [0, 1], [-1, -1]], order=order, bott=True)
+        g = GkmGraph(P, [[1, 0], [0, 1], [-1, -1]], order=order, bott=True)
         z = LaurentPoly.variable(g.face_profile, g.d)
         y1 = LaurentPoly.variable(g.face_profile, 0)
         elem = z * y1 - 2 * z ** -1 + theta(g, (1, -1))
