@@ -135,8 +135,11 @@ def cmd_gkm(doc, args, g, _) -> Report:
                "euler_check": {"ok": rep.ok, "failures": list(rep.failures)}}
     if args.dot:
         text = dot_export(g)
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot}: {exc}") from None
         lines.append(f"DOT written to {args.dot}")
         payload["dot"] = args.dot
     ok = rep.ok
@@ -189,8 +192,7 @@ def cmd_facering(doc, args, g, _) -> Report:
         try:
             res = facering.ordinary_rank(g)
             lines.append(f"ordinary rank: {res.rank} "
-                         f"({'torsion-free' if res.torsion_free else 'has torsion'}, "
-                         f"truncation degree {res.degree})")
+                         f"(torsion-free, truncation degree {res.degree})")
             payload["ordinary_rank"] = {"rank": res.rank,
                                         "torsion_free": res.torsion_free,
                                         "degree": res.degree,

@@ -150,9 +150,13 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
 
 
 def load_document(path) -> InputDocument:

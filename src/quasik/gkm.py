@@ -1,10 +1,14 @@
 """Fixed-point side of the equivariant K-ring of a quasitoric manifold.
 
-Vertices of the polytope are the torus fixed points.  Every edge carries a
+Vertices of the polytope are the torus fixed points.  Every vertex v
+carries the basis mu(v) dual to its facet cocharacters lambda_i, found by
+inverting the unimodular matrix of those rows.  Every edge carries the
 primitive character orthogonal to the cocharacters of the n-1 facets
-containing it, and every vertex carries the basis dual to its facet
-cocharacters.  Elements of the big product ring are FixedPointTuples: one
-Laurent polynomial in the character variables per fixed point.
+containing it: mu_i(v) for the one facet i of an endpoint v off the edge,
+up to sign.  A character restricts to a face by pairing it with lambda_i
+for each facet i of the face.  Elements of the big product ring are
+FixedPointTuples: one Laurent polynomial in the character variables per
+fixed point.
 
 Two membership predicates cut out the image of the K-ring:
 
@@ -23,14 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .lattice import (
-    IntMat,
-    block_diag,
-    dual_basis,
-    primitive_kernel_vector,
-    quotient_projection,
-    right_kernel_basis,
-)
+from .lattice import IntMat, block_diag, dual_basis, normalize_sign
 from .laurent import (
     LaurentPoly,
     Profile,
@@ -154,11 +151,10 @@ class GkmGraph:
         n = polytope.dim
         self.char_profile = char_profile(n, bott)
         self.face_profile = face_profile(polytope.facet_count, bott)
-        self.edges = tuple(
-            GkmEdge(v, w, fs, self._edge_character(fs))
-            for v, w, fs in polytope.edges())
         self.mu = tuple(self._mu_basis(v) for v in range(polytope.m))
-        self._projections = {}
+        self.edges = tuple(
+            GkmEdge(v, w, fs, self._edge_character(v, fs))
+            for v, w, fs in polytope.edges())
 
     @property
     def n(self) -> int:
@@ -176,9 +172,11 @@ class GkmGraph:
         """Cocharacter of facet i (1-based)."""
         return self.lam[i - 1]
 
-    def _edge_character(self, facets) -> tuple:
-        B = IntMat.from_cols([self.lam_row(i) for i in sorted(facets)], rows=self.n)
-        return primitive_kernel_vector(B)
+    def _edge_character(self, v: int, facets) -> tuple:
+        """mu_i(v) for the one facet i of v off the edge: a row of a unimodular
+        matrix, so primitive, and orthogonal to lambda_j for every facet j on it."""
+        (i,) = self.polytope.vertices[v] - facets
+        return normalize_sign(self.mu[v][i])
 
     def _mu_basis(self, v: int) -> dict:
         facets = sorted(self.polytope.vertices[v])
@@ -190,21 +188,17 @@ class GkmGraph:
     def _extend(self, A: IntMat) -> IntMat:
         return block_diag(A, IntMat.identity(1)) if self.bott else A
 
-    def face_projection(self, facets: frozenset) -> IntMat:
-        """Projection of the character lattice killing the face's perp sublattice."""
-        facets = frozenset(facets)
-        if facets not in self._projections:
-            K = IntMat.from_rows([self.lam_row(i) for i in sorted(facets)], cols=self.n)
-            perp = right_kernel_basis(K)
-            self._projections[facets] = quotient_projection(perp, self.n)
-        return self._projections[facets]
-
     def restrict_to_face(self, a: LaurentPoly, face) -> LaurentPoly:
-        """Image of a character-profile element in the face's restriction ring."""
-        facets = face.facets if isinstance(face, Face) else frozenset(face)
-        P = self.face_projection(facets)
-        target = char_profile(P.rows, self.bott)
-        return substitute_monomial_map(a, self._extend(P), target)
+        """Image of a character-profile element in the face's restriction ring.
+
+        e^u maps to the monomial with exponents <u, lambda_i> over the face's
+        facets i in ascending order.  These lambda_i extend to a lattice basis
+        at any vertex of the face, so the map is onto and its kernel is
+        exactly the characters orthogonal to them.
+        """
+        facets = sorted(face.facets if isinstance(face, Face) else face)
+        P = IntMat(len(facets), self.n, tuple(self.lam_row(i) for i in facets))
+        return substitute_monomial_map(a, self._extend(P), char_profile(P.rows, self.bott))
 
     # -- per-vertex exponent maps, built on first use ------------------
     @cached_property

@@ -10,16 +10,8 @@ integer coefficients; the zero polynomial is the empty map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .lattice import (
-    IntMat,
-    NotPrimitive,
-    block_diag,
-    complete_to_unimodular,
-    inverse_unimodular,
-    vec_gcd,
-)
+from .lattice import IntMat, NotPrimitive, vec_gcd
 
 
 class ProfileMismatch(ValueError):
@@ -265,13 +257,16 @@ def substitute_monomial_map(f: LaurentPoly, A: IntMat, profile: Profile = None) 
     return _raw(profile, out)
 
 
-@lru_cache(maxsize=None)
-def _division_transform(u: tuple) -> IntMat:
-    """W unimodular with W u = e_1; used to make e^u a coordinate."""
-    return inverse_unimodular(complete_to_unimodular(u).T)
+def divides_one_minus(f: LaurentPoly, u) -> bool:
+    """True iff (1 - e^{-u}) divides f, for a primitive nonzero character u.
 
-
-def _checked_transform(f: LaurentPoly, u) -> IntMat:
+    1 - e^{-u} is a unit times 1 - e^u, and Z[M]/(1 - e^u) is the group ring
+    of M/Zu, so f is divisible exactly when its coefficients sum to 0 on
+    every coset a + Zu.  With p the first
+    nonzero coordinate of u, the coset of a is keyed by u_p*a - a_p*u, which
+    vanishes exactly on Zu because u is primitive; a Bott exponent is kept
+    as it is.
+    """
     prof = f.profile
     if prof.kind != CHAR:
         raise ProfileMismatch("binomial divisibility lives in the character profile")
@@ -283,22 +278,12 @@ def _checked_transform(f: LaurentPoly, u) -> IntMat:
     g = vec_gcd(u)
     if g != 1:
         raise NotPrimitive(f"gcd of {u} is {g}")
-    W = _division_transform(u)
-    return block_diag(W, IntMat.identity(1)) if prof.bott else W
-
-
-def divides_one_minus(f: LaurentPoly, u) -> bool:
-    """True iff (1 - e^{-u}) divides f, for a primitive nonzero character u.
-
-    After a unimodular change of coordinates sending e^u to the first
-    variable, divisibility is equivalent to vanishing under t1 = 1.
-    """
-    W = _checked_transform(f, u)
-    if f.is_zero:
-        return True
-    g = substitute_monomial_map(f, W, f.profile)
+    n = prof.count
+    p = next(k for k, x in enumerate(u) if x)
+    up = u[p]
     acc = {}
-    for exp, c in g.terms.items():
-        key = (0,) + exp[1:]
+    for exp, c in f.terms.items():
+        ap = exp[p]
+        key = tuple(up * exp[k] - ap * u[k] for k in range(n)) + exp[n:]
         acc[key] = acc.get(key, 0) + c
-    return all(v == 0 for v in acc.values())
+    return not any(acc.values())

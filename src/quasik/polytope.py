@@ -82,7 +82,6 @@ class VertexOrder:
     position: tuple[int, ...]   # position[v] = rank of vertex v
     ind: tuple[int, ...]        # ind[v] = number of neighbours earlier in the order
     incoming: tuple[tuple[int, ...], ...]  # incoming[v] = earlier neighbours of v
-    outgoing: tuple[tuple[int, ...], ...]  # outgoing[v] = later neighbours of v
 
 
 class SimplePolytope:
@@ -282,10 +281,8 @@ def _order_data(P: SimplePolytope, order):
     adj = P.adjacency()
     incoming = tuple(tuple(sorted(w for w in adj[v] if position[w] < position[v]))
                      for v in range(P.m))
-    outgoing = tuple(tuple(sorted(w for w in adj[v] if position[w] > position[v]))
-                     for v in range(P.m))
     ind = tuple(len(inc) for inc in incoming)
-    return VertexOrder(tuple(order), tuple(position), ind, incoming, outgoing)
+    return VertexOrder(tuple(order), tuple(position), ind, incoming)
 
 
 def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:

@@ -297,3 +297,38 @@ class TestFacetBound:
         doc = json.loads(out)
         assert (doc["status"], doc["input"]) == ("input-error", "polygon25")
         assert "enumeration bound 24" in doc["payload"]["error"]
+
+
+class TestUnreadableFiles:
+    """Bytes that are not UTF-8, or JSON nested past the parser's depth, are
+    input errors in the document and in the tuple file alike."""
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe" + input_path("cp1").read_bytes(), "not UTF-8 text"),
+        (b"[" * 100000, "nested too deeply"),
+    ], ids=["utf16-bom", "deep-nesting"])
+    @pytest.mark.parametrize("which", ["document", "tuple"])
+    def test_reported(self, capsys, tmp_path, content, message, which):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        t = write_tuple(tmp_path, "t.json", CP1_MEMBER)
+        doc, tup = (bad, t) if which == "document" else (input_path("cp1"), bad)
+        code, out, err = run(capsys, "membership", doc, tup)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and message in err
+        code, out, _ = run(capsys, "membership", doc, tup, "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "input-error" and message in report["payload"]["error"]
+
+
+def test_dot_to_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "x.dot"
+    code, out, err = run(capsys, "gkm", input_path("cp2"), "--dot", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {target}: ")
+    code, out, _ = run(capsys, "gkm", input_path("cp2"), "--dot", target, "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert (report["status"], report["input"]) == ("input-error", "cp2")
+    assert not target.exists()

@@ -1,5 +1,6 @@
-"""Mutated bundled documents through every command: exit 0, 1 or 2, never an
-exception out of main, and --json output that parses."""
+"""Mutated bundled documents through every command, and corrupted bytes of
+documents and tuple files through validate and membership: exit 0, 1 or 2,
+never an exception out of main, and --json output that parses."""
 
 import contextlib
 import io
@@ -13,7 +14,8 @@ from quasik.cli import main
 
 from conftest import INPUTS
 
-SEEDS = [json.loads(p.read_text()) for p in sorted(INPUTS.glob("*.json"))]
+RAW = [p.read_bytes() for p in sorted(INPUTS.glob("*.json"))]
+SEEDS = [json.loads(raw) for raw in RAW]
 INTEGER_FIELDS = ("vertices", "lambda", "dim", "facets")
 
 
@@ -88,6 +90,18 @@ COMMANDS = [["validate"], ["gkm"], ["facering", "--ordinary"],
             ["proptest", "--seed", "2", "--cases", "2"]]
 
 
+def _run_checked(argv):
+    """Run argv in text and --json mode: a known exit code and parseable JSON."""
+    for flags in ([], ["--json"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + flags)
+        assert code in (0, 1, 2), (argv, code)
+        if flags:
+            report = json.loads(out.getvalue())
+            assert report["command"] == argv[0]
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_documents(), st.booleans())
 def test_every_command_survives_mutated_documents(doc, member):
@@ -97,13 +111,37 @@ def test_every_command_survives_mutated_documents(doc, member):
         tuple_path = Path(tmp) / "tuple.json"
         tuple_path.write_text(json.dumps(_tuple_file(doc, member)))
         for command, *rest in COMMANDS:
-            argv = [command, str(doc_path)] + [str(tuple_path) if a == "TUPLE" else a
-                                               for a in rest]
-            for flags in ([], ["--json"]):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv + flags)
-                assert code in (0, 1, 2), (argv, code)
-                if flags:
-                    report = json.loads(out.getvalue())
-                    assert report["command"] == command
+            _run_checked([command, str(doc_path)]
+                         + [str(tuple_path) if a == "TUPLE" else a for a in rest])
+
+
+@st.composite
+def corrupted_bytes(draw, raw):
+    """raw truncated at a random offset, with one byte replaced by 0xff, or
+    wrapped in nesting that may pass the JSON parser's depth limit."""
+    kind = draw(st.sampled_from(["truncate", "0xff", "nest"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "0xff":
+        k = draw(st.integers(0, len(raw) - 1))
+        return raw[:k] + b"\xff" + raw[k + 1:]
+    depth = draw(st.sampled_from([1, 30, 100000]))
+    opener, closer = draw(st.sampled_from([(b"[", b"]"), (b'{"a": ', b"}")]))
+    return opener * depth + raw + closer * depth
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_validate_and_membership_survive_corrupted_bytes(data):
+    k = data.draw(st.integers(0, len(RAW) - 1))
+    good_tuple = json.dumps(_tuple_file(SEEDS[k], True)).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        good_doc, bad_doc = Path(tmp) / "doc.json", Path(tmp) / "bad_doc.json"
+        good_tup, bad_tup = Path(tmp) / "tuple.json", Path(tmp) / "bad_tuple.json"
+        good_doc.write_bytes(RAW[k])
+        good_tup.write_bytes(good_tuple)
+        bad_doc.write_bytes(data.draw(corrupted_bytes(RAW[k])))
+        bad_tup.write_bytes(data.draw(corrupted_bytes(good_tuple)))
+        _run_checked(["validate", str(bad_doc)])
+        _run_checked(["membership", str(bad_doc), str(good_tup)])
+        _run_checked(["membership", str(good_doc), str(bad_tup)])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from quasik.gkm import (
     in_gamma,
     in_w,
 )
+from quasik.lattice import IntMat, normalize_sign, vec_gcd
 from quasik.laurent import LaurentPoly, char_profile
 from quasik.polytope import SimplePolytope, validate_order
 
@@ -20,6 +23,7 @@ SQUARE = SimplePolytope(2, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 CP1 = GkmGraph(INTERVAL, [[1], [-1]])
 CP2 = GkmGraph(TRIANGLE, [[1, 0], [0, 1], [-1, -1]])
 H1 = GkmGraph(SQUARE, [[1, 0], [0, 1], [-1, 1], [0, -1]])
+CP2_BOTT = GkmGraph(TRIANGLE, [[1, 0], [0, 1], [-1, -1]], bott=True)
 
 
 def cube_graph():
@@ -28,6 +32,41 @@ def cube_graph():
     P = SimplePolytope(3, 6, verts)
     lam = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     return GkmGraph(P, lam)
+
+
+def rational_left_kernel(B):
+    """Oracle: left kernel of B over Q by Gaussian elimination, denominators cleared."""
+    # nullspace of B^T x = 0 over Q
+    mat = [[Fraction(B.data[i][j]) for i in range(B.rows)] for j in range(B.cols)]
+    m, nn = len(mat), B.rows
+    piv = []
+    r = 0
+    for c in range(nn):
+        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        piv.append(c)
+        r += 1
+    free = [c for c in range(nn) if c not in piv]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * nn
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(piv):
+            v[pc] = -mat[i][fc]
+        lcm = 1
+        for x in v:
+            lcm = lcm * x.denominator // vec_gcd((lcm, x.denominator))
+        ints = tuple(int(x * lcm) for x in v)
+        g = vec_gcd(ints)
+        basis.append(tuple(x // g for x in ints))
+    return basis
 
 
 def mono(g, u, coeff=1):
@@ -59,6 +98,14 @@ class TestBuild:
             for e in g.edges:
                 for i in e.facets:
                     assert sum(a * b for a, b in zip(e.character, g.lam_row(i))) == 0
+
+    def test_characters_against_rational_kernel(self, graphs):
+        for g in (CP1, CP2, H1, cube_graph(), *graphs.values()):
+            for e in g.edges:
+                B = IntMat.from_cols([g.lam_row(i) for i in sorted(e.facets)], rows=g.n)
+                oracle = rational_left_kernel(B)
+                assert len(oracle) == 1
+                assert e.character == normalize_sign(oracle[0])
 
     def test_mu_kronecker_pairings(self):
         for g in (CP1, CP2, H1, cube_graph()):
@@ -104,6 +151,19 @@ class TestRestriction:
         g = 3 * mono(H1, (2, -1)) + 2 * LaurentPoly.one(H1.char_profile)
         r = H1.restrict_to_face(g, whole)
         assert sum(r.terms.values()) == 5 and len(r.terms) == 1
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_character_restricts_by_lambda_rows(self, graphs, data):
+        g = data.draw(st.sampled_from([CP2, CP2_BOTT, H1, *graphs.values()]))
+        face = data.draw(st.sampled_from(g.polytope.all_faces()))
+        a = data.draw(st.tuples(*[st.integers(-4, 4)] * g.n))
+        facets = sorted(face.facets)
+        exps = tuple(sum(x * y for x, y in zip(a, g.lam_row(i))) for i in facets)
+        target = char_profile(len(facets), g.bott)
+        assert g.restrict_to_face(mono(g, a, 3), face) == \
+            LaurentPoly.char_monomial(target, exps, 3)
 
 
 class TestInGamma:
@@ -161,6 +221,14 @@ class TestInW:
         rep = in_w(CP2, FixedPointTuple(CP2.char_profile, (zero, zero, one)))
         assert not rep.member
         assert rep.witness.kind == "pair"
+
+    def test_witness_prints_lambda_coordinates(self):
+        # the join of {3,4} and {1,4} is facet 4, lambda_4 = (0, -1): e^(1,1) -> t1^-1
+        one = LaurentPoly.one(H1.char_profile)
+        t = FixedPointTuple(H1.char_profile, (one, one, mono(H1, (1, 1)), one))
+        rep = in_w(H1, t)
+        assert rep.witness.text(H1.polytope) == \
+            "pair {3,4} -- {1,4}: restrictions to face {4} differ: t1^-1 vs 1"
 
     def test_edge_joins_equal_edge_faces(self):
         # the edge reduction inside in_gamma matches the joins used by in_w

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasik.lattice import IntMat, NotPrimitive, vec_gcd
+from quasik.lattice import IntMat, NotPrimitive, _xgcd, vec_gcd
 from quasik.laurent import (
     DimensionMismatch,
     LaurentPoly,
@@ -115,10 +115,12 @@ class TestSubstitution:
 
 
 def longdiv_oracle(f, u):
-    """Independent check: univariate long division by (t1 - 1) after the
-    coordinate change, computing the quotient from the top degree down."""
-    from quasik.laurent import _checked_transform
-    W = _checked_transform(f, u)
+    """Independent check for a character u in two variables: univariate long
+    division by (t1 - 1) after the coordinate change W = [[x, y], [-u2, u1]]
+    with x*u1 + y*u2 = 1, which is unimodular and sends u to e_1; the
+    quotient is computed from the top degree down."""
+    _, x, y = _xgcd(*u)
+    W = IntMat.from_rows([[x, y], [-u[1], u[0]]])
     g = substitute_monomial_map(f, W, f.profile)
     if g.is_zero:
         return True
