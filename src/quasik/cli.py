@@ -2,7 +2,8 @@
 
 Subcommands: validate, gkm, facering, membership, interpolate, proptest.
 Exit codes: 0 success, 1 mathematical failure or non-membership, 2 input
-error (including a polytope past the facet bound of the non-face search).
+error (including a polytope past the facet bound of the non-face search
+and a negative proptest case count).
 Output is deterministic for fixed (input, flags, seed).
 
 Every command but validate runs one pipeline, _prepare: build the polytope,
@@ -181,23 +182,23 @@ def cmd_facering(doc, args, g, _) -> Report:
         lines.append(f"basis certificate: FAIL ({exc})")
         payload["certificate"] = {"error": str(exc)}
     if args.ordinary:
-        pres = facering.ordinary_presentation(g)
+        relations = facering.lattice_relations(g)
         lines.append("ordinary presentation relations:")
-        lines.extend(f"  {p.text()}" for p in pres.j_generators + pres.lattice_relations)
+        lines.extend(f"  {p.text()}" for p in gens + relations)
         payload["ordinary_presentation"] = {
-            "generators": list(pres.generators),
-            "j_generators": [p.json_terms() for p in pres.j_generators],
-            "lattice_relations": [p.json_terms() for p in pres.lattice_relations],
+            "generators": [f"y{i}" for i in range(1, g.d + 1)],
+            "j_generators": payload["j_generators"],
+            "lattice_relations": [p.json_terms() for p in relations],
         }
         try:
-            res = facering.ordinary_rank(g)
-            lines.append(f"ordinary rank: {res.rank} "
-                         f"(torsion-free, truncation degree {res.degree})")
-            payload["ordinary_rank"] = {"rank": res.rank,
-                                        "torsion_free": res.torsion_free,
-                                        "degree": res.degree,
-                                        "stats": {"monomials": len(res.model.monomials),
-                                                  "rows": len(res.model.rows)}}
+            model = facering.ordinary_rank(g)
+            lines.append(f"ordinary rank: {model.rank} "
+                         f"(torsion-free, truncation degree {model.degree})")
+            payload["ordinary_rank"] = {"rank": model.rank,
+                                        "torsion_free": model.torsion_free,
+                                        "degree": model.degree,
+                                        "stats": {"monomials": len(model.monomials),
+                                                  "rows": len(model.rows)}}
         except OrdinaryRankFailure as exc:
             status_ok = False
             lines.append(f"ordinary rank: FAIL ({exc})")
@@ -316,6 +317,8 @@ def main(argv=None) -> int:
     try:
         doc = load_document(args.input)
         name = doc.name
+        if args.command == "proptest" and args.cases < 0:
+            raise InputError(f"--cases {args.cases} is negative")
         command, order = COMMANDS[args.command]
         if order is None:
             report = command(doc, args)

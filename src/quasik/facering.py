@@ -11,12 +11,14 @@ interpolate() inverts phi constructively: walking the vertices in height
 order, it rewrites the current entry through the dual basis at that vertex
 and subtracts, checking at every step that all earlier entries stay zero.
 
-ordinary_rank() computes the underlying Z-module of the ordinary quotient:
-kill the lattice relations by eliminating one vertex's facet variables,
-shift y = 1 + x, drop monomials above total degree n, and read rank and
-torsion off a Smith normal form.  Degree n is exact, because every x_i lies
-in the augmentation ideal of a 2n-dimensional complex with only even cells,
-so by the Atiyah-Hirzebruch filtration any product of n+1 of them vanishes.
+ordinary_rank() returns the certified Z-module model of the ordinary
+quotient: kill the lattice relations by eliminating one vertex's facet
+variables, shift y = 1 + x, drop monomials above total degree n, and read
+rank and torsion off a Smith normal form.  Every face-ring element, the
+non-face products included, enters the model through the same expansion.
+Degree n is exact, because every x_i lies in the augmentation ideal of a
+2n-dimensional complex with only even cells, so by the Atiyah-Hirzebruch
+filtration any product of n+1 of them vanishes.
 Theory also fixes the answer, a free module of rank m, and the result is
 checked against it.
 """
@@ -77,16 +79,6 @@ def theta(g: GkmGraph, u) -> LaurentPoly:
     return LaurentPoly.monomial(g.face_profile, exps)
 
 
-def r_vector(g: GkmGraph, i: int) -> FixedPointTuple:
-    """Fixed-point restriction tuple of the facet-i generator."""
-    one = LaurentPoly.one(g.char_profile)
-    entries = []
-    for v in range(g.m):
-        mu = g.mu[v].get(i)
-        entries.append(LaurentPoly.char_monomial(g.char_profile, mu) if mu else one)
-    return FixedPointTuple(g.char_profile, entries)
-
-
 def constant_tuple(g: GkmGraph, value: LaurentPoly) -> FixedPointTuple:
     """Diagonal embedding of a character-profile element."""
     return FixedPointTuple.constant(g.char_profile, g.m, value)
@@ -98,6 +90,11 @@ def phi(g: GkmGraph, P: LaurentPoly) -> FixedPointTuple:
         raise DimensionMismatch(f"{P.profile} != {g.face_profile}")
     return FixedPointTuple(g.char_profile, tuple(
         substitute_monomial_map(P, M, g.char_profile) for M in g.phi_maps))
+
+
+def r_vector(g: GkmGraph, i: int) -> FixedPointTuple:
+    """Fixed-point restriction tuple of the facet-i generator: phi(y_i)."""
+    return phi(g, LaurentPoly.variable(g.face_profile, i - 1))
 
 
 # -- interpolation ----------------------------------------------------------
@@ -186,13 +183,7 @@ def basis_certificate(g: GkmGraph) -> tuple[CertificateEntry, ...]:
     entries = []
     for pos in range(g.m):
         v = order[pos]
-        inc = g.order.incoming[v]
-        if inc:
-            spanned = frozenset.intersection(
-                *(P.vertices[v] & P.vertices[w] for w in inc))
-            extra = tuple(sorted(P.vertices[v] - spanned))
-        else:
-            extra = ()
+        extra = tuple(sorted(g.order.extra[v]))
         if len(extra) != g.order.ind[v]:
             raise CertificateFailure(
                 f"vertex {fmt_facets(P.vertices[v])}: {len(extra)} extra facets "
@@ -216,27 +207,18 @@ def basis_certificate(g: GkmGraph) -> tuple[CertificateEntry, ...]:
     return tuple(entries)
 
 
-# -- presentations and the ordinary quotient --------------------------------
+# -- the ordinary quotient ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[str, ...]
-    j_generators: tuple[LaurentPoly, ...]
-    lattice_relations: tuple[LaurentPoly, ...]
-
-
-def ordinary_presentation(g: GkmGraph) -> Presentation:
-    """Generators and relations of the ordinary K-ring: the non-face products
-    plus one monomial relation theta(e_k) - 1 per standard basis character."""
+def lattice_relations(g: GkmGraph) -> tuple[LaurentPoly, ...]:
+    """The relations that, with the non-face products, present the ordinary
+    K-ring: theta(e_k) - 1 for each standard basis character e_k."""
     basis = [tuple(int(i == k) for i in range(g.n)) for k in range(g.n)]
-    return Presentation(
-        generators=tuple(f"y{i}" for i in range(1, g.d + 1)),
-        j_generators=kernel_generators(g),
-        lattice_relations=tuple(theta(g, u) - 1 for u in basis))
+    return tuple(theta(g, u) - 1 for u in basis)
 
 
 def _elimination(g: GkmGraph):
-    """Exponent map eliminating the facet variables of the base vertex."""
+    """(survivors, E): the facets off the base vertex and the exponent map
+    that eliminates the base vertex's facet variables."""
     v1 = g.order.order[0] if g.order is not None else 0
     block = sorted(g.polytope.vertices[v1])
     survivors = [i for i in range(1, g.d + 1) if i not in g.polytope.vertices[v1]]
@@ -248,7 +230,7 @@ def _elimination(g: GkmGraph):
         for b in block:
             row[b - 1] = -dot(mu[b], g.lam_row(si))
         rows.append(row)
-    return v1, block, survivors, IntMat.from_rows(rows, cols=g.d)
+    return survivors, IntMat.from_rows(rows, cols=g.d)
 
 
 def _binomial_series(e: int, cap: int):
@@ -272,27 +254,19 @@ class OrdinaryKModel:
     def __init__(self, g: GkmGraph, degree: int):
         self.graph = g
         self.degree = degree
-        v1, block, survivors, E = _elimination(g)
-        self.base_vertex = v1
+        survivors, self._E = _elimination(g)
         self.survivors = tuple(survivors)
-        self._E = E
-        yprof = face_profile(g.d)
-        relations = [self._shift(substitute_monomial_map(
-            _nonface_product(yprof, S), E, face_profile(len(survivors))))
-            for S in g.polytope.minimal_nonfaces()]
         self.monomials = self._monomials(len(survivors), degree)
-        index = {mname: k for k, mname in enumerate(self.monomials)}
+        self._index = {mname: k for k, mname in enumerate(self.monomials)}
         rows = []
-        for r in relations:
+        for r in map(self._expand, kernel_generators(g)):
             for beta in self.monomials:
                 bsum = sum(beta)
                 row = [0] * len(self.monomials)
-                hit = False
                 for exps, c in r.items():
                     if sum(exps) + bsum <= degree:
-                        row[index[tuple(a + b for a, b in zip(exps, beta))]] += c
-                        hit = True
-                if hit and any(row):
+                        row[self._index[tuple(a + b for a, b in zip(exps, beta))]] += c
+                if any(row):
                     rows.append(tuple(row))
         self.rows = rows
         diag = snf_diagonal(IntMat.from_rows(rows, cols=len(self.monomials)))
@@ -354,20 +328,24 @@ class OrdinaryKModel:
                     del out[e]
         return out
 
-    def reduce(self, elem: LaurentPoly):
-        """Coefficient vector of a face-ring element over the truncated monomials."""
+    def _expand(self, elem: LaurentPoly) -> dict:
+        """A face-ring element in the shifted survivor variables, truncated:
+        drop a zero z exponent (the model is Bott-free), eliminate the base
+        vertex's variables, then substitute y = 1 + x."""
         if elem.profile.bott:
             if any(e[-1] for e in elem.terms):
                 raise DimensionMismatch("ordinary model is Bott-free")
             elem = LaurentPoly(face_profile(self.graph.d),
                                {e[:-1]: c for e, c in elem.terms.items()})
-        shifted = self._shift(substitute_monomial_map(
+        return self._shift(substitute_monomial_map(
             elem, self._E, face_profile(len(self.survivors))))
+
+    def reduce(self, elem: LaurentPoly):
+        """Coefficient vector of a face-ring element over the truncated monomials."""
         vec = [0] * len(self.monomials)
-        index = {mname: k for k, mname in enumerate(self.monomials)}
-        for e, c in shifted.items():
+        for e, c in self._expand(elem).items():
             if sum(e) <= self.degree:
-                vec[index[e]] = c
+                vec[self._index[e]] = c
         return tuple(vec)
 
     def is_zero(self, elem: LaurentPoly) -> bool:
@@ -380,20 +358,12 @@ class OrdinaryKModel:
         return tuple(sorted(d for d in diag if d != 0)) == self._nonzero_factors
 
 
-@dataclass(frozen=True)
-class OrdinaryRankResult:
-    rank: int
-    torsion_free: bool
-    degree: int
-    model: OrdinaryKModel
+def ordinary_rank(g: GkmGraph) -> OrdinaryKModel:
+    """The certified model of the ordinary quotient at degree n.
 
-
-def ordinary_rank(g: GkmGraph) -> OrdinaryRankResult:
-    """Rank and torsion of the ordinary quotient as a Z-module, certified.
-
-    One model at the exact truncation degree n is built.  The ordinary
-    K-ring is free of rank m, so any other answer raises
-    OrdinaryRankFailure, never a silent answer.
+    One model at the exact truncation degree n is built; its rank, torsion
+    and degree are the answer.  The ordinary K-ring is free of rank m, so
+    any other answer raises OrdinaryRankFailure, never a silent answer.
     """
     model = OrdinaryKModel(g, g.n)
     if model.rank != g.m or not model.torsion_free:
@@ -401,4 +371,4 @@ def ordinary_rank(g: GkmGraph) -> OrdinaryRankResult:
             f"truncation degree {g.n} gives rank {model.rank}"
             + (f" with torsion {list(model.torsion)}" if model.torsion else "")
             + f", expected a free module of rank {g.m}")
-    return OrdinaryRankResult(model.rank, model.torsion_free, g.n, model)
+    return model

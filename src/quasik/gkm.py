@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .lattice import IntMat, block_diag, dual_basis, normalize_sign
+from .lattice import IntMat, dual_basis, normalize_sign
 from .laurent import (
     LaurentPoly,
     Profile,
@@ -184,10 +184,6 @@ class GkmGraph:
         mus = dual_basis(V)
         return dict(zip(facets, mus))
 
-    # -- restriction machinery -----------------------------------------
-    def _extend(self, A: IntMat) -> IntMat:
-        return block_diag(A, IntMat.identity(1)) if self.bott else A
-
     def restrict_to_face(self, a: LaurentPoly, face) -> LaurentPoly:
         """Image of a character-profile element in the face's restriction ring.
 
@@ -198,16 +194,16 @@ class GkmGraph:
         """
         facets = sorted(face.facets if isinstance(face, Face) else face)
         P = IntMat(len(facets), self.n, tuple(self.lam_row(i) for i in facets))
-        return substitute_monomial_map(a, self._extend(P), char_profile(P.rows, self.bott))
+        return substitute_monomial_map(a, P)
 
-    # -- per-vertex exponent maps, built on first use ------------------
+    # -- per-vertex exponent maps (z passes through), built on first use
     @cached_property
     def phi_maps(self) -> tuple[IntMat, ...]:
         """Per vertex: face exponents -> character exponents, y_i -> e^{mu_i(v)}."""
         zero = (0,) * self.n
         return tuple(
-            self._extend(IntMat.from_cols(
-                [self.mu[v].get(i, zero) for i in range(1, self.d + 1)], rows=self.n))
+            IntMat.from_cols([self.mu[v].get(i, zero) for i in range(1, self.d + 1)],
+                             rows=self.n)
             for v in range(self.m))
 
     @cached_property
@@ -216,9 +212,8 @@ class GkmGraph:
         vertex, a right inverse of that vertex's phi map."""
         zero = (0,) * self.n
         return tuple(
-            self._extend(IntMat.from_rows(
-                [self.lam_row(i) if i in self.polytope.vertices[v] else zero
-                 for i in range(1, self.d + 1)], cols=self.n))
+            IntMat.from_rows([self.lam_row(i) if i in self.polytope.vertices[v] else zero
+                              for i in range(1, self.d + 1)], cols=self.n)
             for v in range(self.m))
 
 

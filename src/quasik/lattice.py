@@ -115,20 +115,6 @@ class IntMat:
         return sign * m[n - 1][n - 1]
 
 
-def block_diag(*mats: IntMat) -> IntMat:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    data = [[0] * cols for _ in range(rows)]
-    ro = co = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                data[ro + i][co + j] = m.data[i][j]
-        ro += m.rows
-        co += m.cols
-    return IntMat(rows, cols, tuple(tuple(r) for r in data))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and g == x*a + y*b."""
     x0, x1, y0, y1 = 1, 0, 0, 1

@@ -236,19 +236,29 @@ def _raw(profile: Profile, terms: dict) -> LaurentPoly:
 
 
 def substitute_monomial_map(f: LaurentPoly, A: IntMat, profile: Profile = None) -> LaurentPoly:
-    """Apply the monomial substitution e^u -> e^{A u} to every term of f."""
-    if A.cols != f.profile.nvars:
-        raise DimensionMismatch(
-            f"matrix has {A.cols} columns, polynomial has {f.profile.nvars} variables")
+    """Apply the monomial substitution e^u -> e^{A u} to every term of f.
+
+    A acts on the t or y exponents; a Bott exponent is carried through
+    unchanged, so the source and target profiles must agree on z.  The
+    default target is the character profile with A.rows variables.
+    """
+    src = f.profile
     if profile is None:
-        profile = char_profile(A.rows)
-    if profile.nvars != A.rows:
+        profile = char_profile(A.rows, src.bott)
+    if A.cols != src.count:
         raise DimensionMismatch(
-            f"matrix has {A.rows} rows, target profile needs {profile.nvars}")
+            f"matrix has {A.cols} columns, polynomial has {src.count} variables")
+    if profile.count != A.rows:
+        raise DimensionMismatch(
+            f"matrix has {A.rows} rows, target profile needs {profile.count}")
+    if profile.bott != src.bott:
+        raise DimensionMismatch(
+            f"Bott variable z in the {'source' if src.bott else 'target'} profile only")
     rows = A.data
+    k = A.cols
     out = {}
     for exp, c in f.terms.items():
-        ne = tuple(sum(r[j] * exp[j] for j in range(A.cols)) for r in rows)
+        ne = tuple(sum(r[j] * exp[j] for j in range(k)) for r in rows) + exp[k:]
         v = out.get(ne, 0) + c
         if v:
             out[ne] = v

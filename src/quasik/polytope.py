@@ -82,6 +82,7 @@ class VertexOrder:
     position: tuple[int, ...]   # position[v] = rank of vertex v
     ind: tuple[int, ...]        # ind[v] = number of neighbours earlier in the order
     incoming: tuple[tuple[int, ...], ...]  # incoming[v] = earlier neighbours of v
+    extra: tuple[frozenset[int], ...]      # extra[v] = facets of v off its incoming edges
 
 
 class SimplePolytope:
@@ -282,7 +283,9 @@ def _order_data(P: SimplePolytope, order):
     incoming = tuple(tuple(sorted(w for w in adj[v] if position[w] < position[v]))
                      for v in range(P.m))
     ind = tuple(len(inc) for inc in incoming)
-    return VertexOrder(tuple(order), tuple(position), ind, incoming)
+    extra = tuple(frozenset().union(*(P.vertices[v] - P.vertices[w] for w in incoming[v]))
+                  for v in range(P.m))
+    return VertexOrder(tuple(order), tuple(position), ind, incoming, extra)
 
 
 def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:
@@ -293,24 +296,28 @@ def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:
     source and a unique sink.  This is the combinatorial shadow of a generic
     height function; orders that pass it are usable downstream, which is
     checked again by the interpolation residuals.
+
+    A vertex w is locally minimal in a face F exactly when F lies in every
+    facet of extra[w], the facets of w off its incoming edges.  So v is
+    locally minimal in the face cut out by extra[v], and it is enough to
+    check that v is the earliest vertex there.  If a face F has two local
+    minima, let w be one that is not the earliest: the face of extra[w]
+    contains F and fails too, and it is F itself when F is the first
+    failing face in (size, facets) order, the face reported.
     """
     order = [int(v) for v in order]
     if sorted(order) != list(range(P.m)):
         raise InvalidOrder(f"not a permutation of 0..{P.m - 1}: {order}")
     vo = _order_data(P, order)
-    adj = P.adjacency()
-    for face in P.all_faces():
-        if len(face.vertices) < 2:
-            continue
-        members = set(face.vertices)
-        minima = [v for v in face.vertices
-                  if not any(w in members and vo.position[w] < vo.position[v]
-                             for w in adj[v])]
-        if len(minima) != 1:
-            raise InvalidOrder(
-                f"{face.label()} has {len(minima)} locally minimal vertices "
-                f"({', '.join(fmt_facets(P.vertices[v]) for v in sorted(minima))})",
-                witness=face)
+    failing = [face for v, face in enumerate(map(P.face_of, vo.extra))
+               if min(face.vertices, key=vo.position.__getitem__) != v]
+    if failing:
+        face = min(failing, key=lambda f: (len(f.facets), sorted(f.facets)))
+        minima = [w for w in face.vertices if vo.extra[w] <= face.facets]
+        raise InvalidOrder(
+            f"{face.label()} has {len(minima)} locally minimal vertices "
+            f"({', '.join(fmt_facets(P.vertices[w]) for w in minima)})",
+            witness=face)
     sinks = [v for v in range(P.m) if vo.ind[v] == P.dim]
     if len(sinks) != 1:
         raise InvalidOrder(f"orientation has {len(sinks)} sinks (expected 1)")

@@ -167,10 +167,10 @@ def test_criterion_8_ordinary_rank(graphs):
         res = ordinary_rank(g)
         # degree n truncates (1-y)^(n+1) away unseen; test it one degree up
         above = OrdinaryKModel(g, g.n + 1)
-        surv = res.model.survivors[0]
+        surv = res.survivors[0]
         one_minus = (LaurentPoly.one(g.face_profile)
                      - LaurentPoly.variable(g.face_profile, surv - 1))
-        if res.model.is_zero(one_minus ** g.n):
+        if res.is_zero(one_minus ** g.n):
             failures.append(f"{name}: (1-y)^{g.n} should be nonzero")
         top = one_minus ** (g.n + 1)
         if not any(above.reduce(top)) or not above.is_zero(top):

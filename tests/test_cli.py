@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+from itertools import combinations
 
 import pytest
 
@@ -107,6 +109,10 @@ class TestFacering:
         assert payload["minimal_nonfaces"] == [[1, 2, 3]]
         assert payload["ordinary_rank"] == {"rank": 3, "torsion_free": True, "degree": 2,
                                             "stats": {"monomials": 3, "rows": 0}}
+        pres = payload["ordinary_presentation"]
+        assert pres["generators"] == ["y1", "y2", "y3"]
+        assert pres["j_generators"] == payload["j_generators"]
+        assert len(pres["lattice_relations"]) == 2
 
     def test_failed_rank_certificate(self, capsys, short_rank):
         code, out, err = run(capsys, "facering", input_path("cp2"), "--ordinary")
@@ -177,6 +183,16 @@ class TestProptest:
         code, out, _ = run(capsys, "proptest", input_path("cp1"),
                            "--seed", "1", "--cases", "0")
         assert code == 0
+
+    def test_negative_cases(self, capsys):
+        code, out, err = run(capsys, "proptest", input_path("cp2"), "--cases", "-1")
+        assert (code, out) == (2, "")
+        assert err == "input error: --cases -1 is negative\n"
+        code, out, _ = run(capsys, "proptest", input_path("cp2"), "--cases", "-1", "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert (report["status"], report["input"]) == ("input-error", "cp2")
+        assert "--cases -1" in report["payload"]["error"]
 
     def test_bad_order_certificate_failure(self, capsys):
         code, out, _ = run(capsys, "proptest", input_path("bad_order"),
@@ -332,3 +348,79 @@ def test_dot_to_unwritable_path(capsys, tmp_path):
     report = json.loads(out)
     assert (report["status"], report["input"]) == ("input-error", "cp2")
     assert not target.exists()
+
+
+def bott_document(tmp_path, name):
+    """A bundled document with the Bott variable z switched on."""
+    doc = json.loads(input_path(name).read_text())
+    doc["use_bott"] = True
+    path = tmp_path / f"{name}_bott.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def entry(*terms):
+    return [{"coeff": c, "exps": list(e)} for c, e in terms]
+
+
+class TestBottVariable:
+    """use_bott appends z to both profiles; every map carries its exponent."""
+
+    def test_facering_ordinary(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "facering", bott_document(tmp_path, "cp2"),
+                           "--ordinary", "--json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["r_vectors"] == {
+            "y1": [entry((1, (1, 0, 0))), entry((1, (1, -1, 0))), entry((1, (0, 0, 0)))],
+            "y2": [entry((1, (0, 1, 0))), entry((1, (0, 0, 0))), entry((1, (-1, 1, 0)))],
+            "y3": [entry((1, (0, 0, 0))), entry((1, (0, -1, 0))), entry((1, (-1, 0, 0)))],
+        }
+        assert payload["ordinary_rank"] == {"rank": 3, "torsion_free": True, "degree": 2,
+                                            "stats": {"monomials": 3, "rows": 0}}
+        relations = payload["ordinary_presentation"]["lattice_relations"]
+        assert relations == [entry((-1, (0, 0, 0, 0)), (1, (1, 0, -1, 0))),
+                             entry((-1, (0, 0, 0, 0)), (1, (0, 1, -1, 0)))]
+
+    def test_membership_and_interpolate(self, capsys, tmp_path):
+        doc = bott_document(tmp_path, "cp2")
+        # z - 2 t1 at every fixed point: a constant, so a member
+        member = write_tuple(tmp_path, "member.json",
+                             [entry((-2, (1, 0, 0)), (1, (0, 0, 1)))] * 3)
+        code, out, _ = run(capsys, "membership", doc, member)
+        assert code == 0
+        assert out.count(": member") == 2
+        code, out, _ = run(capsys, "interpolate", doc, member)
+        assert code == 0
+        assert out.splitlines()[0] == "P = z - 2*y1*y3^-1"
+        assert "  1: vertex {1,2}  p = z - 2*y1" in out
+        # z at one fixed point only
+        lone = write_tuple(tmp_path, "lone.json",
+                           [entry((1, (0, 0, 1)))] + [entry((1, (0, 0, 0)))] * 2)
+        code, out, _ = run(capsys, "membership", doc, lone, "--json")
+        assert code == 1
+        payload = json.loads(out)["payload"]
+        assert not payload["in_gamma"]["member"] and payload["agree"]
+        assert payload["in_w"]["witness"] == (
+            "pair {1,2} -- {1,3}: restrictions to face {1} differ: z vs 1")
+
+
+def test_high_dimensional_projective_space(capsys, tmp_path):
+    """cp(18): 19 vertices, 2^18 faces at each.  The order check looks at one
+    face per vertex, so validate and gkm finish in well under a second."""
+    n = 18
+    vertices = [list(c) for c in combinations(range(1, n + 2), n)]
+    doc = {"name": f"cp{n}", "dim": n, "facets": n + 1, "vertices": vertices,
+           "lambda": [[int(i == k) for i in range(n)] for k in range(n)] + [[-1] * n],
+           # the standard simplex: e_k off facet k, the origin off facet n + 1
+           "vertex_coords": [[int(k + 1 not in vs) for k in range(n)] if n + 1 in vs
+                             else [0] * n for vs in vertices],
+           "height_vector": list(range(1, n + 1))}
+    path = tmp_path / "cp18.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "gkm"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, path)
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, ""), out
+        assert elapsed < 5.0, f"{command} took {elapsed:.1f}s"

@@ -8,7 +8,6 @@ from quasik.lattice import (
     IntMat,
     _eliminate_unit_pivots,
     NotUnimodular,
-    block_diag,
     dual_basis,
     snf,
     snf_diagonal,
@@ -128,10 +127,3 @@ class TestDualBasis:
             for l in range(n):
                 assert sum(a * b for a, b in zip(mus[k], V.data[l])) == int(k == l)
 
-
-def test_block_diag():
-    A = IntMat.from_rows([[1, 2]])
-    B = IntMat.identity(1)
-    C = block_diag(A, B)
-    assert C.rows == 2 and C.cols == 3
-    assert C.data == ((1, 2, 0), (0, 0, 1))

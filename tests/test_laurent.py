@@ -104,6 +104,23 @@ class TestSubstitution:
         with pytest.raises(DimensionMismatch):
             substitute_monomial_map(LaurentPoly.one(P2), IntMat.identity(3))
 
+    def test_bott_exponent_carried(self):
+        f = poly(P2Z, ((1, 2, 3), 1), ((0, -1, -2), 5))  # t1*t2^2*z^3 + 5*t2^-1*z^-2
+        A = IntMat.from_rows([[1, 1]])
+        expected = poly(char_profile(1, bott=True), ((3, 3), 1), ((-1, -2), 5))
+        assert substitute_monomial_map(f, A) == expected
+        assert substitute_monomial_map(f, A, char_profile(1, bott=True)) == expected
+        y = face_profile(3, bott=True)
+        B = IntMat.from_rows([[1, 0], [0, 1], [1, 1]])
+        assert substitute_monomial_map(f, B, y) == poly(y, ((1, 2, 3, 3), 1), ((0, -1, -1, -2), 5))
+
+    def test_bott_mismatch(self):
+        A = IntMat.identity(2)
+        with pytest.raises(DimensionMismatch):
+            substitute_monomial_map(LaurentPoly.one(P2Z), A, P2)
+        with pytest.raises(DimensionMismatch):
+            substitute_monomial_map(LaurentPoly.one(P2), A, P2Z)
+
     @settings(max_examples=60, deadline=None)
     @given(polys(P2), polys(P2), st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
                                           min_size=2, max_size=2))

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from quasik.polytope import (
     NonGenericHeight,
     NotAFace,
     SimplePolytope,
+    fmt_facets,
     validate_characteristic,
     validate_order,
     validate_simple,
@@ -223,3 +225,80 @@ class TestValidateOrder:
             assert vo.ind.count(P.dim) == 1
             assert vo.ind[vo.order[0]] == 0
             assert vo.ind[vo.order[-1]] == P.dim
+
+
+def order_by_definition(P, order):
+    """Oracle from the definition, face by face: every face with at least two
+    vertices has exactly one vertex with no earlier neighbour in it, and the
+    orientation has one sink and one source.  None, or (message, witness)."""
+    position = {v: k for k, v in enumerate(order)}
+    adj = P.adjacency()
+    for face in P.all_faces():
+        if len(face.vertices) < 2:
+            continue
+        minima = [v for v in face.vertices
+                  if not any(w in face.vertices and position[w] < position[v] for w in adj[v])]
+        if len(minima) != 1:
+            names = ", ".join(fmt_facets(P.vertices[v]) for v in minima)
+            return f"{face.label()} has {len(minima)} locally minimal vertices ({names})", face
+    earlier = [sum(position[w] < position[v] for w in adj[v]) for v in range(P.m)]
+    for count, kind in ((earlier.count(P.dim), "sinks"), (earlier.count(0), "sources")):
+        if count != 1:
+            return f"orientation has {count} {kind} (expected 1)", None
+    return None
+
+
+def truncated_cube():
+    """The 3-cube with the vertex (0,0,0) cut off by the new facet 7."""
+    C, coords = cube()
+    half = Fraction(1, 2)
+    cut = {frozenset({2, 3, 7}): (half, 0, 0), frozenset({1, 3, 7}): (0, half, 0),
+           frozenset({1, 2, 7}): (0, 0, half)}
+    verts = [sorted(fs) for fs in C.vertices[1:]] + [sorted(fs) for fs in cut]
+    return SimplePolytope(3, 7, verts), coords[1:] + list(cut.values())
+
+
+def hexagon():
+    return SimplePolytope(2, 6, [[i, i % 6 + 1] for i in range(1, 7)])
+
+
+class TestOrderOracle:
+    """validate_order, which checks one face per vertex, against the definition."""
+
+    @staticmethod
+    def agree(P, order):
+        expected = order_by_definition(P, order)
+        try:
+            vo = validate_order(P, order)
+        except InvalidOrder as exc:
+            assert expected == (str(exc), exc.witness), order
+            return False
+        assert expected is None, order
+        assert vo.order == tuple(order)
+        return True
+
+    def test_every_permutation(self):
+        # every order of a simplex is valid; most orders of a polygon are not
+        for P, all_valid in ((TRIANGLE, True), (SQUARE, False), (hexagon(), False),
+                             (simplex3(), True)):
+            verdicts = [self.agree(P, perm) for perm in permutations(range(P.m))]
+            assert any(verdicts) and all(verdicts) == all_valid
+
+    def test_sampled_and_height_orders(self):
+        rng = random.Random(5)
+        for P, coords in (cube(), truncated_cube()):
+            assert validate_simple(P).ok
+            verdicts = []
+            for _ in range(300):
+                order = list(range(P.m))
+                rng.shuffle(order)
+                verdicts.append(self.agree(P, order))
+            for _ in range(300):
+                w = [rng.randint(-9, 9) for _ in range(P.dim)]
+                h = [sum(a * b for a, b in zip(row, w)) for row in coords]
+                order = sorted(range(P.m), key=lambda v: (h[v], v))
+                for _ in range(rng.randint(0, 2)):
+                    k = rng.randrange(P.m - 1)
+                    order[k], order[k + 1] = order[k + 1], order[k]
+                verdicts.append(self.agree(P, order))
+            assert 0 < sum(verdicts) < len(verdicts)
