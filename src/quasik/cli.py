@@ -76,8 +76,10 @@ def _prepare(doc, command, order):
     """
     P = build_polytope(doc)
     failures = list(validate_simple(P).failures)
+    mu = None
     if not failures:
-        failures = list(validate_characteristic(P, doc.lam).failures)
+        crep = validate_characteristic(P, doc.lam)
+        failures, mu = list(crep.failures), crep.mu
     if failures:
         human = "input fails validation:\n" + "\n".join("  " + f for f in failures)
         return Report(command, doc.name, "fail", 1, {"failures": failures}, human)
@@ -89,7 +91,7 @@ def _prepare(doc, command, order):
         if err and order == NEED:
             return Report(command, doc.name, "fail", 1, {"error": err},
                           f"vertex order: FAIL ({err})")
-    return GkmGraph(P, doc.lam, order=vo, bott=doc.use_bott), err
+    return GkmGraph(P, doc.lam, order=vo, bott=doc.use_bott, mu=mu), err
 
 
 def cmd_validate(doc, args) -> Report:
@@ -191,7 +193,7 @@ def cmd_facering(doc, args, g, _) -> Report:
             "lattice_relations": [p.json_terms() for p in relations],
         }
         try:
-            model = facering.ordinary_rank(g)
+            model = facering.ordinary_rank(g, gens)
             lines.append(f"ordinary rank: {model.rank} "
                          f"(torsion-free, truncation degree {model.degree})")
             payload["ordinary_rank"] = {"rank": model.rank,

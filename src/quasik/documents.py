@@ -157,6 +157,9 @@ def load_json(path):
                          f"{exc.msg}") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:       # an integer literal past int's digit limit
+        raise InputError(f"{path}: integer literal too long: "
+                         f"{str(exc).split(';')[0]}") from None
 
 
 def load_document(path) -> InputDocument:

@@ -33,6 +33,7 @@ from .lattice import IntMat, dot, snf_diagonal
 from .laurent import (
     DimensionMismatch,
     LaurentPoly,
+    MonomialMap,
     face_profile,
     substitute_monomial_map,
 )
@@ -230,7 +231,7 @@ def _elimination(g: GkmGraph):
         for b in block:
             row[b - 1] = -dot(mu[b], g.lam_row(si))
         rows.append(row)
-    return survivors, IntMat.from_rows(rows, cols=g.d)
+    return survivors, MonomialMap.from_rows(rows, g.d)
 
 
 def _binomial_series(e: int, cap: int):
@@ -249,9 +250,11 @@ class OrdinaryKModel:
     filtration of the 2n-dimensional even-cell complex, so any product of
     n+1 of them is zero.  monomials and rows give the size of the relation
     matrix (rows x monomials) whose Smith form yields rank and torsion.
+    gens are the non-face products, kernel_generators(g), when the caller
+    already has them.
     """
 
-    def __init__(self, g: GkmGraph, degree: int):
+    def __init__(self, g: GkmGraph, degree: int, gens=None):
         self.graph = g
         self.degree = degree
         survivors, self._E = _elimination(g)
@@ -259,7 +262,9 @@ class OrdinaryKModel:
         self.monomials = self._monomials(len(survivors), degree)
         self._index = {mname: k for k, mname in enumerate(self.monomials)}
         rows = []
-        for r in map(self._expand, kernel_generators(g)):
+        if gens is None:
+            gens = kernel_generators(g)
+        for r in map(self._expand, gens):
             for beta in self.monomials:
                 bsum = sum(beta)
                 row = [0] * len(self.monomials)
@@ -358,14 +363,15 @@ class OrdinaryKModel:
         return tuple(sorted(d for d in diag if d != 0)) == self._nonzero_factors
 
 
-def ordinary_rank(g: GkmGraph) -> OrdinaryKModel:
+def ordinary_rank(g: GkmGraph, gens=None) -> OrdinaryKModel:
     """The certified model of the ordinary quotient at degree n.
 
     One model at the exact truncation degree n is built; its rank, torsion
     and degree are the answer.  The ordinary K-ring is free of rank m, so
     any other answer raises OrdinaryRankFailure, never a silent answer.
+    gens are passed on to the model.
     """
-    model = OrdinaryKModel(g, g.n)
+    model = OrdinaryKModel(g, g.n, gens)
     if model.rank != g.m or not model.torsion_free:
         raise OrdinaryRankFailure(
             f"truncation degree {g.n} gives rank {model.rank}"

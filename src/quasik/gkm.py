@@ -2,13 +2,19 @@
 
 Vertices of the polytope are the torus fixed points.  Every vertex v
 carries the basis mu(v) dual to its facet cocharacters lambda_i, found by
-inverting the unimodular matrix of those rows.  Every edge carries the
+inverting the unimodular matrix of those rows (validate_characteristic
+does it once and hands the bases to the graph).  Every edge carries the
 primitive character orthogonal to the cocharacters of the n-1 facets
 containing it: mu_i(v) for the one facet i of an endpoint v off the edge,
 up to sign.  A character restricts to a face by pairing it with lambda_i
 for each facet i of the face.  Elements of the big product ring are
 FixedPointTuples: one Laurent polynomial in the character variables per
 fixed point.
+
+Every exponent map here is a sparse MonomialMap.  phi at v reads only
+the exponents at v's n facets, since y_i -> 1 off them; the step map at v
+writes only those n exponents; a face's restriction map reads the n
+character exponents and writes one per facet of the face.
 
 Two membership predicates cut out the image of the K-ring:
 
@@ -27,9 +33,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .lattice import IntMat, dual_basis, normalize_sign
+from .lattice import normalize_sign
 from .laurent import (
     LaurentPoly,
+    MonomialMap,
     Profile,
     ProfileMismatch,
     char_profile,
@@ -37,7 +44,14 @@ from .laurent import (
     face_profile,
     substitute_monomial_map,
 )
-from .polytope import Face, SimplePolytope, ValidationReport, VertexOrder, fmt_facets
+from .polytope import (
+    Face,
+    SimplePolytope,
+    ValidationReport,
+    VertexOrder,
+    fmt_facets,
+    vertex_dual_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,9 @@ class GkmGraph:
     """Vertex/edge character data attached to a validated (polytope, lambda) pair."""
 
     def __init__(self, polytope: SimplePolytope, lam, order: Optional[VertexOrder] = None,
-                 bott: bool = False):
+                 bott: bool = False, mu=None):
+        """mu, when given, is the per-vertex dual basis that
+        validate_characteristic found for this (polytope, lam)."""
         self.polytope = polytope
         self.lam = tuple(tuple(int(x) for x in row) for row in lam)
         self.order = order
@@ -151,10 +167,13 @@ class GkmGraph:
         n = polytope.dim
         self.char_profile = char_profile(n, bott)
         self.face_profile = face_profile(polytope.facet_count, bott)
-        self.mu = tuple(self._mu_basis(v) for v in range(polytope.m))
+        self.mu = tuple(mu) if mu is not None else tuple(
+            vertex_dual_basis(self.lam, fs) for fs in polytope.vertices)
         self.edges = tuple(
             GkmEdge(v, w, fs, self._edge_character(v, fs))
             for v, w, fs in polytope.edges())
+        # restriction map of each face met so far, keyed by its facet set
+        self.face_maps: dict[frozenset, MonomialMap] = {}
 
     @property
     def n(self) -> int:
@@ -178,43 +197,50 @@ class GkmGraph:
         (i,) = self.polytope.vertices[v] - facets
         return normalize_sign(self.mu[v][i])
 
-    def _mu_basis(self, v: int) -> dict:
-        facets = sorted(self.polytope.vertices[v])
-        V = IntMat.from_rows([self.lam_row(i) for i in facets])
-        mus = dual_basis(V)
-        return dict(zip(facets, mus))
-
     def restrict_to_face(self, a: LaurentPoly, face) -> LaurentPoly:
         """Image of a character-profile element in the face's restriction ring.
 
         e^u maps to the monomial with exponents <u, lambda_i> over the face's
         facets i in ascending order.  These lambda_i extend to a lattice basis
         at any vertex of the face, so the map is onto and its kernel is
-        exactly the characters orthogonal to them.
+        exactly the characters orthogonal to them.  The map of each face is
+        built on first use and kept in face_maps.
         """
-        facets = sorted(face.facets if isinstance(face, Face) else face)
-        P = IntMat(len(facets), self.n, tuple(self.lam_row(i) for i in facets))
-        return substitute_monomial_map(a, P)
+        facets = face.facets if isinstance(face, Face) else frozenset(face)
+        M = self.face_maps.get(facets)
+        if M is None:
+            M = self.face_maps[facets] = MonomialMap.from_rows(
+                [self.lam_row(i) for i in sorted(facets)], self.n)
+        return substitute_monomial_map(a, M)
 
     # -- per-vertex exponent maps (z passes through), built on first use
     @cached_property
-    def phi_maps(self) -> tuple[IntMat, ...]:
-        """Per vertex: face exponents -> character exponents, y_i -> e^{mu_i(v)}."""
-        zero = (0,) * self.n
-        return tuple(
-            IntMat.from_cols([self.mu[v].get(i, zero) for i in range(1, self.d + 1)],
-                             rows=self.n)
-            for v in range(self.m))
+    def phi_maps(self) -> tuple[MonomialMap, ...]:
+        """Per vertex v: face exponents -> character exponents, y_i -> e^{mu_i(v)}.
+
+        y_i -> 1 for every facet i off v, so the map reads only the n
+        exponents at v's facets: its block is the n x n dual basis, one
+        column mu_i(v) per facet i of v.
+        """
+        maps = []
+        for mu in self.mu:
+            facets = sorted(mu)
+            block = tuple(zip(*(mu[i] for i in facets)))
+            maps.append(MonomialMap(self.n, self.d, [i - 1 for i in facets],
+                                    range(self.n), block))
+        return tuple(maps)
 
     @cached_property
-    def step_maps(self) -> tuple[IntMat, ...]:
+    def step_maps(self) -> tuple[MonomialMap, ...]:
         """Per vertex: e^u -> prod of y_i^{<u, lambda_i>} over the facets i at the
-        vertex, a right inverse of that vertex's phi map."""
-        zero = (0,) * self.n
-        return tuple(
-            IntMat.from_rows([self.lam_row(i) if i in self.polytope.vertices[v] else zero
-                              for i in range(1, self.d + 1)], cols=self.n)
-            for v in range(self.m))
+        vertex, a right inverse of that vertex's phi map.  It writes only the
+        exponents at v's facets, one row lambda_i each."""
+        maps = []
+        for fs in self.polytope.vertices:
+            facets = sorted(fs)
+            maps.append(MonomialMap(self.d, self.n, range(self.n), [i - 1 for i in facets],
+                                    [self.lam_row(i) for i in facets]))
+        return tuple(maps)
 
 
 def euler_coprimality_check(g: GkmGraph) -> ValidationReport:

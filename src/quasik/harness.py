@@ -196,7 +196,7 @@ def suite_certificate(g: GkmGraph, seed: int, coords=None) -> SuiteResult:
             except (NonGenericHeight, InvalidOrder):
                 continue
             made += 1
-            alt = GkmGraph(g.polytope, g.lam, order=order, bott=g.bott)
+            alt = GkmGraph(g.polytope, g.lam, order=order, bott=g.bott, mu=g.mu)
             try:
                 basis_certificate(alt)
                 tried += 1

@@ -21,6 +21,10 @@ class NotPrimitive(ValueError):
 class NotUnimodular(ValueError):
     """Square integer matrix with |det| != 1 where a lattice basis was required."""
 
+    def __init__(self, message, det=None):
+        super().__init__(message)
+        self.det = det
+
 
 def vec_gcd(v: Iterable[int]) -> int:
     g = 0
@@ -69,20 +73,6 @@ class IntMat:
         if cols is not None and cols != c:
             raise ValueError("cols disagrees with row length")
         return IntMat(len(rows), c, rows)
-
-    @staticmethod
-    def from_cols(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMat":
-        cols = [tuple(int(x) for x in c) for c in cols]
-        if cols:
-            r = len(cols[0])
-            if any(len(c) != r for c in cols):
-                raise ValueError("ragged columns")
-        else:
-            if rows is None:
-                raise ValueError("rows required for a matrix with no columns")
-            r = rows
-        data = tuple(tuple(c[i] for c in cols) for i in range(r))
-        return IntMat(r, len(cols), data)
 
     @staticmethod
     def identity(n: int) -> "IntMat":
@@ -303,7 +293,8 @@ def dual_basis(V: IntMat) -> list[Vector]:
             if M[i][k]:
                 _clear(M, k, i, k)
         if M[k][k] not in (1, -1):
-            raise NotUnimodular(f"|det| = {abs(V.det())} != 1")
+            det = V.det()
+            raise NotUnimodular(f"|det| = {abs(det)} != 1", det)
         if M[k][k] == -1:
             M[k] = [-x for x in M[k]]
     for k in range(n - 1, 0, -1):

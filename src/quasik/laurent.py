@@ -4,14 +4,18 @@ A polynomial lives in a fixed variable profile: either character
 coordinates t1..tn or face-ring generators y1..yd, optionally extended by
 an invertible Bott variable z appended as the last coordinate.  Terms are
 stored as a map from exponent tuples (negative entries allowed) to nonzero
-integer coefficients; the zero polynomial is the empty map.
+integer coefficients; the zero polynomial is the empty map.  A monomial
+substitution is a MonomialMap, which stores only the coordinates it reads
+and writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter, mul
 
-from .lattice import IntMat, NotPrimitive, vec_gcd
+from .lattice import NotPrimitive, vec_gcd
 
 
 class ProfileMismatch(ValueError):
@@ -53,10 +57,12 @@ class Profile:
         return f"{stem}{i + 1}"
 
 
+@cache
 def char_profile(n: int, bott: bool = False) -> Profile:
     return Profile(CHAR, n, bott)
 
 
+@cache
 def face_profile(d: int, bott: bool = False) -> Profile:
     return Profile(FACE, d, bott)
 
@@ -235,12 +241,72 @@ def _raw(profile: Profile, terms: dict) -> LaurentPoly:
     return p
 
 
-def substitute_monomial_map(f: LaurentPoly, A: IntMat, profile: Profile = None) -> LaurentPoly:
+class MonomialMap:
+    """The exponent map u -> A u of a monomial substitution, stored sparsely.
+
+    A is a rows x cols integer matrix that vanishes off the columns listed
+    in source and the rows listed in target; block holds the rest, with
+    block[r][c] = A[target[r]][source[c]].  So the image of a term depends
+    only on its exponents at source, and it is 0 off target.
+    """
+
+    __slots__ = ("rows", "cols", "source", "target", "block", "_picks", "_full_target")
+
+    def __init__(self, rows: int, cols: int, source, target, block):
+        source, target = tuple(source), tuple(target)
+        block = tuple(map(tuple, block))
+        if not _index_set(source, cols):
+            raise DimensionMismatch(f"source {source} is not a set of columns below {cols}")
+        if not _index_set(target, rows):
+            raise DimensionMismatch(f"target {target} is not a set of rows below {rows}")
+        if len(block) != len(target) or any(len(r) != len(source) for r in block):
+            raise DimensionMismatch(
+                f"block is not {len(target)} x {len(source)} (target x source)")
+        # projections onto source, without and with a trailing z; None when
+        # source is every column in order, so the projection is the identity
+        picks = None if source == tuple(range(cols)) else (
+            _getter(source), _getter(source + (cols,)))
+        for name, value in zip(self.__slots__, (
+                rows, cols, source, target, block, picks, target == tuple(range(rows)))):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def from_rows(rows, cols: int) -> "MonomialMap":
+        """The map of a dense matrix given by its rows, reading every column."""
+        rows = tuple(rows)
+        return MonomialMap(len(rows), cols, range(cols), range(len(rows)), rows)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MonomialMap is immutable")
+
+    def __repr__(self):
+        return (f"MonomialMap({self.rows}, {self.cols}, source={self.source}, "
+                f"target={self.target}, block={self.block})")
+
+
+def _index_set(idx: tuple, bound: int) -> bool:
+    """Distinct indices in range(bound)?"""
+    return not idx or (len(set(idx)) == len(idx) and min(idx) >= 0 and max(idx) < bound)
+
+
+def _getter(idx: tuple):
+    """exp -> tuple of exp at idx."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        (j,) = idx
+        return lambda exp: (exp[j],)
+    return lambda exp: ()
+
+
+def substitute_monomial_map(f: LaurentPoly, A: MonomialMap, profile: Profile = None) -> LaurentPoly:
     """Apply the monomial substitution e^u -> e^{A u} to every term of f.
 
     A acts on the t or y exponents; a Bott exponent is carried through
     unchanged, so the source and target profiles must agree on z.  The
-    default target is the character profile with A.rows variables.
+    default target is the character profile with A.rows variables.  Each
+    term is first projected onto A's source coordinates, merging the terms
+    that collide; only what is left goes through A's block.
     """
     src = f.profile
     if profile is None:
@@ -254,15 +320,34 @@ def substitute_monomial_map(f: LaurentPoly, A: IntMat, profile: Profile = None) 
     if profile.bott != src.bott:
         raise DimensionMismatch(
             f"Bott variable z in the {'source' if src.bott else 'target'} profile only")
-    rows = A.data
-    k = A.cols
+    if A._picks is None:
+        proj = f.terms
+    else:
+        pick = A._picks[src.bott]
+        proj = {}
+        for exp, c in f.terms.items():
+            x = pick(exp)
+            v = proj.get(x, 0) + c
+            if v:
+                proj[x] = v
+            else:
+                del proj[x]         # c != 0, so x was there
+    full, rows, target, block = A._full_target, A.rows, A.target, A.block
+    k = len(A.source)
     out = {}
-    for exp, c in f.terms.items():
-        ne = tuple(sum(r[j] * exp[j] for j in range(k)) for r in rows) + exp[k:]
+    for x, c in proj.items():
+        if full:
+            ne = tuple([sum(map(mul, r, x)) for r in block])
+        else:
+            ne = [0] * rows
+            for i, r in zip(target, block):
+                ne[i] = sum(map(mul, r, x))
+            ne = tuple(ne)
+        ne += x[k:]                 # z, if any
         v = out.get(ne, 0) + c
         if v:
             out[ne] = v
-        elif ne in out:
+        else:
             del out[ne]
     return _raw(profile, out)
 

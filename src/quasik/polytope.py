@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .lattice import IntMat, is_primitive
+from .lattice import IntMat, NotUnimodular, dual_basis, is_primitive
 
 MAX_FACETS = 24
 
@@ -51,6 +51,14 @@ class ValidationReport:
     def from_failures(failures) -> "ValidationReport":
         failures = tuple(failures)
         return ValidationReport(not failures, failures)
+
+
+@dataclass(frozen=True)
+class CharacteristicReport(ValidationReport):
+    """validate_characteristic's report; mu[v] = {facet i: mu_i(v)}, the dual
+    basis at each vertex, when every vertex block is unimodular."""
+
+    mu: Optional[tuple[dict, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,7 @@ class SimplePolytope:
         self._adjacency = None
         self._nonfaces = None
         self._faces = None
+        self._joins = {}        # shared facet set -> the face it cuts out
 
     @property
     def m(self) -> int:
@@ -136,7 +145,11 @@ class SimplePolytope:
 
     def join(self, v: int, w: int) -> Face:
         """The minimal face containing both vertices (the whole polytope if none)."""
-        return self.face_of(self.vertices[v] & self.vertices[w])
+        S = self.vertices[v] & self.vertices[w]
+        face = self._joins.get(S)
+        if face is None:
+            face = self._joins[S] = self.face_of(S)
+        return face
 
     def all_faces(self):
         """Every face, enumerated through subsets of vertex facet sets."""
@@ -252,27 +265,44 @@ def validate_simple(P: SimplePolytope) -> ValidationReport:
     return ValidationReport.from_failures(fails)
 
 
-def validate_characteristic(P: SimplePolytope, lam: Sequence[Sequence[int]]) -> ValidationReport:
-    """Primitivity of every row and |det| = 1 at every vertex."""
+def vertex_dual_basis(lam: Sequence[Sequence[int]], facets) -> dict:
+    """{i: mu_i} over the facets i at a vertex, with <mu_i, lambda_j> = delta_ij.
+
+    Raises NotUnimodular when the block of their lambda rows is not.
+    """
+    facets = sorted(facets)
+    return dict(zip(facets, dual_basis(IntMat.from_rows([lam[i - 1] for i in facets]))))
+
+
+def validate_characteristic(P: SimplePolytope,
+                            lam: Sequence[Sequence[int]]) -> CharacteristicReport:
+    """Primitivity of every row and |det| = 1 at every vertex.
+
+    The dual basis at each vertex is the unimodularity check; only a block
+    that fails it gets a determinant, for the report.
+    """
     n, d = P.dim, P.facet_count
     fails = []
     if len(lam) != d:
         fails.append(f"characteristic matrix has {len(lam)} rows, expected {d}")
-        return ValidationReport.from_failures(fails)
+        return CharacteristicReport(False, tuple(fails))
     for i, row in enumerate(lam):
         if len(row) != n:
             fails.append(f"row {i + 1}: length {len(row)}, expected {n}")
     if fails:
-        return ValidationReport.from_failures(fails)
+        return CharacteristicReport(False, tuple(fails))
     for i, row in enumerate(lam):
         if not is_primitive(row):
             fails.append(f"row {i + 1} {tuple(row)}: not primitive")
+    mu = []
     for fs in P.vertices:
-        V = IntMat.from_rows([lam[i - 1] for i in sorted(fs)])
-        det = V.det()
-        if abs(det) != 1:
-            fails.append(f"vertex {fmt_facets(fs)}: |det| = {abs(det)} (expected 1)")
-    return ValidationReport.from_failures(fails)
+        try:
+            mu.append(vertex_dual_basis(lam, fs))
+        except NotUnimodular as exc:
+            fails.append(f"vertex {fmt_facets(fs)}: |det| = {abs(exc.det)} (expected 1)")
+    if fails:
+        return CharacteristicReport(False, tuple(fails))
+    return CharacteristicReport(True, (), tuple(mu))
 
 
 def _order_data(P: SimplePolytope, order):

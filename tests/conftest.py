@@ -5,12 +5,25 @@ import pytest
 from quasik import facering
 from quasik.documents import build_polytope, load_document, resolve_order
 from quasik.gkm import GkmGraph
+from quasik.laurent import LaurentPoly
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
 
 GOOD_INPUTS = ["cp1", "cp2", "cp3", "square_h0", "square_h1",
                "square_h2", "square_h3", "cube"]
+
+
+def dense_substitute(f, rows, profile):
+    """Reference monomial substitution through a dense matrix given by its
+    rows: e^u -> e^{A u} on the first len(rows[0]) exponents of every term,
+    anything after them (z) carried through, colliding terms merged."""
+    k = f.profile.count
+    out = {}
+    for exp, c in f.terms.items():
+        ne = tuple(sum(row[j] * exp[j] for j in range(k)) for row in rows) + exp[k:]
+        out[ne] = out.get(ne, 0) + c
+    return LaurentPoly(profile, out)
 
 
 def input_path(name: str) -> Path:
@@ -37,8 +50,8 @@ def short_rank(monkeypatch):
     """Every OrdinaryKModel reports one less than its true rank."""
     init = facering.OrdinaryKModel.__init__
 
-    def patched(self, g, degree):
-        init(self, g, degree)
+    def patched(self, g, degree, gens=None):
+        init(self, g, degree, gens)
         self.rank -= 1
 
     monkeypatch.setattr(facering.OrdinaryKModel, "__init__", patched)

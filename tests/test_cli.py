@@ -338,6 +338,38 @@ class TestUnreadableFiles:
         assert report["status"] == "input-error" and message in report["payload"]["error"]
 
 
+class TestHugeIntegers:
+    """An integer literal longer than int's string conversion limit (4300
+    digits) is an input error, in the document and in the tuple file."""
+
+    HUGE = "9" * 5000
+
+    def test_document(self, capsys, tmp_path):
+        bad = tmp_path / "huge.json"
+        bad.write_text(input_path("cp1").read_text().replace(
+            '"height_vector": [\n    1\n  ]', f'"height_vector": [{self.HUGE}]'))
+        assert self.HUGE in bad.read_text()
+        code, out, err = run(capsys, "validate", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "integer literal too long" in err
+        code, out, _ = run(capsys, "validate", bad, "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "input-error"
+        assert "integer literal too long" in report["payload"]["error"]
+
+    def test_tuple(self, capsys, tmp_path):
+        t = tmp_path / "t.json"
+        t.write_text('{"entries": [[{"coeff": %s, "exps": [1]}], [{"coeff": 1, "exps": [0]}]]}'
+                     % self.HUGE)
+        code, out, err = run(capsys, "membership", input_path("cp1"), t, "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert (report["status"], report["input"]) == ("input-error", "cp1")
+        assert "integer literal too long" in report["payload"]["error"]
+        assert err.startswith("input error: ")
+
+
 def test_dot_to_unwritable_path(capsys, tmp_path):
     target = tmp_path / "missing-dir" / "x.dot"
     code, out, err = run(capsys, "gkm", input_path("cp2"), "--dot", target)

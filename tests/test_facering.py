@@ -15,6 +15,8 @@ from quasik.facering import (
     r_vector,
     theta,
 )
+from conftest import dense_substitute
+from quasik.documents import build_polytope
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
 from quasik.laurent import LaurentPoly, substitute_monomial_map
 from quasik.polytope import SimplePolytope, vertex_order_from_heights
@@ -127,6 +129,24 @@ class TestPhi:
         img = phi(g, f)
         assert in_gamma(g, img).member
         assert in_w(g, img).member
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_matches_dense_phi_on_bundled_inputs(self, documents, data):
+        """At every vertex, phi is the dense n x d map with column mu_i(v) for
+        each facet i of v and 0 for every other facet."""
+        for name, doc in documents.items():
+            for bott in (False, True):
+                g = GkmGraph(build_polytope(doc), doc.lam, bott=bott)
+                exps = st.tuples(*[st.integers(-2, 2)] * g.face_profile.nvars)
+                P = LaurentPoly(g.face_profile, data.draw(
+                    st.dictionaries(exps, st.integers(-3, 3), max_size=4), label=name))
+                image = phi(g, P)
+                for v in range(g.m):
+                    cols = [g.mu[v].get(i, (0,) * g.n) for i in range(1, g.d + 1)]
+                    rows = [[c[r] for c in cols] for r in range(g.n)]
+                    assert image[v] == dense_substitute(P, rows, g.char_profile), (name, bott, v)
 
 
 class TestInterpolate:

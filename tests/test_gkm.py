@@ -102,7 +102,8 @@ class TestBuild:
     def test_characters_against_rational_kernel(self, graphs):
         for g in (CP1, CP2, H1, cube_graph(), *graphs.values()):
             for e in g.edges:
-                B = IntMat.from_cols([g.lam_row(i) for i in sorted(e.facets)], rows=g.n)
+                cols = [g.lam_row(i) for i in sorted(e.facets)]
+                B = IntMat(g.n, len(cols), tuple(zip(*cols)) or ((),) * g.n)
                 oracle = rational_left_kernel(B)
                 assert len(oracle) == 1
                 assert e.character == normalize_sign(oracle[0])

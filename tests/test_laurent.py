@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasik.lattice import IntMat, NotPrimitive, _xgcd, vec_gcd
+from conftest import dense_substitute
+from quasik.lattice import NotPrimitive, _xgcd, vec_gcd
 from quasik.laurent import (
     DimensionMismatch,
     LaurentPoly,
+    MonomialMap,
     NotDivisible,
     ProfileMismatch,
     ZeroCharacter,
@@ -26,6 +28,15 @@ def polys(profile, max_terms=4, bound=3, coeff=5):
     exps = st.tuples(*[st.integers(-bound, bound)] * profile.nvars)
     return st.dictionaries(exps, st.integers(-coeff, coeff), max_size=max_terms).map(
         lambda d: LaurentPoly(profile, d))
+
+
+def dense(rows):
+    """The map of a dense matrix with at least one row."""
+    return MonomialMap.from_rows(rows, len(rows[0]))
+
+
+def identity(n):
+    return dense([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def primitive_chars(n, bound=3):
@@ -87,35 +98,35 @@ class TestRendering:
 class TestSubstitution:
     def test_identity(self):
         t1 = LaurentPoly.variable(P2, 0)
-        assert substitute_monomial_map(t1, IntMat.identity(2), P2) == t1
+        assert substitute_monomial_map(t1, identity(2), P2) == t1
 
     def test_projection(self):
         f = poly(P2, ((1, 0), 1), ((0, 1), -1))  # t1 - t2
-        A = IntMat.from_rows([[1, 0]])
+        A = dense([[1, 0]])
         g = substitute_monomial_map(f, A)
         assert g == poly(char_profile(1), ((1,), 1), ((0,), -1))
 
     def test_shear(self):
         f = poly(P2, ((0, 0), 1), ((1, -1), -1))  # 1 - t1*t2^-1
-        A = IntMat.from_rows([[1, 1], [0, 1]])
+        A = dense([[1, 1], [0, 1]])
         assert substitute_monomial_map(f, A, P2) == poly(P2, ((0, 0), 1), ((0, -1), -1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            substitute_monomial_map(LaurentPoly.one(P2), IntMat.identity(3))
+            substitute_monomial_map(LaurentPoly.one(P2), identity(3))
 
     def test_bott_exponent_carried(self):
         f = poly(P2Z, ((1, 2, 3), 1), ((0, -1, -2), 5))  # t1*t2^2*z^3 + 5*t2^-1*z^-2
-        A = IntMat.from_rows([[1, 1]])
+        A = dense([[1, 1]])
         expected = poly(char_profile(1, bott=True), ((3, 3), 1), ((-1, -2), 5))
         assert substitute_monomial_map(f, A) == expected
         assert substitute_monomial_map(f, A, char_profile(1, bott=True)) == expected
         y = face_profile(3, bott=True)
-        B = IntMat.from_rows([[1, 0], [0, 1], [1, 1]])
+        B = dense([[1, 0], [0, 1], [1, 1]])
         assert substitute_monomial_map(f, B, y) == poly(y, ((1, 2, 3, 3), 1), ((0, -1, -1, -2), 5))
 
     def test_bott_mismatch(self):
-        A = IntMat.identity(2)
+        A = identity(2)
         with pytest.raises(DimensionMismatch):
             substitute_monomial_map(LaurentPoly.one(P2Z), A, P2)
         with pytest.raises(DimensionMismatch):
@@ -125,10 +136,85 @@ class TestSubstitution:
     @given(polys(P2), polys(P2), st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
                                           min_size=2, max_size=2))
     def test_ring_homomorphism(self, f, g, rows):
-        A = IntMat.from_rows(rows)
+        A = dense(rows)
         sub = lambda p: substitute_monomial_map(p, A, P2)
         assert sub(f * g) == sub(f) * sub(g)
         assert sub(f + g) == sub(f) + sub(g)
+
+
+def dense_rows(A):
+    """The full rows x cols matrix of a MonomialMap."""
+    rows = [[0] * A.cols for _ in range(A.rows)]
+    for i, r in zip(A.target, A.block):
+        for j, x in zip(A.source, r):
+            rows[i][j] = x
+    return rows
+
+
+@st.composite
+def sparse_maps(draw):
+    cols = draw(st.integers(0, 4))
+    rows = draw(st.integers(0, 4))
+    source = draw(st.lists(st.integers(0, max(cols - 1, 0)), unique=True, max_size=cols))
+    target = draw(st.lists(st.integers(0, max(rows - 1, 0)), unique=True, max_size=rows))
+    block = [[draw(st.integers(-2, 2)) for _ in source] for _ in target]
+    return MonomialMap(rows, cols, source, target, block)
+
+
+class TestMonomialMap:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_maps(), st.booleans(), st.data())
+    def test_matches_dense_reference(self, A, bott, data):
+        """Terms come in pairs that agree on the source coordinates, so they
+        collide after the projection; with opposite coefficients they cancel."""
+        src = face_profile(A.cols, bott)
+        exps = st.tuples(*[st.integers(-2, 2)] * src.nvars)
+        terms = {}
+        for e, c in data.draw(st.lists(st.tuples(exps, st.integers(-3, 3)), max_size=5)):
+            terms[e] = terms.get(e, 0) + c
+            if data.draw(st.booleans()):
+                shadow = list(data.draw(exps))
+                for j in A.source:
+                    shadow[j] = e[j]
+                shadow[A.cols:] = e[A.cols:]
+                c2 = data.draw(st.sampled_from([-c, c, 1]))
+                terms[tuple(shadow)] = terms.get(tuple(shadow), 0) + c2
+        f = LaurentPoly(src, terms)
+        target = char_profile(A.rows, bott)
+        assert substitute_monomial_map(f, A, target) == \
+            dense_substitute(f, dense_rows(A), target)
+
+    def test_colliding_terms_cancel(self):
+        y = face_profile(3)
+        f = poly(y, ((1, 2, 0), 1), ((1, -1, 0), -1), ((0, 0, 1), 2), ((0, 3, 1), 5))
+        A = MonomialMap(2, 3, [0, 2], [0, 1], [[1, 0], [0, 1]])
+        assert substitute_monomial_map(f, A) == poly(char_profile(2), ((0, 1), 7))
+        B = MonomialMap(2, 3, [0], [1], [[2]])
+        assert substitute_monomial_map(f, B) == poly(char_profile(2), ((0, 0), 7))
+        assert substitute_monomial_map(f * (1 - LaurentPoly.variable(y, 1)), B).is_zero
+
+    def test_empty_source(self):
+        y = face_profile(2, bott=True)
+        f = poly(y, ((1, 0, 0), 3), ((0, -1, 2), 2), ((5, 5, 2), -2))
+        A = MonomialMap(3, 2, [], [0, 2], [[], []])
+        assert substitute_monomial_map(f, A) == poly(char_profile(3, bott=True), ((0, 0, 0, 0), 3))
+        assert substitute_monomial_map(f, MonomialMap(0, 2, [], [], [])) == \
+            poly(char_profile(0, bott=True), ((0,), 3))
+
+    def test_bott_exponent_on_sparse_map(self):
+        y = face_profile(3, bott=True)
+        f = poly(y, ((1, 7, -1, 4), 2), ((1, 0, -1, 4), 1), ((0, 0, 0, -3), 1))
+        A = MonomialMap(2, 3, [2, 0], [1], [[3, 1]])     # t2 <- y3^3 * y1
+        assert substitute_monomial_map(f, A) == \
+            poly(char_profile(2, bott=True), ((0, -2, 4), 3), ((0, 0, -3), 1))
+
+    def test_bad_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            MonomialMap(2, 3, [0, 0], [0], [[1, 1]])
+        with pytest.raises(DimensionMismatch):
+            MonomialMap(2, 3, [3], [0], [[1]])
+        with pytest.raises(DimensionMismatch):
+            MonomialMap(2, 3, [0], [0, 1], [[1]])
 
 
 def longdiv_oracle(f, u):
@@ -137,7 +223,7 @@ def longdiv_oracle(f, u):
     with x*u1 + y*u2 = 1, which is unimodular and sends u to e_1; the
     quotient is computed from the top degree down."""
     _, x, y = _xgcd(*u)
-    W = IntMat.from_rows([[x, y], [-u[1], u[0]]])
+    W = dense([[x, y], [-u[1], u[0]]])
     g = substitute_monomial_map(f, W, f.profile)
     if g.is_zero:
         return True
