@@ -3,19 +3,20 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench.py --label NAME [--src DIR] [--runs K] [--cube7]
+    python3 scripts/bench.py --label NAME [--src DIR]
 
 The ladder comes from perfbench/gen.py: cube6, bott6, cp10 and poly20,
 each given a height by with_height(M, Random(1)).  On each rung three
 commands run in process through quasik.cli.main: `proptest --cases 10`,
 `facering --ordinary` and `interpolate` of one phi(P), with P a seeded
 random face element and phi(P) computed by perfbench/check.py, not by
-quasik.  Every command runs K times plain, for the end-to-end wall time,
-and K times with four layers wrapped, for their call counts and their
+quasik.  Every command runs 3 times plain, for the end-to-end wall time,
+and 3 times with four layers wrapped, for their call counts and their
 self and total times: substitute_monomial_map, phi, restrict_to_face and
-interpolate.  The file holds the medians, every sample, a digest of each
-command's output and the machine facts.  --cube7 adds cube7, run once
-(k = 1, marked as a single run) since its proptest alone takes a minute.
+interpolate.  cube7 follows, each command run once (marked as a single
+run), since its proptest alone can take a minute.  The file, written to
+the root of this checkout, holds the medians, every sample, a digest of
+each command's output and the machine facts.
 
 --src points at the src directory of the quasik to measure (default:
 this checkout's), so one copy of this script can time another commit.
@@ -52,6 +53,7 @@ LADDER = {
     "poly20": lambda: gen.polygon(20, random.Random(20)),
 }
 CUBE7 = {"cube7": lambda: gen.cube(7)}
+RUNS = 3
 
 COMMANDS = {
     "proptest --cases 10": lambda doc, tup: ["proptest", doc, "--cases", "10"],
@@ -206,28 +208,21 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--src", default=str(ROOT / "src"), help="src directory of the quasik to time")
-    ap.add_argument("--runs", type=int, default=3, help="runs per command, at least 3")
-    ap.add_argument("--cube7", action="store_true", help="add cube7, run once")
-    ap.add_argument("--out", default=str(ROOT), help="directory for the JSON file")
     args = ap.parse_args(argv)
-    if args.runs < 3:
-        ap.error("--runs must be at least 3")
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     from quasik import cli
     if Path(cli.__file__).resolve().parent != src / "quasik":
         ap.error(f"quasik was imported from {cli.__file__}, not from {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        results = bench(cli, LADDER, args.runs, Path(tmp))
-        if args.cube7:
-            results += bench(cli, CUBE7, 1, Path(tmp))
+        results = bench(cli, LADDER, RUNS, Path(tmp)) + bench(cli, CUBE7, 1, Path(tmp))
     report = {"label": args.label, "commit": commit_of(src), "machine": machine_facts(),
               "ladder": "perfbench/gen.py; with_height(M, Random(1)); "
                         "bott(6, Random(6)), polygon(20, Random(20))",
               "layers": "calls and self/total ms of each wrapped layer, median of the "
                         "wrapped runs; wall_ms is the median of the plain runs",
               "results": results}
-    path = Path(args.out) / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
     return 0

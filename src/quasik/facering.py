@@ -250,11 +250,10 @@ class OrdinaryKModel:
     filtration of the 2n-dimensional even-cell complex, so any product of
     n+1 of them is zero.  monomials and rows give the size of the relation
     matrix (rows x monomials) whose Smith form yields rank and torsion.
-    gens are the non-face products, kernel_generators(g), when the caller
-    already has them.
+    gens are the non-face products, kernel_generators(g).
     """
 
-    def __init__(self, g: GkmGraph, degree: int, gens=None):
+    def __init__(self, g: GkmGraph, degree: int, gens):
         self.graph = g
         self.degree = degree
         survivors, self._E = _elimination(g)
@@ -262,8 +261,6 @@ class OrdinaryKModel:
         self.monomials = self._monomials(len(survivors), degree)
         self._index = {mname: k for k, mname in enumerate(self.monomials)}
         rows = []
-        if gens is None:
-            gens = kernel_generators(g)
         for r in map(self._expand, gens):
             for beta in self.monomials:
                 bsum = sum(beta)
@@ -363,13 +360,13 @@ class OrdinaryKModel:
         return tuple(sorted(d for d in diag if d != 0)) == self._nonzero_factors
 
 
-def ordinary_rank(g: GkmGraph, gens=None) -> OrdinaryKModel:
+def ordinary_rank(g: GkmGraph, gens) -> OrdinaryKModel:
     """The certified model of the ordinary quotient at degree n.
 
     One model at the exact truncation degree n is built; its rank, torsion
     and degree are the answer.  The ordinary K-ring is free of rank m, so
     any other answer raises OrdinaryRankFailure, never a silent answer.
-    gens are passed on to the model.
+    gens are the non-face products, kernel_generators(g).
     """
     model = OrdinaryKModel(g, g.n, gens)
     if model.rank != g.m or not model.torsion_free:

@@ -12,7 +12,6 @@ and writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from operator import itemgetter, mul
 
 from .lattice import NotPrimitive, vec_gcd
@@ -57,12 +56,10 @@ class Profile:
         return f"{stem}{i + 1}"
 
 
-@cache
 def char_profile(n: int, bott: bool = False) -> Profile:
     return Profile(CHAR, n, bott)
 
 
-@cache
 def face_profile(d: int, bott: bool = False) -> Profile:
     return Profile(FACE, d, bott)
 
@@ -250,7 +247,7 @@ class MonomialMap:
     only on its exponents at source, and it is 0 off target.
     """
 
-    __slots__ = ("rows", "cols", "source", "target", "block", "_picks", "_full_target")
+    __slots__ = ("rows", "cols", "source", "target", "block", "_picks")
 
     def __init__(self, rows: int, cols: int, source, target, block):
         source, target = tuple(source), tuple(target)
@@ -262,12 +259,9 @@ class MonomialMap:
         if len(block) != len(target) or any(len(r) != len(source) for r in block):
             raise DimensionMismatch(
                 f"block is not {len(target)} x {len(source)} (target x source)")
-        # projections onto source, without and with a trailing z; None when
-        # source is every column in order, so the projection is the identity
-        picks = None if source == tuple(range(cols)) else (
-            _getter(source), _getter(source + (cols,)))
-        for name, value in zip(self.__slots__, (
-                rows, cols, source, target, block, picks, target == tuple(range(rows)))):
+        # projections onto source, without and with a trailing z
+        picks = _getter(source), _getter(source + (cols,))
+        for name, value in zip(self.__slots__, (rows, cols, source, target, block, picks)):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -320,30 +314,23 @@ def substitute_monomial_map(f: LaurentPoly, A: MonomialMap, profile: Profile = N
     if profile.bott != src.bott:
         raise DimensionMismatch(
             f"Bott variable z in the {'source' if src.bott else 'target'} profile only")
-    if A._picks is None:
-        proj = f.terms
-    else:
-        pick = A._picks[src.bott]
-        proj = {}
-        for exp, c in f.terms.items():
-            x = pick(exp)
-            v = proj.get(x, 0) + c
-            if v:
-                proj[x] = v
-            else:
-                del proj[x]         # c != 0, so x was there
-    full, rows, target, block = A._full_target, A.rows, A.target, A.block
+    pick = A._picks[src.bott]
+    proj = {}
+    for exp, c in f.terms.items():
+        x = pick(exp)
+        v = proj.get(x, 0) + c
+        if v:
+            proj[x] = v
+        else:
+            del proj[x]             # c != 0, so x was there
+    rows, target, block = A.rows, A.target, A.block
     k = len(A.source)
     out = {}
     for x, c in proj.items():
-        if full:
-            ne = tuple([sum(map(mul, r, x)) for r in block])
-        else:
-            ne = [0] * rows
-            for i, r in zip(target, block):
-                ne[i] = sum(map(mul, r, x))
-            ne = tuple(ne)
-        ne += x[k:]                 # z, if any
+        ne = [0] * rows
+        for i, r in zip(target, block):
+            ne[i] = sum(map(mul, r, x))
+        ne = tuple(ne) + x[k:]      # z, if any
         v = out.get(ne, 0) + c
         if v:
             out[ne] = v

@@ -50,7 +50,7 @@ def short_rank(monkeypatch):
     """Every OrdinaryKModel reports one less than its true rank."""
     init = facering.OrdinaryKModel.__init__
 
-    def patched(self, g, degree, gens=None):
+    def patched(self, g, degree, gens):
         init(self, g, degree, gens)
         self.rank -= 1
 

@@ -247,18 +247,18 @@ class TestOrdinaryRank:
     def test_ranks(self, graphs):
         expected = {"cp1": 2, "cp2": 3, "cp3": 4, "square_h1": 4, "cube": 8}
         for name, g in graphs.items():
-            res = ordinary_rank(g)
+            res = ordinary_rank(g, kernel_generators(g))
             assert (res.degree, res.rank, res.torsion_free) == (g.n, g.m, True), name
             assert res.rank == expected.get(name, g.m), name
 
     def test_violated_certificate_raises(self, short_rank):
         with pytest.raises(OrdinaryRankFailure, match="rank 2, expected a free module of rank 3"):
-            ordinary_rank(CP2)
+            ordinary_rank(CP2, kernel_generators(CP2))
 
     def test_hirzebruch_all_k(self):
         for k in (0, 1, 2, 3):
             g = make(f"h{k}")
-            res = ordinary_rank(g)
+            res = ordinary_rank(g, kernel_generators(g))
             assert (res.rank, res.torsion_free) == (4, True)
 
     def test_truncation_model_cross_check(self):
@@ -266,8 +266,8 @@ class TestOrdinaryRank:
         for g in (CP1, CP2):
             # at degree n a degree-(n+1) product is truncated away unseen, so
             # its vanishing is checked against the relations one degree up
-            res = ordinary_rank(g)
-            above = OrdinaryKModel(g, g.n + 1)
+            res = ordinary_rank(g, kernel_generators(g))
+            above = OrdinaryKModel(g, g.n + 1, kernel_generators(g))
             surv = res.survivors[0]
             one_minus = (LaurentPoly.one(g.face_profile)
                          - LaurentPoly.variable(g.face_profile, surv - 1))
@@ -277,7 +277,7 @@ class TestOrdinaryRank:
             assert above.is_zero(one_minus ** (g.n + 1))
 
     def test_nonface_products_vanish_in_model(self):
-        res = ordinary_rank(H1)
+        res = ordinary_rank(H1, kernel_generators(H1))
         for gen in kernel_generators(H1):
             assert res.is_zero(gen)
 
@@ -294,7 +294,7 @@ class TestBottVariable:
         assert in_gamma(g, img).member and in_w(g, img).member
         res = interpolate(g, img)
         assert phi(g, res.poly) == img
-        rank = ordinary_rank(g)
+        rank = ordinary_rank(g, kernel_generators(g))
         assert (rank.rank, rank.torsion_free) == (3, True)
         for gen in kernel_generators(g):
             assert phi(g, gen).is_zero
