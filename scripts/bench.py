@@ -11,9 +11,9 @@ commands run in process through quasik.cli.main: `proptest --cases 10`,
 `facering --ordinary` and `interpolate` of one phi(P), with P a seeded
 random face element and phi(P) computed by perfbench/check.py, not by
 quasik.  Every command runs 3 times plain, for the end-to-end wall time,
-and 3 times with four layers wrapped, for their call counts and their
-self and total times: substitute_monomial_map, phi, restrict_to_face and
-interpolate.  cube7 follows, each command run once (marked as a single
+and 3 times with six layers wrapped, for their call counts and their
+self and total times: substitute_monomial_map, phi, restrict_to_face,
+interpolate, snf_diagonal and OrdinaryKModel.__init__.  cube7 follows, each command run once (marked as a single
 run), since its proptest alone can take a minute.  The file, written to
 the root of this checkout, holds the medians, every sample, a digest of
 each command's output and the machine facts.
@@ -67,6 +67,8 @@ LAYERS = {
     "phi": ("facering", "phi"),
     "restrict_to_face": ("gkm", "GkmGraph.restrict_to_face"),
     "interpolate": ("facering", "interpolate"),
+    "snf_diagonal": ("lattice", "snf_diagonal"),
+    "OrdinaryKModel": ("facering", "OrdinaryKModel.__init__"),
 }
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: validate, gkm, facering, membership, interpolate, proptest.
 Exit codes: 0 success, 1 mathematical failure or non-membership, 2 input
-error (including a polytope past the facet bound of the non-face search
-and a negative proptest case count).
+error (including a polytope past the facet bound of the non-face search,
+a negative proptest case count and a result integer past the interpreter's
+4300-digit string conversion limit).
 Output is deterministic for fixed (input, flags, seed).
 
 Every command but validate runs one pipeline, _prepare: build the polytope,
@@ -328,14 +329,23 @@ def main(argv=None) -> int:
             prepared = _prepare(doc, args.command, order)
             report = (prepared if isinstance(prepared, Report)
                       else command(doc, args, *prepared))
+        text = _render(report, args.json)
     except (InputError, PolytopeTooLarge) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        if args.json:
-            sys.stdout.write(_render(Report(args.command, name, "input-error", 2,
-                                            {"error": str(exc)}, ""), True))
-        return 2
-    sys.stdout.write(_render(report, args.json))
-    return report.exit_code
+        error = str(exc)
+    except ValueError as exc:
+        # str() of an int past the interpreter's digit limit, anywhere in
+        # the report: the input's numbers are too large to report on
+        if "integer string conversion" not in str(exc):
+            raise
+        error = f"a result integer is too long to print: {str(exc).split(';')[0]}"
+    else:
+        sys.stdout.write(text)
+        return report.exit_code
+    print(f"input error: {error}", file=sys.stderr)
+    if args.json:
+        sys.stdout.write(_render(Report(args.command, name, "input-error", 2,
+                                        {"error": error}, ""), True))
+    return 2
 
 
 if __name__ == "__main__":

@@ -26,10 +26,11 @@ checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 from .gkm import FixedPointTuple, GkmGraph, in_w
-from .lattice import IntMat, dot, snf_diagonal
+from .lattice import SparseMat, dot, snf_diagonal
 from .laurent import (
     DimensionMismatch,
     LaurentPoly,
@@ -248,9 +249,10 @@ class OrdinaryKModel:
     y = 1 + x; monomials of total degree > degree are declared zero.  At
     degree n this is exact: each x_i is in the first Atiyah-Hirzebruch
     filtration of the 2n-dimensional even-cell complex, so any product of
-    n+1 of them is zero.  monomials and rows give the size of the relation
-    matrix (rows x monomials) whose Smith form yields rank and torsion.
-    gens are the non-face products, kernel_generators(g).
+    n+1 of them is zero.  The relation matrix has one sparse row
+    {monomial: coeff} per nonzero product r * x^beta of a generator r with
+    a monomial beta, and one column per monomial; its Smith form yields
+    rank and torsion.  gens are the non-face products, kernel_generators(g).
     """
 
     def __init__(self, g: GkmGraph, degree: int, gens):
@@ -259,19 +261,18 @@ class OrdinaryKModel:
         survivors, self._E = _elimination(g)
         self.survivors = tuple(survivors)
         self.monomials = self._monomials(len(survivors), degree)
-        self._index = {mname: k for k, mname in enumerate(self.monomials)}
         rows = []
         for r in map(self._expand, gens):
+            terms = [(e, sum(e), c) for e, c in r.items()]
             for beta in self.monomials:
-                bsum = sum(beta)
-                row = [0] * len(self.monomials)
-                for exps, c in r.items():
-                    if sum(exps) + bsum <= degree:
-                        row[self._index[tuple(a + b for a, b in zip(exps, beta))]] += c
-                if any(row):
-                    rows.append(tuple(row))
-        self.rows = rows
-        diag = snf_diagonal(IntMat.from_rows(rows, cols=len(self.monomials)))
+                room = degree - sum(beta)
+                # distinct terms of r stay distinct after the shift by beta
+                row = {tuple(a + b for a, b in zip(e, beta)): c
+                       for e, deg, c in terms if deg <= room}
+                if row:
+                    rows.append(row)
+        self.rows = tuple(rows)
+        diag = snf_diagonal(SparseMat(len(self.monomials), self.rows))
         self._nonzero_factors = tuple(sorted(d for d in diag if d != 0))
         self.rank = len(self.monomials) - len(self._nonzero_factors)
         self.torsion = tuple(d for d in self._nonzero_factors if d != 1)
@@ -281,48 +282,29 @@ class OrdinaryKModel:
         return not self.torsion
 
     @staticmethod
-    def _monomials(nvars: int, degree: int):
-        out = [(0,) * nvars]
-        frontier = out[:]
-        for _ in range(degree):
-            nxt = []
-            seen = set()
-            for e in frontier:
-                for j in range(nvars):
-                    ne = e[:j] + (e[j] + 1,) + e[j + 1:]
-                    if ne not in seen:
-                        seen.add(ne)
-                        nxt.append(ne)
-            frontier = sorted(nxt)
-            out.extend(frontier)
-        return out
+    def _monomials(nvars: int, degree: int) -> list:
+        """Exponent tuples of total degree <= degree, lowest degree first."""
+        return [tuple(combo.count(j) for j in range(nvars))
+                for d in range(degree + 1)
+                for combo in combinations_with_replacement(range(nvars), d)]
 
     def _shift(self, p: LaurentPoly) -> dict:
-        """Substitute y = 1 + x in each survivor variable, truncated."""
+        """Substitute y = 1 + x in each survivor variable, truncated.
+
+        A term's expansion grows one coordinate per variable as (exponent
+        prefix, degree, coefficient); its exponents stay distinct, so terms
+        merge only into the output.
+        """
         cap = self.degree
-        nv = p.profile.nvars
         out = {}
         for exp, c in p.terms.items():
-            term = {(0,) * nv: c}
-            for j, e in enumerate(exp):
-                if e == 0:
-                    continue
+            partial = [((), 0, c)]
+            for e in exp:
                 series = _binomial_series(e, cap)
-                nxt = {}
-                for texp, tc in term.items():
-                    room = cap - sum(texp)
-                    for k in range(min(len(series) - 1, room) + 1):
-                        coeff = series[k]
-                        if not coeff:
-                            continue
-                        ne = texp[:j] + (texp[j] + k,) + texp[j + 1:]
-                        v = nxt.get(ne, 0) + tc * coeff
-                        if v:
-                            nxt[ne] = v
-                        elif ne in nxt:
-                            del nxt[ne]
-                term = nxt
-            for e, v in term.items():
+                partial = [(pre + (k,), deg + k, pc * series[k])
+                           for pre, deg, pc in partial
+                           for k in range(min(len(series) - 1, cap - deg) + 1)]
+            for e, _, v in partial:
                 w = out.get(e, 0) + v
                 if w:
                     out[e] = w
@@ -344,19 +326,15 @@ class OrdinaryKModel:
 
     def reduce(self, elem: LaurentPoly):
         """Coefficient vector of a face-ring element over the truncated monomials."""
-        vec = [0] * len(self.monomials)
-        for e, c in self._expand(elem).items():
-            if sum(e) <= self.degree:
-                vec[self._index[e]] = c
-        return tuple(vec)
+        terms = self._expand(elem)
+        return tuple(terms.get(e, 0) for e in self.monomials)
 
     def is_zero(self, elem: LaurentPoly) -> bool:
         """Does the element vanish in the truncated quotient?"""
-        v = self.reduce(elem)
-        if not any(v):
+        terms = self._expand(elem)
+        if not terms:
             return True
-        stacked = self.rows + [v]
-        diag = snf_diagonal(IntMat.from_rows(stacked, cols=len(self.monomials)))
+        diag = snf_diagonal(SparseMat(len(self.monomials), self.rows + (terms,)))
         return tuple(sorted(d for d in diag if d != 0)) == self._nonzero_factors
 
 

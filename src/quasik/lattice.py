@@ -1,15 +1,18 @@
 """Exact integer linear algebra over character and cocharacter lattices.
 
-Matrices are dense, immutable, row-major tuples of Python ints, so every
-operation is exact regardless of entry size.  Vectors (characters and
-cocharacters, i.e. rows of a characteristic matrix) are plain int tuples.
+Entries are Python ints, so every operation is exact regardless of entry
+size.  IntMat is a dense, immutable, row-major matrix; SparseMat holds one
+{column: value} dict per row, for the large and mostly empty relation
+matrices whose invariant factors snf_diagonal finds.  Vectors (characters
+and cocharacters, i.e. rows of a characteristic matrix) are plain int
+tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
 Vector = tuple[int, ...]
 
@@ -60,23 +63,13 @@ class IntMat:
     data: tuple[Vector, ...]
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMat":
+    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMat":
+        """The matrix with these rows; there must be at least one."""
         rows = tuple(tuple(int(x) for x in r) for r in rows)
-        if rows:
-            c = len(rows[0])
-            if any(len(r) != c for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            if cols is None:
-                raise ValueError("cols required for a matrix with no rows")
-            c = cols
-        if cols is not None and cols != c:
-            raise ValueError("cols disagrees with row length")
+        c = len(rows[0])
+        if any(len(r) != c for r in rows):
+            raise ValueError("ragged rows")
         return IntMat(len(rows), c, rows)
-
-    @staticmethod
-    def identity(n: int) -> "IntMat":
-        return IntMat(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -201,7 +194,7 @@ def snf(A: IntMat) -> Vector:
     return tuple(M[i][i] for i in range(t)) + (0,) * (limit - t)
 
 
-def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
+def _eliminate_unit_pivots(rows: dict[int, dict[Hashable, int]]) -> int:
     """Eliminate +-1 pivots from a sparse matrix in place; return their number.
 
     rows maps a row index to its nonzero entries {column: value}.  Each step
@@ -210,7 +203,7 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
     unit pivot splits off exactly: SNF(A) = 1 (+) SNF(Schur complement), so
     the rows left behind carry every other invariant factor.
     """
-    cols: dict[int, set[int]] = {}
+    cols: dict[Hashable, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
@@ -254,27 +247,40 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
         pivots += 1
 
 
-def snf_diagonal(A: IntMat) -> Vector:
-    """Invariant factors of A, equal to snf(A).
+@dataclass(frozen=True)
+class SparseMat:
+    """Integer matrix as one {column: value} dict of nonzero entries per row.
 
-    Unit pivots are eliminated sparsely first; snf runs only on the block
-    they leave, and the result is padded with zeros to min(rows, cols).
+    Column keys are any hashables; cols counts every column, the empty
+    ones included.
     """
-    rows = {}
-    for i, r in enumerate(A.data):
-        row = {j: v for j, v in enumerate(r) if v}
-        if row:
-            rows[i] = row
+
+    cols: int
+    data: tuple[dict[Hashable, int], ...]
+
+    @property
+    def rows(self) -> int:
+        return len(self.data)
+
+
+def snf_diagonal(A: SparseMat) -> Vector:
+    """Invariant factors of A, equal to snf of its dense form.
+
+    Unit pivots are eliminated sparsely on a copy of each row, so A is
+    left as it was; snf runs only on the block they leave, and the result
+    is padded with zeros to min(rows, cols).
+    """
+    rows = {i: dict(r) for i, r in enumerate(A.data) if r}
     ones = _eliminate_unit_pivots(rows)
-    left = sorted({j for row in rows.values() for j in row})
+    left = dict.fromkeys(j for row in rows.values() for j in row)
     where = {j: k for k, j in enumerate(left)}
     M = []
     for row in rows.values():
-        dense = [0] * len(left)
+        dense = [0] * len(where)
         for j, v in row.items():
             dense[where[j]] = v
         M.append(tuple(dense))
-    diag = (1,) * ones + snf(IntMat(len(M), len(left), tuple(M)))
+    diag = (1,) * ones + snf(IntMat(len(M), len(where), tuple(M)))
     return diag + (0,) * (min(A.rows, A.cols) - len(diag))
 
 

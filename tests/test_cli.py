@@ -132,6 +132,30 @@ class TestFacering:
         assert len(payload["j_generators"]) == 2
 
 
+    def test_cube7_ordinary(self, capsys, tmp_path):
+        """(CP^1)^7: the sparse model of 5544 relation rows over 3432
+        monomials certifies rank 128 in well under two seconds."""
+        n = 7
+        coords = [[(v >> k) & 1 for k in range(n)] for v in range(2 ** n)]
+        doc = {"name": f"cube{n}", "dim": n, "facets": 2 * n,
+               # facet k + 1 is x_k = 0, facet n + k + 1 is x_k = 1
+               "vertices": [[k + 1 + n * x[k] for k in range(n)] for x in coords],
+               "lambda": [[int(i == k) for i in range(n)] for k in range(n)]
+                         + [[-int(i == k) for i in range(n)] for k in range(n)],
+               "vertex_coords": coords,
+               "height_vector": [2 ** k for k in range(n)]}
+        path = tmp_path / "cube7.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "facering", path, "--ordinary", "--json")
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        assert json.loads(out)["payload"]["ordinary_rank"] == {
+            "rank": 128, "torsion_free": True, "degree": 7,
+            "stats": {"monomials": 3432, "rows": 5544}}
+        assert elapsed < 2.0, f"facering --ordinary took {elapsed:.1f}s"
+
+
 class TestMembership:
     def test_member(self, capsys, tmp_path):
         t = write_tuple(tmp_path, "t.json", CP1_MEMBER)
@@ -339,8 +363,9 @@ class TestUnreadableFiles:
 
 
 class TestHugeIntegers:
-    """An integer literal longer than int's string conversion limit (4300
-    digits) is an input error, in the document and in the tuple file."""
+    """An integer longer than int's string conversion limit (4300 digits) is
+    an input error: as a literal in the document or the tuple file, and as a
+    result the report would print."""
 
     HUGE = "9" * 5000
 
@@ -368,6 +393,45 @@ class TestHugeIntegers:
         assert (report["status"], report["input"]) == ("input-error", "cp1")
         assert "integer literal too long" in report["payload"]["error"]
         assert err.startswith("input error: ")
+
+
+    @staticmethod
+    def triangle(tmp_path):
+        """A triangle whose vertex block {1,2} has a 4401-digit determinant."""
+        doc = json.loads(input_path("cp2").read_text())
+        big = 10 ** 2200
+        doc["lambda"] = [[big, 1], [1, big], [-1, -1]]
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @staticmethod
+    def simplex(tmp_path):
+        """A valid 3-simplex whose dual bases hold entries near 10^6000."""
+        a = b = 10 ** 3000
+        doc = {"name": "simplex3", "dim": 3, "facets": 4,
+               "vertices": [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]],
+               "lambda": [[1, 0, 0], [a, 1, 0], [0, b, 1], [-(1 + a), -(1 + b), -1]],
+               "vertex_order": [1, 2, 3, 4]}
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("make, command", [
+        ("triangle", "validate"), ("simplex", "gkm"), ("simplex", "facering"),
+    ])
+    def test_result_too_long_to_print(self, capsys, tmp_path, make, command):
+        """A result integer past the string conversion limit is reported as
+        an input error, not a traceback."""
+        path = getattr(self, make)(tmp_path)
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: a result integer is too long to print")
+        code, out, err = run(capsys, command, path, "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert (report["command"], report["status"]) == (command, "input-error")
+        assert report["payload"]["error"].startswith("a result integer is too long to print")
 
 
 def test_dot_to_unwritable_path(capsys, tmp_path):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from quasik.facering import (
 from conftest import dense_substitute
 from quasik.documents import build_polytope
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
-from quasik.laurent import LaurentPoly, substitute_monomial_map
+from quasik.laurent import LaurentPoly, face_profile, substitute_monomial_map
 from quasik.polytope import SimplePolytope, vertex_order_from_heights
 
 
@@ -280,6 +282,60 @@ class TestOrdinaryRank:
         res = ordinary_rank(H1, kernel_generators(H1))
         for gen in kernel_generators(H1):
             assert res.is_zero(gen)
+
+
+def truncated_product(a, b, cap):
+    """Product of two {exponents: coeff} polynomials, terms above degree cap dropped."""
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            g = tuple(x + y for x, y in zip(e, f))
+            if sum(g) <= cap:
+                out[g] = out.get(g, 0) + c * d
+    return {g: c for g, c in out.items() if c}
+
+
+class TestShift:
+    """y = 1 + x, truncated above the model's degree, is a ring map."""
+
+    MODEL = OrdinaryKModel(CUBE, CUBE.n, kernel_generators(CUBE))
+    PROFILE = face_profile(len(MODEL.survivors))
+
+    def polys(self):
+        exps = st.tuples(*[st.integers(-3, 3)] * self.PROFILE.nvars)
+        return st.dictionaries(exps, st.integers(-4, 4), max_size=4).map(
+            lambda d: LaurentPoly(self.PROFILE, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ring_map(self, data):
+        p, q = data.draw(self.polys()), data.draw(self.polys())
+        shift, cap = self.MODEL._shift, self.MODEL.degree
+        assert shift(p * q) == truncated_product(shift(p), shift(q), cap)
+        total = dict(shift(p))
+        for e, c in shift(q).items():
+            total[e] = total.get(e, 0) + c
+        assert shift(p + q) == {e: c for e, c in total.items() if c}
+
+    def test_variables(self):
+        shift, cap = self.MODEL._shift, self.MODEL.degree
+        one = (0,) * self.PROFILE.nvars
+        for j in range(self.PROFILE.nvars):
+            y = LaurentPoly.variable(self.PROFILE, j)
+            x = tuple(int(i == j) for i in range(self.PROFILE.nvars))
+            assert shift(y) == {one: 1, x: 1}
+            # 1/(1 + x) = sum (-x)^k, truncated
+            assert shift(y ** -1) == {tuple(k * a for a in x): (-1) ** k
+                                      for k in range(cap + 1)}
+            assert truncated_product(shift(y ** -1), shift(y), cap) == {one: 1}
+            assert shift(y ** -1 * y) == {one: 1}
+
+    @pytest.mark.parametrize("nvars, degree", [(0, 0), (0, 3), (1, 4), (2, 0), (3, 3), (4, 5)])
+    def test_monomials(self, nvars, degree):
+        monos = OrdinaryKModel._monomials(nvars, degree)
+        assert len(monos) == len(set(monos)) == comb(nvars + degree, degree)
+        assert all(len(e) == nvars and sum(e) <= degree for e in monos)
+        assert [sum(e) for e in monos] == sorted(sum(e) for e in monos)
 
 
 class TestBottVariable:
