@@ -96,7 +96,10 @@ class TestSnfDiagonal:
         rows = data.draw(st.lists(st.lists(st.sampled_from(values), min_size=c, max_size=c),
                                   min_size=r, max_size=r))
         A = IntMat(r, c, tuple(map(tuple, rows)))
-        assert snf_diagonal(sparse(A)) == snf(A)
+        S = sparse(A)
+        before = [dict(row) for row in S.data]
+        assert snf_diagonal(S) == snf(A)
+        assert list(S.data) == before   # the rows are left as they were
 
 
 class TestDualBasis:
