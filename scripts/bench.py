@@ -6,14 +6,16 @@ Usage, from the root of a checkout:
     python3 scripts/bench.py --label NAME [--src DIR]
 
 The ladder comes from perfbench/gen.py: cube6, bott6, cp10 and poly20,
-each given a height by with_height(M, Random(1)).  On each rung three
+each given a height by with_height(M, Random(1)).  On each rung four
 commands run in process through quasik.cli.main: `proptest --cases 10`,
-`facering --ordinary` and `interpolate` of one phi(P), with P a seeded
-random face element and phi(P) computed by perfbench/check.py, not by
-quasik.  Every command runs 3 times plain, for the end-to-end wall time,
-and 3 times with six layers wrapped, for their call counts and their
-self and total times: substitute_monomial_map, phi, restrict_to_face,
-interpolate, snf_diagonal and OrdinaryKModel.__init__.  cube7 follows, each command run once (marked as a single
+`facering --ordinary`, the same with `--json` (so the cost of rendering
+the report shows) and `interpolate` of one phi(P), with P a seeded random
+face element and phi(P) computed by perfbench/check.py, not by quasik.
+Every command runs 3 times plain, for the end-to-end wall time, and 3
+times with eight layers wrapped, for their call counts and their self and
+total times: substitute_monomial_map, divides_one_minus, phi,
+restrict_to_face, interpolate, snf_diagonal, OrdinaryKModel.__init__ and
+cli._render.  cube7 follows, each command run once (marked as a single
 run), since its proptest alone can take a minute.  The file, written to
 the root of this checkout, holds the medians, every sample, a digest of
 each command's output and the machine facts.
@@ -58,17 +60,20 @@ RUNS = 3
 COMMANDS = {
     "proptest --cases 10": lambda doc, tup: ["proptest", doc, "--cases", "10"],
     "facering --ordinary": lambda doc, tup: ["facering", doc, "--ordinary"],
+    "facering --ordinary --json": lambda doc, tup: ["facering", doc, "--ordinary", "--json"],
     "interpolate": lambda doc, tup: ["interpolate", doc, tup],
 }
 
 # (module, attribute path) of each timed layer
 LAYERS = {
     "substitute_monomial_map": ("laurent", "substitute_monomial_map"),
+    "divides_one_minus": ("laurent", "divides_one_minus"),
     "phi": ("facering", "phi"),
     "restrict_to_face": ("gkm", "GkmGraph.restrict_to_face"),
     "interpolate": ("facering", "interpolate"),
     "snf_diagonal": ("lattice", "snf_diagonal"),
     "OrdinaryKModel": ("facering", "OrdinaryKModel.__init__"),
+    "render": ("cli", "_render"),
 }
 
 
@@ -202,7 +207,7 @@ def bench(cli, rungs, runs, workdir: Path):
                    "exit_codes": sorted(codes), "stdout_sha256": sorted(digests),
                    "layers": layers}
             results.append(row)
-            print(f"{name:8} {label:22} {row['wall_ms']:12.1f} ms  (k={runs})", flush=True)
+            print(f"{name:8} {label:26} {row['wall_ms']:12.1f} ms  (k={runs})", flush=True)
     return results
 
 

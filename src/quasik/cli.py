@@ -20,9 +20,9 @@ every step.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import facering
 from .documents import InputError, build_polytope, load_document, load_tuple, resolve_order
@@ -52,11 +52,44 @@ class Report:
     human: str
 
 
+def _json_text(obj, indent="\n") -> str:
+    """obj exactly as json.dumps(obj, sort_keys=True, indent=2) writes it.
+
+    Reports hold only str-keyed dicts, lists, tuples, str, int, bool and
+    None; anything else (a float, a non-str key) raises TypeError.  An int
+    past the 4300-digit conversion limit raises int.__repr__'s ValueError,
+    as json.dumps does.  indent is the newline and indentation before obj.
+    """
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = ("," + inner).join([_json_text(x, inner) for x in obj])
+        return "[" + inner + body + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join([encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                                   for k, v in sorted(obj.items())])
+        return "{" + inner + body + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _render(report: Report, as_json: bool) -> str:
     if as_json:
         doc = {"command": report.command, "input": report.input_name,
                "status": report.status, "payload": report.payload}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_text(doc) + "\n"
     return report.human if report.human.endswith("\n") else report.human + "\n"
 
 
@@ -302,6 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser as it was and returns a new
+# Namespace, so no state carries from one main() call to the next
+PARSER = build_parser()
+
 # command -> (function, what the pipeline does with the vertex order);
 # validate (None) checks step by step itself
 COMMANDS = {
@@ -315,7 +352,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     name = str(args.input)
     try:
         doc = load_document(args.input)

@@ -5,8 +5,9 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasik.cli import main
+from quasik.cli import _json_text, main
 
 from conftest import INPUTS, input_path
 
@@ -232,6 +233,71 @@ class TestDeterminism:
         _, out2, _ = run(capsys, "proptest", input_path("square_h2"),
                          "--seed", "11", "--cases", "40", "--json")
         assert out1 == out2
+
+
+# quotes, backslashes, control characters, non-ASCII text, lone surrogates
+TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fa\u00e9\u2028\ud800\udfff\U0001f600')
+               | st.characters(exclude_categories=()), max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200) | TEXT,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonText:
+    """The --json renderer writes exactly what json.dumps(sort_keys=True,
+    indent=2) writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_empty_containers_at_depth(self):
+        value = {"a": [[], {}, ()], "b": {"c": {}}, "": [[[]]]}
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_integer_too_long(self):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            _json_text({"x": [10 ** 4400]})
+
+    @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a"}, b"a"])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _json_text([value])
+
+
+class TestSharedParser:
+    """main() parses with one parser per process; no call sees the
+    arguments of an earlier one."""
+
+    def test_no_state_between_calls(self, capsys, tmp_path):
+        cp2 = input_path("cp2")
+        dot = tmp_path / "cp2.dot"
+        code, out, _ = run(capsys, "gkm", cp2, "--dot", dot, "--json")
+        assert (code, json.loads(out)["payload"]["dot"]) == (0, str(dot))
+        code, out, _ = run(capsys, "gkm", cp2, "--json")
+        assert code == 0 and "dot" not in json.loads(out)["payload"]
+
+        _, out, _ = run(capsys, "proptest", cp2, "--seed", "5", "--cases", "2")
+        assert "proptest (seed 5, cases 2)" in out
+        _, out, _ = run(capsys, "proptest", cp2, "--cases", "2")
+        assert "proptest (seed 1, cases 2)" in out
+
+        code, out, _ = run(capsys, "facering", cp2, "--ordinary", "--json")
+        assert code == 0 and "ordinary_rank" in json.loads(out)["payload"]
+        code, out, _ = run(capsys, "facering", cp2, "--json")
+        assert code == 0 and "ordinary_rank" not in json.loads(out)["payload"]
+
+        with pytest.raises(SystemExit) as exc:
+            main(["nosuchcommand", str(cp2)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "validate", cp2)
+        assert (code, err) == (0, "")
+        assert out == ("simple polytope: pass\ncharacteristic matrix: pass\n"
+                       "vertex order: pass\n")
 
 
 def test_module_entry_point():
