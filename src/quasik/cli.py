@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 mathematical failure or non-membership, 2 input
 error (including a polytope past the facet bound of the non-face search,
 a negative proptest case count and a result integer past the interpreter's
 4300-digit string conversion limit).
-Output is deterministic for fixed (input, flags, seed).
+Output is deterministic for fixed (input, flags, seed).  The --json report
+is ASCII only and byte for byte what json.dumps(report, sort_keys=True,
+indent=2) writes.  The argument parser is built once per process, when
+this module is imported; each main() call parses into a new namespace.
 
 Every command but validate runs one pipeline, _prepare: build the polytope,
 check it is simple, check the characteristic matrix, resolve the vertex
