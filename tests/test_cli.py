@@ -5,7 +5,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasik.cli import _json_text, main
 
@@ -251,11 +251,8 @@ class TestJsonText:
 
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)
+    @example({"a": [[], {}, ()], "b": {"c": {}}, "": [[[]]]})
     def test_matches_json_dumps(self, value):
-        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
-
-    def test_empty_containers_at_depth(self):
-        value = {"a": [[], {}, ()], "b": {"c": {}}, "": [[[]]]}
         assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_integer_too_long(self):
