@@ -12,11 +12,12 @@ commands run in process through quasik.cli.main: `proptest --cases 10`,
 the report shows) and `interpolate` of one phi(P), with P a seeded random
 face element and phi(P) computed by perfbench/check.py, not by quasik.
 Every command runs 3 times plain, for the end-to-end wall time, and 3
-times with eight layers wrapped, for their call counts and their self and
+times with nine layers wrapped, for their call counts and their self and
 total times: substitute_monomial_map, divides_one_minus, phi,
-restrict_to_face, interpolate, snf_diagonal, OrdinaryKModel.__init__ and
-cli._render.  cube7 follows, each command run once (marked as a single
-run), since its proptest alone can take a minute.  The file, written to
+restrict_to_face, interpolate, snf_diagonal, the dense snf it runs on the
+block its unit pivots leave, OrdinaryKModel.__init__ and cli._render.
+cube7 and bott7 follow, each command run once (marked as a single run),
+since their proptests take seconds.  The file, written to
 the root of this checkout, holds the medians, every sample, a digest of
 each command's output and the machine facts.
 
@@ -54,7 +55,10 @@ LADDER = {
     "cp10": lambda: gen.cp(10),
     "poly20": lambda: gen.polygon(20, random.Random(20)),
 }
-CUBE7 = {"cube7": lambda: gen.cube(7)}
+TAIL = {
+    "cube7": lambda: gen.cube(7),
+    "bott7": lambda: gen.bott(7, random.Random(7)),
+}
 RUNS = 3
 
 COMMANDS = {
@@ -72,6 +76,7 @@ LAYERS = {
     "restrict_to_face": ("gkm", "GkmGraph.restrict_to_face"),
     "interpolate": ("facering", "interpolate"),
     "snf_diagonal": ("lattice", "snf_diagonal"),
+    "snf": ("lattice", "snf"),
     "OrdinaryKModel": ("facering", "OrdinaryKModel.__init__"),
     "render": ("cli", "_render"),
 }
@@ -222,10 +227,10 @@ def main(argv=None) -> int:
     if Path(cli.__file__).resolve().parent != src / "quasik":
         ap.error(f"quasik was imported from {cli.__file__}, not from {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        results = bench(cli, LADDER, RUNS, Path(tmp)) + bench(cli, CUBE7, 1, Path(tmp))
+        results = bench(cli, LADDER, RUNS, Path(tmp)) + bench(cli, TAIL, 1, Path(tmp))
     report = {"label": args.label, "commit": commit_of(src), "machine": machine_facts(),
               "ladder": "perfbench/gen.py; with_height(M, Random(1)); "
-                        "bott(6, Random(6)), polygon(20, Random(20))",
+                        "bott(6, Random(6)), bott(7, Random(7)), polygon(20, Random(20))",
               "layers": "calls and self/total ms of each wrapped layer, median of the "
                         "wrapped runs; wall_ms is the median of the plain runs",
               "results": results}

@@ -112,7 +112,6 @@ class InterpolationStep:
 class InterpolationResult:
     poly: LaurentPoly
     steps: tuple[InterpolationStep, ...]
-    residual_check: bool
 
 
 def interpolate(g: GkmGraph, t: FixedPointTuple) -> InterpolationResult:
@@ -143,7 +142,7 @@ def interpolate(g: GkmGraph, t: FixedPointTuple) -> InterpolationResult:
         for s in range(pos + 1):
             if not residual[order[s]].is_zero:
                 raise ResidualNonzero(pos, s)
-    return InterpolationResult(total, tuple(steps), residual_check=True)
+    return InterpolationResult(total, tuple(steps))
 
 
 # -- kernel and basis certificate -------------------------------------------

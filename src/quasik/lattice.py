@@ -1,11 +1,12 @@
 """Exact integer linear algebra over character and cocharacter lattices.
 
 Entries are Python ints, so every operation is exact regardless of entry
-size.  IntMat is a dense, immutable, row-major matrix; SparseMat holds one
+size.  A dense matrix is a sequence of int rows; SparseMat holds one
 {column: value} dict per row, for the large and mostly empty relation
 matrices whose invariant factors snf_diagonal finds.  Vectors (characters
 and cocharacters, i.e. rows of a characteristic matrix) are plain int
-tuples.
+tuples.  Each elimination runs once: dual_basis triangularises a block
+and reads its determinant off the same diagonal.
 """
 
 from __future__ import annotations
@@ -54,50 +55,6 @@ def dot(u: Vector, v: Vector) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class IntMat:
-    """Immutable dense integer matrix."""
-
-    rows: int
-    cols: int
-    data: tuple[Vector, ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMat":
-        """The matrix with these rows; there must be at least one."""
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        c = len(rows[0])
-        if any(len(r) != c for r in rows):
-            raise ValueError("ragged rows")
-        return IntMat(len(rows), c, rows)
-
-    def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and g == x*a + y*b."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -126,15 +83,16 @@ def _clear(M: list[list[int]], i: int, j: int, k: int) -> None:
         M[j] = [p * t - q * s for s, t in zip(Mi, Mj)]
 
 
-def snf(A: IntMat) -> Vector:
-    """Smith normal form diagonal of A, padded with zeros to min(rows, cols).
+def snf(rows: Sequence[Sequence[int]], cols: int) -> Vector:
+    """Smith normal form diagonal of the matrix with these rows and cols
+    columns, padded with zeros to min(rows, cols).
 
-    Unimodular row and column operations diagonalize a copy of A; the
-    nonzero diagonal entries are then made positive and brought into a
+    Unimodular row and column operations diagonalize a copy of the rows;
+    the nonzero diagonal entries are then made positive and brought into a
     divisibility chain.
     """
-    M = [list(row) for row in A.data]
-    r, c = A.rows, A.cols
+    M = [list(row) for row in rows]
+    r, c = len(M), cols
     t = 0
     limit = min(r, c)
     while t < limit:
@@ -197,54 +155,55 @@ def snf(A: IntMat) -> Vector:
 def _eliminate_unit_pivots(rows: dict[int, dict[Hashable, int]]) -> int:
     """Eliminate +-1 pivots from a sparse matrix in place; return their number.
 
-    rows maps a row index to its nonzero entries {column: value}.  Each step
-    takes the unit entry of lowest Markowitz cost (row nnz - 1) * (col nnz - 1),
-    clears its column with row operations and drops its row and column.  A
-    unit pivot splits off exactly: SNF(A) = 1 (+) SNF(Schur complement), so
-    the rows left behind carry every other invariant factor.
+    rows maps a row index to its nonzero entries {column: value}.  A sweep
+    visits the rows shortest first; in each row that still holds a unit
+    entry it pivots on the unit whose column has the fewest entries: it
+    clears that column with row operations and drops the row and column.
+    A pivot can leave a unit in a row the sweep has passed, so sweeps
+    repeat until one pivots nothing; then no remaining row holds +-1, and
+    rows emptied on the way are dropped.  A unit pivot splits off exactly:
+    SNF(A) = 1 (+) SNF(Schur complement), so the rows left behind carry
+    every other invariant factor.
     """
     cols: dict[Hashable, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
     pivots = 0
-    while True:
-        best = None
-        best_cost = -1
-        for i, row in rows.items():
-            rn = len(row) - 1
-            for j, v in row.items():
-                if v == 1 or v == -1:
-                    cost = rn * (len(cols[j]) - 1)
-                    if best is None or cost < best_cost:
-                        best, best_cost = (i, j), cost
-                        if cost == 0:
-                            break
-            if best_cost == 0:
-                break
-        if best is None:
-            return pivots
-        i, j = best
-        prow = rows.pop(i)
-        for k in prow:
-            cols[k].discard(i)
-        p = prow[j]
-        for r in cols.pop(j):
-            row = rows[r]
-            f = row[j] * p           # row[j] / p, since p = +-1
+    swept = None
+    while swept != pivots:
+        swept = pivots
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            prow = rows.get(i)
+            if prow is None:
+                continue
+            j = None
             for k, v in prow.items():
-                nv = row.get(k, 0) - f * v
-                if nv:
-                    if k not in row:
-                        cols[k].add(r)
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
-                    if k != j:
-                        cols[k].discard(r)
-            if not row:
-                del rows[r]
-        pivots += 1
+                if (v == 1 or v == -1) and (j is None or len(cols[k]) < len(cols[j])):
+                    j = k
+            if j is None:
+                continue
+            del rows[i]
+            for k in prow:
+                cols[k].discard(i)
+            p = prow[j]
+            for r in cols.pop(j):
+                row = rows[r]
+                f = row[j] * p           # row[j] / p, since p = +-1
+                for k, v in prow.items():
+                    nv = row.get(k, 0) - f * v
+                    if nv:
+                        if k not in row:
+                            cols[k].add(r)
+                        row[k] = nv
+                    elif k in row:
+                        del row[k]
+                        if k != j:
+                            cols[k].discard(r)
+                if not row:
+                    del rows[r]
+            pivots += 1
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -279,30 +238,34 @@ def snf_diagonal(A: SparseMat) -> Vector:
         dense = [0] * len(where)
         for j, v in row.items():
             dense[where[j]] = v
-        M.append(tuple(dense))
-    diag = (1,) * ones + snf(IntMat(len(M), len(where), tuple(M)))
+        M.append(dense)
+    diag = (1,) * ones + snf(M, len(where))
     return diag + (0,) * (min(A.rows, A.cols) - len(diag))
 
 
-def dual_basis(V: IntMat) -> list[Vector]:
-    """Rows mu_1..mu_n with <mu_k, row_l(V)> = delta_{k,l}; V must be unimodular.
+def dual_basis(rows: Sequence[Sequence[int]]) -> list[Vector]:
+    """Rows mu_1..mu_n with <mu_k, row_l> = delta_{k,l}; the square matrix
+    of the rows must be unimodular.
 
-    Row-reduces [V | I] to [I | V^-1] with unimodular 2x2 row combines;
-    mu_k is column k of V^-1.
+    Row-reduces [V | I] to [I | V^-1] with 2x2 row combines of determinant
+    1; mu_k is column k of V^-1.  The triangular form they reach has det V
+    as the product of its diagonal, so a block that is not unimodular
+    raises NotUnimodular carrying that determinant.
     """
-    n = V.rows
-    if V.cols != n:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise NotUnimodular("matrix is not square")
-    M = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(V.data)]
+    M = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    det = 1
     for k in range(n):
         for i in range(k + 1, n):
             if M[i][k]:
                 _clear(M, k, i, k)
-        if M[k][k] not in (1, -1):
-            det = V.det()
-            raise NotUnimodular(f"|det| = {abs(det)} != 1", det)
+        det *= M[k][k]
         if M[k][k] == -1:
             M[k] = [-x for x in M[k]]
+    if det not in (1, -1):
+        raise NotUnimodular(f"|det| = {abs(det)} != 1", det)
     for k in range(n - 1, 0, -1):
         for i in range(k):
             q = M[i][k]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .lattice import IntMat, NotUnimodular, dual_basis, is_primitive
+from .lattice import NotUnimodular, dual_basis, is_primitive
 
 MAX_FACETS = 24
 
@@ -89,7 +89,6 @@ class VertexOrder:
     order: tuple[int, ...]      # vertex ids, source first
     position: tuple[int, ...]   # position[v] = rank of vertex v
     ind: tuple[int, ...]        # ind[v] = number of neighbours earlier in the order
-    incoming: tuple[tuple[int, ...], ...]  # incoming[v] = earlier neighbours of v
     extra: tuple[frozenset[int], ...]      # extra[v] = facets of v off its incoming edges
 
 
@@ -271,15 +270,15 @@ def vertex_dual_basis(lam: Sequence[Sequence[int]], facets) -> dict:
     Raises NotUnimodular when the block of their lambda rows is not.
     """
     facets = sorted(facets)
-    return dict(zip(facets, dual_basis(IntMat.from_rows([lam[i - 1] for i in facets]))))
+    return dict(zip(facets, dual_basis([lam[i - 1] for i in facets])))
 
 
 def validate_characteristic(P: SimplePolytope,
                             lam: Sequence[Sequence[int]]) -> CharacteristicReport:
     """Primitivity of every row and |det| = 1 at every vertex.
 
-    The dual basis at each vertex is the unimodularity check; only a block
-    that fails it gets a determinant, for the report.
+    The dual basis at each vertex is the unimodularity check; a block that
+    fails it reports the determinant read off the same elimination.
     """
     n, d = P.dim, P.facet_count
     fails = []
@@ -310,12 +309,11 @@ def _order_data(P: SimplePolytope, order):
     for pos, v in enumerate(order):
         position[v] = pos
     adj = P.adjacency()
-    incoming = tuple(tuple(sorted(w for w in adj[v] if position[w] < position[v]))
-                     for v in range(P.m))
+    incoming = [[w for w in adj[v] if position[w] < position[v]] for v in range(P.m)]
     ind = tuple(len(inc) for inc in incoming)
-    extra = tuple(frozenset().union(*(P.vertices[v] - P.vertices[w] for w in incoming[v]))
-                  for v in range(P.m))
-    return VertexOrder(tuple(order), tuple(position), ind, incoming, extra)
+    extra = tuple(frozenset().union(*(P.vertices[v] - P.vertices[w] for w in inc))
+                  for v, inc in enumerate(incoming))
+    return VertexOrder(tuple(order), tuple(position), ind, extra)
 
 
 def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:

@@ -12,7 +12,7 @@ from quasik.gkm import (
     in_gamma,
     in_w,
 )
-from quasik.lattice import IntMat, normalize_sign, vec_gcd
+from quasik.lattice import normalize_sign, vec_gcd
 from quasik.laurent import LaurentPoly, char_profile
 from quasik.polytope import SimplePolytope, validate_order
 
@@ -35,10 +35,11 @@ def cube_graph():
 
 
 def rational_left_kernel(B):
-    """Oracle: left kernel of B over Q by Gaussian elimination, denominators cleared."""
+    """Oracle: left kernel of B (its rows, all of one length) over Q by
+    Gaussian elimination, denominators cleared."""
     # nullspace of B^T x = 0 over Q
-    mat = [[Fraction(B.data[i][j]) for i in range(B.rows)] for j in range(B.cols)]
-    m, nn = len(mat), B.rows
+    mat = [[Fraction(B[i][j]) for i in range(len(B))] for j in range(len(B[0]))]
+    m, nn = len(mat), len(B)
     piv = []
     r = 0
     for c in range(nn):
@@ -103,7 +104,7 @@ class TestBuild:
         for g in (CP1, CP2, H1, cube_graph(), *graphs.values()):
             for e in g.edges:
                 cols = [g.lam_row(i) for i in sorted(e.facets)]
-                B = IntMat(g.n, len(cols), tuple(zip(*cols)) or ((),) * g.n)
+                B = tuple(zip(*cols)) or ((),) * g.n
                 oracle = rational_left_kernel(B)
                 assert len(oracle) == 1
                 assert e.character == normalize_sign(oracle[0])
