@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Check that two quasik trees print the same bytes for every command.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/same_output.py --src A/src --src B/src
+
+Each --src is the src directory of one quasik tree.  The runs are:
+
+* the bundled inputs/*.json, each also as a use_bott variant, plus two
+  variants of square_h1: one with no order source and one whose height
+  vector ties on an edge;
+* a perfbench/gen.py ladder: cp1-cp4, cube2-cube4, bott2-bott4,
+  polygon5-polygon7, one vertex truncation, then cube6, bott6, cp10 and
+  poly20, each given a height by with_height(M, Random(1));
+* on each document: validate, gkm (plain and with --dot), facering (plain
+  and --ordinary), membership and interpolate of a member tuple and of a
+  non-member, and proptest --cases 4, each in text and in --json;
+* a few usage errors and help texts.
+
+Member tuples are phi(P) of a seeded random face element P, computed by
+perfbench/check.py rather than by quasik; a non-member adds one monomial
+at one vertex.  All runs of a tree go through quasik.cli.main in one
+subprocess, with that tree's src first on the path, in a working
+directory of its own so that DOT files land there under the same
+relative name.  Stdout, stderr, exit code and DOT bytes are compared run
+by run; the script prints the number of runs and every run that differs,
+and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import check  # noqa: E402
+import gen  # noqa: E402
+
+CASES = "4"
+DOT = "gkm.dot"
+
+LADDER = {
+    **{f"cp{n}": (lambda n=n: gen.cp(n)) for n in (1, 2, 3, 4)},
+    **{f"cube{n}": (lambda n=n: gen.cube(n)) for n in (2, 3, 4)},
+    **{f"bott{n}": (lambda n=n: gen.bott(n, random.Random(n))) for n in (2, 3, 4)},
+    **{f"polygon{k}": (lambda k=k: gen.polygon(k, random.Random(k))) for k in (5, 6, 7)},
+    "cube3_cut": lambda: gen.truncate(gen.cube(3), 0),
+    "cube6": lambda: gen.cube(6),
+    "bott6": lambda: gen.bott(6, random.Random(6)),
+    "cp10": lambda: gen.cp(10),
+    "poly20": lambda: gen.polygon(20, random.Random(20)),
+}
+
+USAGE = [
+    [], ["--help"], ["proptest", "--help"], ["gkm"], ["frobnicate", "x.json"],
+    ["proptest", "missing.json", "--cases", "many"],
+    ["proptest", str(ROOT / "inputs" / "cp2.json"), "--cases", "-1"],
+    ["validate", "missing.json"], ["validate", "missing.json", "--json"],
+]
+
+# run in the child: argv lists on stdin, one result per run to the file
+# named by argv[1]
+CHILD = r"""
+import contextlib, io, json, os, sys
+from quasik import cli
+if os.path.dirname(os.path.abspath(cli.__file__)) != os.path.abspath(sys.argv[2]):
+    sys.exit(f"quasik was imported from {cli.__file__}, not from {sys.argv[2]}")
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    dot = None
+    if os.path.exists("gkm.dot"):
+        with open("gkm.dot", encoding="utf-8") as fh:
+            dot = fh.read()
+        os.remove("gkm.dot")
+    results.append({"stdout": out.getvalue(), "stderr": err.getvalue(),
+                    "code": code, "dot": dot})
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(results, fh)
+"""
+
+
+def manifold_of(doc: dict) -> gen.Manifold:
+    return gen.Manifold(doc["name"], doc["dim"], tuple(frozenset(fs) for fs in doc["vertices"]),
+                        tuple(tuple(r) for r in doc["lambda"]), ())
+
+
+def tuples_of(doc: dict, rng: random.Random):
+    """(member, non-member) tuple documents for doc; a document with a
+    non-unimodular vertex gets constant tuples of the right shape."""
+    M = manifold_of(doc)
+    try:
+        member = check.phi(M, check.dual_bases(M), check.random_face_element(M, rng))
+    except ValueError:
+        member = [{(0,) * M.dim: 1} for _ in range(M.m)]
+    other = check.add_monomial(member, rng.randrange(M.m), (1,) * M.dim, 1)
+    out = []
+    for t in (member, other):
+        if doc.get("use_bott"):
+            # multiply by z: phi carries z through, so members stay members
+            t = [{e + (1,): c for e, c in a.items()} for a in t]
+        out.append(check.tuple_json(t))
+    return out
+
+
+def documents() -> dict[str, dict]:
+    docs = {}
+    for path in sorted((ROOT / "inputs").glob("*.json")):
+        docs[path.stem] = json.loads(path.read_text())
+    base = docs["square_h1"]
+    docs["no_order"] = {k: v for k, v in base.items()
+                        if k not in ("vertex_coords", "height_vector")} | {"name": "no_order"}
+    docs["height_tie"] = base | {"name": "height_tie", "height_vector": [1, 0]}
+    for name, make in LADDER.items():
+        M = replace(gen.with_height(make(), random.Random(1)), name=name)
+        docs[name] = M.document()
+    for name in list(docs):
+        docs[f"{name}_bott"] = docs[name] | {"name": f"{name}_bott", "use_bott": True}
+    return docs
+
+
+def runs(workdir: Path) -> list[list[str]]:
+    out = [list(argv) for argv in USAGE]
+    for name, doc in documents().items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        member, other = tuples_of(doc, random.Random(f"same-output:{name}"))
+        tuple_paths = []
+        for label, t in (("member", member), ("other", other)):
+            tp = workdir / f"{name}-{label}.json"
+            tp.write_text(json.dumps(t))
+            tuple_paths.append(str(tp))
+        doc_runs = [["validate", str(path)], ["gkm", str(path)],
+                    ["gkm", str(path), "--dot", DOT], ["facering", str(path)],
+                    ["facering", str(path), "--ordinary"],
+                    ["proptest", str(path), "--cases", CASES]]
+        for tp in tuple_paths:
+            doc_runs += [["membership", str(path), tp], ["interpolate", str(path), tp]]
+        out += [argv + extra for argv in doc_runs for extra in ([], ["--json"])]
+    return out
+
+
+def run_tree(src: Path, argvs, workdir: Path) -> list[dict]:
+    cwd = Path(tempfile.mkdtemp(dir=workdir))
+    result = cwd / "results.json"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, "-c", CHILD, str(result), str(src / "quasik")],
+                   input=json.dumps(argvs), text=True, cwd=cwd, env=env, check=True)
+    return json.loads(result.read_text())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", action="append", required=True,
+                    help="src directory of a quasik tree; give it twice")
+    args = ap.parse_args(argv)
+    if len(args.src) != 2:
+        ap.error("give --src exactly twice")
+    srcs = [Path(s).resolve() for s in args.src]
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        argvs = runs(workdir)
+        a, b = (run_tree(src, argvs, workdir) for src in srcs)
+        tmp_prefix = str(workdir)
+    differ = 0
+    for argv, x, y in zip(argvs, a, b):
+        fields = [k for k in ("stdout", "stderr", "code", "dot") if x[k] != y[k]]
+        if fields:
+            differ += 1
+            shown = " ".join(s.replace(tmp_prefix, "$TMP") for s in argv)
+            print(f"DIFFERS ({', '.join(fields)}): quasik {shown}")
+    print(f"{len(argvs)} runs, {len(argvs) - differ} identical, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
