@@ -87,9 +87,9 @@ def snf(rows: Sequence[Sequence[int]], cols: int) -> Vector:
     """Smith normal form diagonal of the matrix with these rows and cols
     columns, padded with zeros to min(rows, cols).
 
-    Unimodular row and column operations diagonalize a copy of the rows;
-    the nonzero diagonal entries are then made positive and brought into a
-    divisibility chain.
+    Unimodular row operations, on a copy of the rows and on its transpose,
+    diagonalize it; the nonzero diagonal entries are then made positive
+    and brought into a divisibility chain.
     """
     M = [list(row) for row in rows]
     r, c = len(M), cols
@@ -113,29 +113,17 @@ def snf(rows: Sequence[Sequence[int]], cols: int) -> Vector:
         if j != t:
             for row in M:
                 row[t], row[j] = row[j], row[t]
-        # clear column and row t; gcd-combines can re-dirty them, so loop
+        # clear column t; row t is column t of the transpose, whose Smith
+        # form is the same, so clear it there.  A gcd-combine on one can
+        # re-dirty the other, so alternate until both are clear
         while True:
             for i in range(t + 1, r):
                 if M[i][t]:
                     _clear(M, t, i, t)
-            for j in range(t + 1, c):
-                b = M[t][j]
-                if b:
-                    a = M[t][t]
-                    if b % a == 0:
-                        q = b // a
-                        for row in M:
-                            row[j] -= q * row[t]
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        p, q = a // g, b // g
-                        for row in M:
-                            s, u = row[t], row[j]
-                            row[t] = x * s + y * u
-                            row[j] = p * u - q * s
-            if all(M[i][t] == 0 for i in range(t + 1, r)) and \
-               all(M[t][j] == 0 for j in range(t + 1, c)):
+            if not any(M[t][t + 1:]):
                 break
+            M = [list(col) for col in zip(*M)]
+            r, c = c, r
         M[t][t] = abs(M[t][t])
         t += 1
 
