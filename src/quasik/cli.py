@@ -13,11 +13,13 @@ this module is imported; each main() call parses into a new namespace.
 Every command but validate runs one pipeline, _prepare: build the polytope,
 check it is simple, check the characteristic matrix, resolve the vertex
 order, build the GkmGraph.  The first failing check ends the command with
-exit 1.  What the pipeline does with the order is fixed per command in
-COMMANDS: gkm, facering and interpolate need it (without an order source
-they exit 2), proptest uses it when it is valid, and membership never
-resolves it.  validate runs the same checks itself so that it can report
-every step.
+exit 1.  The graph depends only on the polytope and lambda; the order goes
+to the command beside it, for the DOT and edge labels, the basis
+certificate, interpolation and proptest's two order suites.  What the
+pipeline does with the order is fixed per command in COMMANDS: gkm,
+facering and interpolate need it (without an order source they exit 2),
+proptest uses it when it is valid, and membership never resolves it.
+validate runs the same checks itself so that it can report every step.
 """
 
 from __future__ import annotations
@@ -105,11 +107,11 @@ def _order_or_error(doc, P):
 
 
 def _prepare(doc, command, order):
-    """The shared pipeline: (graph, order error) or a failure Report.
+    """The shared pipeline: (graph, order, order error) or a failure Report.
 
     order is NEED (a missing order source is an input error, an invalid
-    order a failure), USE (the graph carries the order only when it is
-    valid; the error says why not) or IGNORE (the order is not resolved).
+    order a failure), USE (the order is None unless it is valid; the error
+    says why not) or IGNORE (the order is not resolved, and is None).
     """
     P = build_polytope(doc)
     failures = list(validate_simple(P).failures)
@@ -128,7 +130,7 @@ def _prepare(doc, command, order):
         if err and order == NEED:
             return Report(command, doc.name, "fail", 1, {"error": err},
                           f"vertex order: FAIL ({err})")
-    return GkmGraph(P, doc.lam, order=vo, bott=doc.use_bott, mu=mu), err
+    return GkmGraph(P, doc.lam, bott=doc.use_bott, mu=mu), vo, err
 
 
 def cmd_validate(doc, args) -> Report:
@@ -157,9 +159,9 @@ def cmd_validate(doc, args) -> Report:
                   0 if ok else 1, payload, "\n".join(lines))
 
 
-def cmd_gkm(doc, args, g, _) -> Report:
+def cmd_gkm(doc, args, g, order, _) -> Report:
     rep = euler_coprimality_check(g)
-    pos = g.order.position
+    pos = order.position
     edges = sorted(({"a": min(pos[e.v], pos[e.w]) + 1,
                      "b": max(pos[e.v], pos[e.w]) + 1,
                      "facets": sorted(e.facets),
@@ -174,7 +176,7 @@ def cmd_gkm(doc, args, g, _) -> Report:
     payload = {"fixed_points": g.m, "edges": edges,
                "euler_check": {"ok": rep.ok, "failures": list(rep.failures)}}
     if args.dot:
-        text = dot_export(g)
+        text = dot_export(g, order)
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -187,7 +189,7 @@ def cmd_gkm(doc, args, g, _) -> Report:
                   0 if ok else 1, payload, "\n".join(lines))
 
 
-def cmd_facering(doc, args, g, _) -> Report:
+def cmd_facering(doc, args, g, order, _) -> Report:
     P = g.polytope
     nonfaces = [sorted(S) for S in P.minimal_nonfaces()]
     gens = facering.kernel_generators(g)
@@ -205,7 +207,7 @@ def cmd_facering(doc, args, g, _) -> Report:
     }
     status_ok = True
     try:
-        cert = facering.basis_certificate(g)
+        cert = facering.basis_certificate(g, order)
         lines.append("basis certificate:")
         for e in cert:
             lines.append(f"  position {e.position + 1}: vertex "
@@ -246,7 +248,7 @@ def cmd_facering(doc, args, g, _) -> Report:
                   0 if status_ok else 1, payload, "\n".join(lines))
 
 
-def cmd_membership(doc, args, g, _) -> Report:
+def cmd_membership(doc, args, g, *_) -> Report:
     P = g.polytope
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     grep = in_gamma(g, t)
@@ -270,11 +272,11 @@ def cmd_membership(doc, args, g, _) -> Report:
                   0 if ok else 1, payload, "\n".join(lines))
 
 
-def cmd_interpolate(doc, args, g, _) -> Report:
+def cmd_interpolate(doc, args, g, order, _) -> Report:
     P = g.polytope
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     try:
-        res = facering.interpolate(g, t)
+        res = facering.interpolate(g, order, t)
     except NotInW as exc:
         return Report("interpolate", doc.name, "fail", 1,
                       {"error": str(exc)}, f"not interpolable: {exc}")
@@ -294,11 +296,8 @@ def cmd_interpolate(doc, args, g, _) -> Report:
     return Report("interpolate", doc.name, "pass", 0, payload, "\n".join(lines))
 
 
-def cmd_proptest(doc, args, g, order_err) -> Report:
-    results = run_all(g, args.seed, args.cases, coords=doc.vertex_coords)
-    if g.order is None:
-        results = [r if r.cases or r.passed else
-                   type(r)(r.name, r.cases, r.passed, order_err) for r in results]
+def cmd_proptest(doc, args, g, order, order_err) -> Report:
+    results = run_all(g, order, order_err, args.seed, args.cases, coords=doc.vertex_coords)
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append(f"proptest (seed {args.seed}, cases {args.cases}): "

@@ -7,15 +7,21 @@ the monomial of the dual-basis character of facet i at v (and 1 when the
 vertex is off the facet).  phi is injective modulo the non-face products,
 so ring identities are always verified through it.
 
-interpolate() inverts phi constructively: walking the vertices in height
-order, it rewrites the current entry through the dual basis at that vertex
-and subtracts, checking at every step that all earlier entries stay zero.
+interpolate() inverts phi constructively: walking the vertices in a
+height order, it rewrites the current entry through the dual basis at that
+vertex and subtracts, checking at every step that all earlier entries stay
+zero.  It and basis_certificate() take the order as an argument; nothing
+else here depends on one.
 
 ordinary_rank() returns the certified Z-module model of the ordinary
-quotient: kill the lattice relations by eliminating one vertex's facet
+quotient: kill the lattice relations by eliminating vertex 0's facet
 variables, shift y = 1 + x, drop monomials above total degree n, and read
 rank and torsion off a Smith normal form.  Every face-ring element, the
 non-face products included, enters the model through the same expansion.
+Any vertex would do as well: its lambda rows are a lattice basis, and
+after its elimination a non-face product prod(1 - y_k) still starts in
+degree |S|, so the model has the same d - n variables, monomials and
+nonzero rows r * x^beta (those with |S| + |beta| <= n).
 Degree n is exact, because every x_i lies in the augmentation ideal of a
 2n-dimensional complex with only even cells, so by the Atiyah-Hirzebruch
 filtration any product of n+1 of them vanishes.
@@ -38,7 +44,7 @@ from .laurent import (
     face_profile,
     substitute_monomial_map,
 )
-from .polytope import fmt_facets
+from .polytope import VertexOrder, fmt_facets
 
 
 class NotInW(ValueError):
@@ -114,24 +120,21 @@ class InterpolationResult:
     steps: tuple[InterpolationStep, ...]
 
 
-def interpolate(g: GkmGraph, t: FixedPointTuple) -> InterpolationResult:
+def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> InterpolationResult:
     """Produce P with phi(P) == t for any tuple in the restriction subring.
 
-    Membership is checked up front; afterwards every step asserts that the
-    residual vanishes on all already-processed vertices, so a successful
-    return is a certified preimage.
+    Membership is checked up front; afterwards every step, walking the
+    vertices in order, asserts that the residual vanishes on all
+    already-processed vertices, so a successful return is a certified
+    preimage.
     """
-    if g.order is None:
-        raise ValueError("interpolation needs a validated vertex order")
     rep = in_w(g, t)
     if not rep.member:
         raise NotInW(rep)
-    order = g.order.order
     residual = list(t.entries)
     total = LaurentPoly.zero(g.face_profile)
     steps = []
-    for pos in range(g.m):
-        v = order[pos]
+    for pos, v in enumerate(order.order):
         p = substitute_monomial_map(residual[v], g.step_maps[v], g.face_profile)
         if not p.is_zero:
             img = phi(g, p)
@@ -140,7 +143,7 @@ def interpolate(g: GkmGraph, t: FixedPointTuple) -> InterpolationResult:
             total = total + p
         steps.append(InterpolationStep(pos, v, p))
         for s in range(pos + 1):
-            if not residual[order[s]].is_zero:
+            if not residual[order.order[s]].is_zero:
                 raise ResidualNonzero(pos, s)
     return InterpolationResult(total, tuple(steps))
 
@@ -169,30 +172,26 @@ class CertificateEntry:
     diagonal: LaurentPoly           # phi(omega) at v itself
 
 
-def basis_certificate(g: GkmGraph) -> tuple[CertificateEntry, ...]:
-    """Triangular free-module basis along the vertex order.
+def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry, ...]:
+    """Triangular free-module basis along a vertex order.
 
     omega_t is the product of (1 - y_i) over the facets of v_t that do not
     contain the face spanned by the incoming edges.  Verified: |S_t| equals
     the number of incoming edges, phi(omega_t) vanishes at all earlier
     vertices, and its value at v_t is a nonzero product of Euler classes.
     """
-    if g.order is None:
-        raise ValueError("certificate needs a validated vertex order")
-    order = g.order.order
     P = g.polytope
     entries = []
-    for pos in range(g.m):
-        v = order[pos]
-        extra = tuple(sorted(g.order.extra[v]))
-        if len(extra) != g.order.ind[v]:
+    for pos, v in enumerate(order.order):
+        extra = tuple(sorted(order.extra[v]))
+        if len(extra) != order.ind[v]:
             raise CertificateFailure(
                 f"vertex {fmt_facets(P.vertices[v])}: {len(extra)} extra facets "
-                f"for index {g.order.ind[v]}", pos)
+                f"for index {order.ind[v]}", pos)
         omega = _nonface_product(g.face_profile, extra)
         img = phi(g, omega)
         for s in range(pos):
-            if not img[order[s]].is_zero:
+            if not img[order.order[s]].is_zero:
                 raise CertificateFailure(
                     f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}",
                     pos, s)
@@ -218,12 +217,11 @@ def lattice_relations(g: GkmGraph) -> tuple[LaurentPoly, ...]:
 
 
 def _elimination(g: GkmGraph):
-    """(survivors, E): the facets off the base vertex and the exponent map
-    that eliminates the base vertex's facet variables."""
-    v1 = g.order.order[0] if g.order is not None else 0
-    block = sorted(g.polytope.vertices[v1])
-    survivors = [i for i in range(1, g.d + 1) if i not in g.polytope.vertices[v1]]
-    mu = g.mu[v1]
+    """(survivors, E): the facets off vertex 0 and the exponent map that
+    eliminates vertex 0's facet variables."""
+    block = sorted(g.polytope.vertices[0])
+    survivors = [i for i in range(1, g.d + 1) if i not in g.polytope.vertices[0]]
+    mu = g.mu[0]
     rows = []
     for si in survivors:
         row = [0] * g.d
@@ -244,8 +242,8 @@ def _binomial_series(e: int, cap: int):
 class OrdinaryKModel:
     """Z-module model of the ordinary quotient at one truncation degree.
 
-    All face variables except the base vertex's block are shifted by
-    y = 1 + x; monomials of total degree > degree are declared zero.  At
+    All face variables except vertex 0's block are shifted by y = 1 + x;
+    monomials of total degree > degree are declared zero.  At
     degree n this is exact: each x_i is in the first Atiyah-Hirzebruch
     filtration of the 2n-dimensional even-cell complex, so any product of
     n+1 of them is zero.  The relation matrix has one sparse row

@@ -25,6 +25,11 @@ Two membership predicates cut out the image of the K-ring:
 
 The two predicates agree; in_w deliberately checks all pairs rather than
 reducing to edges so that the agreement stays independent evidence.
+
+The graph holds no vertex order: (Q, Lambda) alone fix it and both
+predicates.  A height order enters only the constructive steps, so
+dot_export takes one for its vertex labels, as facering's interpolate and
+basis_certificate do.
 """
 
 from __future__ import annotations
@@ -156,13 +161,11 @@ class MembershipReport:
 class GkmGraph:
     """Vertex/edge character data attached to a validated (polytope, lambda) pair."""
 
-    def __init__(self, polytope: SimplePolytope, lam, order: Optional[VertexOrder] = None,
-                 bott: bool = False, mu=None):
+    def __init__(self, polytope: SimplePolytope, lam, bott: bool = False, mu=None):
         """mu, when given, is the per-vertex dual basis that
         validate_characteristic found for this (polytope, lam)."""
         self.polytope = polytope
         self.lam = tuple(tuple(int(x) for x in row) for row in lam)
-        self.order = order
         self.bott = bott
         n = polytope.dim
         self.char_profile = char_profile(n, bott)
@@ -197,7 +200,7 @@ class GkmGraph:
         (i,) = self.polytope.vertices[v] - facets
         return normalize_sign(self.mu[v][i])
 
-    def restrict_to_face(self, a: LaurentPoly, face) -> LaurentPoly:
+    def restrict_to_face(self, a: LaurentPoly, face: Face) -> LaurentPoly:
         """Image of a character-profile element in the face's restriction ring.
 
         e^u maps to the monomial with exponents <u, lambda_i> over the face's
@@ -206,11 +209,10 @@ class GkmGraph:
         exactly the characters orthogonal to them.  The map of each face is
         built on first use and kept in face_maps.
         """
-        facets = face.facets if isinstance(face, Face) else frozenset(face)
-        M = self.face_maps.get(facets)
+        M = self.face_maps.get(face.facets)
         if M is None:
-            M = self.face_maps[facets] = MonomialMap.from_rows(
-                [self.lam_row(i) for i in sorted(facets)], self.n)
+            M = self.face_maps[face.facets] = MonomialMap.from_rows(
+                [self.lam_row(i) for i in sorted(face.facets)], self.n)
         return substitute_monomial_map(a, M)
 
     # -- per-vertex exponent maps (z passes through), built on first use
@@ -302,11 +304,9 @@ def _check_tuple(g: GkmGraph, t: FixedPointTuple):
         raise ProfileMismatch(f"{t.profile} != {g.char_profile}")
 
 
-def dot_export(g: GkmGraph) -> str:
-    """Undirected DOT graph; vertices are named by height-order position."""
-    if g.order is None:
-        raise ValueError("DOT export needs a vertex order for the labels")
-    pos = g.order.position
+def dot_export(g: GkmGraph, order: VertexOrder) -> str:
+    """Undirected DOT graph; vertices are named by their position in order."""
+    pos = order.position
     lines = ["graph gkm {"]
     for k in range(g.m):
         lines.append(f"  v{k + 1};")

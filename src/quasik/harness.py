@@ -5,6 +5,10 @@ reproducible from (input, seed, cases) alone.  Members of the restriction
 subring are built as combinations of r-vectors with diagonal coefficients
 coming from the monomial structure map; non-members perturb a single entry
 by a monomial, which can never stay divisible on the edges at that vertex.
+
+Two suites walk a vertex order: the interpolation round trip and the basis
+certificate.  run_all takes the document's order, or None and the reason
+there is none, and then fails those two with that reason.
 """
 
 from __future__ import annotations
@@ -23,12 +27,16 @@ from .facering import (
 )
 from .gkm import GkmGraph, euler_coprimality_check, in_gamma, in_w
 from .laurent import LaurentPoly
-from .polytope import InvalidOrder, NonGenericHeight, vertex_order_from_heights
+from .polytope import InvalidOrder, NonGenericHeight, VertexOrder, vertex_order_from_heights
 
 MAX_TERMS = 3       # terms in a random face element, products in a random member
 EXP_BOUND = 2       # largest |exponent| in random characters and face elements
 MAX_COEFF = 3       # largest |coefficient| in random face elements
 RANDOM_ORDERS = 3   # height orders besides the document's that the certificate suite tries
+
+# the suites that walk a vertex order
+INTERPOLATION = "interpolation-roundtrip"
+CERTIFICATE = "basis-certificate"
 
 
 @dataclass(frozen=True)
@@ -145,17 +153,15 @@ def suite_phi_homomorphism(g: GkmGraph, seed: int, cases: int) -> SuiteResult:
     return SuiteResult(name, cases, True, "")
 
 
-def suite_interpolation(g: GkmGraph, seed: int, cases: int) -> SuiteResult:
-    """Round trip: interpolate(phi(P)) reproduces phi(P) exactly."""
-    name = "interpolation-roundtrip"
-    if g.order is None:
-        return SuiteResult(name, 0, False, "no valid vertex order available")
+def suite_interpolation(g: GkmGraph, order: VertexOrder, seed: int, cases: int) -> SuiteResult:
+    """Round trip: interpolate(phi(P)) along order reproduces phi(P) exactly."""
+    name = INTERPOLATION
     rng = _rng(seed, "interp")
     for k in range(cases):
         p = random_face_element(rng, g)
         img = phi(g, p)
         try:
-            res = interpolate(g, img)
+            res = interpolate(g, order, img)
         except Exception as exc:
             return SuiteResult(name, cases, False, f"case {k}: {exc}")
         if phi(g, res.poly) != img:
@@ -173,14 +179,12 @@ def suite_kernel(g: GkmGraph) -> SuiteResult:
     return SuiteResult(name, len(gens), True, "")
 
 
-def suite_certificate(g: GkmGraph, seed: int, coords=None) -> SuiteResult:
+def suite_certificate(g: GkmGraph, order: VertexOrder, seed: int, coords=None) -> SuiteResult:
     """Triangular basis certificate for the document order and random height orders."""
-    name = "basis-certificate"
-    if g.order is None:
-        return SuiteResult(name, 0, False, "no valid vertex order available")
+    name = CERTIFICATE
     tried = 0
     try:
-        basis_certificate(g)
+        basis_certificate(g, order)
         tried += 1
     except Exception as exc:
         return SuiteResult(name, tried + 1, False, str(exc))
@@ -192,13 +196,12 @@ def suite_certificate(g: GkmGraph, seed: int, coords=None) -> SuiteResult:
             attempts += 1
             w = tuple(rng.randint(-9, 9) for _ in range(len(coords[0])))
             try:
-                order = vertex_order_from_heights(g.polytope, coords, w)
+                alt = vertex_order_from_heights(g.polytope, coords, w)
             except (NonGenericHeight, InvalidOrder):
                 continue
             made += 1
-            alt = GkmGraph(g.polytope, g.lam, order=order, bott=g.bott, mu=g.mu)
             try:
-                basis_certificate(alt)
+                basis_certificate(g, alt)
                 tried += 1
             except Exception as exc:
                 return SuiteResult(name, tried + 1, False,
@@ -206,12 +209,17 @@ def suite_certificate(g: GkmGraph, seed: int, coords=None) -> SuiteResult:
     return SuiteResult(name, tried, True, "")
 
 
-def run_all(g: GkmGraph, seed: int, cases: int, coords=None) -> list[SuiteResult]:
+def run_all(g: GkmGraph, order: VertexOrder | None, why: str | None, seed: int, cases: int,
+            coords=None) -> list[SuiteResult]:
+    """Every suite, in report order.  Without an order, why says why not,
+    and the two suites that walk one fail with that reason."""
     return [
         suite_gkm_structure(g),
         suite_gamma_w_agreement(g, seed, cases),
         suite_phi_homomorphism(g, seed, cases),
-        suite_interpolation(g, seed, cases),
+        SuiteResult(INTERPOLATION, 0, False, why) if order is None
+        else suite_interpolation(g, order, seed, cases),
         suite_kernel(g),
-        suite_certificate(g, seed, coords=coords),
+        SuiteResult(CERTIFICATE, 0, False, why) if order is None
+        else suite_certificate(g, order, seed, coords),
     ]

@@ -37,12 +37,15 @@ def documents():
 
 @pytest.fixture(scope="session")
 def graphs(documents):
-    out = {}
-    for name, doc in documents.items():
-        P = build_polytope(doc)
-        order = resolve_order(doc, P)
-        out[name] = GkmGraph(P, doc.lam, order=order, bott=doc.use_bott)
-    return out
+    return {name: GkmGraph(build_polytope(doc), doc.lam, bott=doc.use_bott)
+            for name, doc in documents.items()}
+
+
+@pytest.fixture(scope="session")
+def orders(documents, graphs):
+    """Each document's vertex order, on the polytope of its graph."""
+    return {name: resolve_order(doc, graphs[name].polytope)
+            for name, doc in documents.items()}
 
 
 @pytest.fixture

@@ -98,11 +98,11 @@ def test_criterion_4_phi_homomorphism(graphs):
     _criterion(4, "phi homomorphism and image", failures)
 
 
-def test_criterion_5_interpolation(graphs):
+def test_criterion_5_interpolation(graphs, orders):
     failures = []
     for name, g in graphs.items():
         start = time.perf_counter()
-        res = suite_interpolation(g, SEED, 200)
+        res = suite_interpolation(g, orders[name], SEED, 200)
         elapsed = time.perf_counter() - start
         if not res.passed:
             failures.append(f"{name}: {res.detail}")
@@ -120,19 +120,20 @@ def test_criterion_6_kernel(graphs):
     _criterion(6, "kernel generators", failures)
 
 
-def test_criterion_7_basis_certificate(graphs):
+def test_criterion_7_basis_certificate(graphs, orders):
     failures = []
     for name, g in graphs.items():
+        vo = orders[name]
         try:
-            entries = basis_certificate(g)
+            entries = basis_certificate(g, vo)
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
         if len(entries) != g.m:
             failures.append(f"{name}: {len(entries)} certificate entries for {g.m} vertices")
-        order = g.order.order
+        order = vo.order
         for e in entries:
-            if len(e.extra_facets) != g.order.ind[e.vertex]:
+            if len(e.extra_facets) != vo.ind[e.vertex]:
                 failures.append(f"{name}: |S_{e.position + 1}| != ind")
             if e.diagonal.is_zero:
                 failures.append(f"{name}: zero diagonal at {e.position + 1}")

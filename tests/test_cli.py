@@ -132,6 +132,25 @@ class TestFacering:
         assert payload["minimal_nonfaces"] == [[1, 3], [2, 4]]
         assert len(payload["j_generators"]) == 2
 
+    @pytest.mark.parametrize("name", ["cube", "square_h1", "cp3"])
+    def test_ordinary_rank_ignores_vertex_listing(self, capsys, tmp_path, name):
+        """The ordinary model eliminates the facet variables of vertex 0,
+        so rotating the vertex list (with its coordinates) changes which
+        vertex that is, and nothing in the ordinary_rank payload."""
+        doc = json.loads(input_path(name).read_text())
+        m = len(doc["vertices"])
+        payloads = []
+        for k in range(m):
+            rotated = dict(doc, vertices=doc["vertices"][k:] + doc["vertices"][:k],
+                           vertex_coords=doc["vertex_coords"][k:] + doc["vertex_coords"][:k])
+            path = tmp_path / f"{name}-{k}.json"
+            path.write_text(json.dumps(rotated))
+            code, out, _ = run(capsys, "facering", path, "--ordinary", "--json")
+            assert code == 0, out
+            payloads.append(json.loads(out)["payload"]["ordinary_rank"])
+        assert payloads[0]["rank"] == m
+        assert payloads == [payloads[0]] * m
+
 
     def test_cube7_ordinary(self, capsys, tmp_path):
         """(CP^1)^7: the sparse model of 5544 relation rows over 3432

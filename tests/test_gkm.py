@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasik.gkm import (
@@ -256,11 +255,7 @@ class TestDot:
     def test_dot_labels_follow_order(self):
         P = SimplePolytope(1, 2, [[1], [2]])
         vo = validate_order(P, [1, 0])
-        g = GkmGraph(P, [[1], [-1]], order=vo)
-        text = dot_export(g)
+        g = GkmGraph(P, [[1], [-1]])
+        text = dot_export(g, vo)
         assert 'v1 -- v2 [label="(1)"];' in text
         assert text.startswith("graph gkm {")
-
-    def test_dot_requires_order(self):
-        with pytest.raises(ValueError):
-            dot_export(CP1)
