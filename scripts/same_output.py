@@ -11,8 +11,9 @@ Each --src is the src directory of one quasik tree.  The runs are:
   variants of square_h1: one with no order source and one whose height
   vector ties on an edge;
 * a perfbench/gen.py ladder: cp1-cp4, cube2-cube4, bott2-bott4,
-  polygon5-polygon7, one vertex truncation, then cube6, bott6, cp10 and
-  poly20, each given a height by with_height(M, Random(1));
+  polygon5-polygon7, one vertex truncation, then cube6, bott6, cp10,
+  poly20 and poly25 (past the 24 facets that the non-face search once
+  refused), each given a height by with_height(M, Random(1));
 * on each document: validate, gkm (plain and with --dot), facering (plain
   and --ordinary), membership and interpolate of a member tuple and of a
   non-member, and proptest --cases 4, each in text and in --json;
@@ -59,6 +60,7 @@ LADDER = {
     "bott6": lambda: gen.bott(6, random.Random(6)),
     "cp10": lambda: gen.cp(10),
     "poly20": lambda: gen.polygon(20, random.Random(20)),
+    "poly25": lambda: gen.polygon(25, random.Random(25)),
 }
 
 USAGE = [

@@ -2,24 +2,25 @@
 
 Subcommands: validate, gkm, facering, membership, interpolate, proptest.
 Exit codes: 0 success, 1 mathematical failure or non-membership, 2 input
-error (including a polytope past the facet bound of the non-face search,
-a negative proptest case count and a result integer past the interpreter's
-4300-digit string conversion limit).
+error (including a negative proptest case count and a result integer past
+the interpreter's 4300-digit string conversion limit); EXIT_CODES maps each
+report status to its code.
 Output is deterministic for fixed (input, flags, seed).  The --json report
 is ASCII only and byte for byte what json.dumps(report, sort_keys=True,
 indent=2) writes.  The argument parser is built once per process, when
 this module is imported; each main() call parses into a new namespace.
 
-Every command but validate runs one pipeline, _prepare: build the polytope,
-check it is simple, check the characteristic matrix, resolve the vertex
-order, build the GkmGraph.  The first failing check ends the command with
-exit 1.  The graph depends only on the polytope and lambda; the order goes
-to the command beside it, for the DOT and edge labels, the basis
-certificate, interpolation and proptest's two order suites.  What the
-pipeline does with the order is fixed per command in COMMANDS: gkm,
-facering and interpolate need it (without an order source they exit 2),
-proptest uses it when it is valid, and membership never resolves it.
-validate runs the same checks itself so that it can report every step.
+Every command is a function of (doc, args) that returns a Report, and
+builds what it needs with two helpers.  _graph checks the polytope is
+simple and the characteristic matrix is unimodular at every vertex (the
+one check sequence, _checks, which validate reports step by step) and
+returns the GkmGraph.  _order resolves the vertex order, for the DOT and
+edge labels, the basis certificate and interpolation: gkm, facering and
+interpolate call it, and without an order source they exit 2.  proptest
+uses the order when it is valid and otherwise hands its two order suites
+the reason; membership never resolves it.  A failing check or an invalid
+order raises Failed with the failure report (exit 1), which main prints
+like any other.
 """
 
 from __future__ import annotations
@@ -37,24 +38,29 @@ from .harness import run_all
 from .polytope import (
     InvalidOrder,
     NonGenericHeight,
-    PolytopeTooLarge,
     fmt_facets,
     validate_characteristic,
     validate_simple,
 )
 
-# what a command does with the document's vertex order
-NEED, USE, IGNORE = "need", "use", "ignore"
-
 
 @dataclass
 class Report:
-    command: str
-    input_name: str
     status: str
-    exit_code: int
     payload: dict
     human: str
+
+
+# each report status and its exit code
+EXIT_CODES = {"pass": 0, "member": 0, "fail": 1, "non-member": 1, "input-error": 2}
+
+
+class Failed(Exception):
+    """A command ends early with this failure report."""
+
+    def __init__(self, report: Report):
+        super().__init__(report.human)
+        self.report = report
 
 
 def _json_text(obj, indent="\n") -> str:
@@ -90,12 +96,30 @@ def _json_text(obj, indent="\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _render(report: Report, as_json: bool) -> str:
+def _render(command: str, input_name: str, report: Report, as_json: bool) -> str:
     if as_json:
-        doc = {"command": report.command, "input": report.input_name,
+        doc = {"command": command, "input": input_name,
                "status": report.status, "payload": report.payload}
         return _json_text(doc) + "\n"
     return report.human if report.human.endswith("\n") else report.human + "\n"
+
+
+def _checks(doc):
+    """(polytope, simple report, characteristic report); the characteristic
+    matrix is checked only on a simple polytope, else its report is None."""
+    P = build_polytope(doc)
+    simple = validate_simple(P)
+    return P, simple, validate_characteristic(P, doc.lam) if simple.ok else None
+
+
+def _graph(doc) -> GkmGraph:
+    """The document's GkmGraph; the first failing check raises Failed."""
+    P, simple, char = _checks(doc)
+    failures = list(simple.failures or char.failures)
+    if failures:
+        human = "input fails validation:\n" + "\n".join("  " + f for f in failures)
+        raise Failed(Report("fail", {"failures": failures}, human))
+    return GkmGraph(P, doc.lam, bott=doc.use_bott, mu=char.mu)
 
 
 def _order_or_error(doc, P):
@@ -106,60 +130,34 @@ def _order_or_error(doc, P):
         return None, str(exc)
 
 
-def _prepare(doc, command, order):
-    """The shared pipeline: (graph, order, order error) or a failure Report.
-
-    order is NEED (a missing order source is an input error, an invalid
-    order a failure), USE (the order is None unless it is valid; the error
-    says why not) or IGNORE (the order is not resolved, and is None).
-    """
-    P = build_polytope(doc)
-    failures = list(validate_simple(P).failures)
-    mu = None
-    if not failures:
-        crep = validate_characteristic(P, doc.lam)
-        failures, mu = list(crep.failures), crep.mu
-    if failures:
-        human = "input fails validation:\n" + "\n".join("  " + f for f in failures)
-        return Report(command, doc.name, "fail", 1, {"failures": failures}, human)
-    vo = err = None
-    if order == USE and not doc.has_order_source:
-        err = "no order source in the input document"
-    elif order != IGNORE:
-        vo, err = _order_or_error(doc, P)
-        if err and order == NEED:
-            return Report(command, doc.name, "fail", 1, {"error": err},
-                          f"vertex order: FAIL ({err})")
-    return GkmGraph(P, doc.lam, bott=doc.use_bott, mu=mu), vo, err
+def _order(doc, P):
+    """The document's valid vertex order; an invalid one raises Failed, and
+    a missing order source is an input error."""
+    order, err = _order_or_error(doc, P)
+    if err:
+        raise Failed(Report("fail", {"error": err}, f"vertex order: FAIL ({err})"))
+    return order
 
 
 def cmd_validate(doc, args) -> Report:
-    P = build_polytope(doc)
-    lines = []
-    payload = {}
-    ok = True
-    rep = validate_simple(P)
-    payload["simple"] = {"ok": rep.ok, "failures": list(rep.failures)}
-    lines.append("simple polytope: " + ("pass" if rep.ok else "FAIL"))
-    lines.extend("  " + f for f in rep.failures)
-    ok &= rep.ok
-    if rep.ok:
-        crep = validate_characteristic(P, doc.lam)
-        payload["characteristic"] = {"ok": crep.ok, "failures": list(crep.failures)}
-        lines.append("characteristic matrix: " + ("pass" if crep.ok else "FAIL"))
-        lines.extend("  " + f for f in crep.failures)
-        ok &= crep.ok
-        order, err = _order_or_error(doc, P)
-        payload["order"] = {"ok": err is None, "failures": [] if err is None else [err]}
-        lines.append("vertex order: " + ("pass" if err is None else "FAIL"))
-        if err:
-            lines.append("  " + err)
-        ok &= err is None
-    return Report("validate", doc.name, "pass" if ok else "fail",
-                  0 if ok else 1, payload, "\n".join(lines))
+    P, simple, char = _checks(doc)
+    steps = [("simple", "simple polytope", simple.failures)]
+    if char is not None:
+        err = _order_or_error(doc, P)[1]
+        steps += [("characteristic", "characteristic matrix", char.failures),
+                  ("order", "vertex order", [err] if err else [])]
+    payload, lines = {}, []
+    for key, label, failures in steps:
+        payload[key] = {"ok": not failures, "failures": list(failures)}
+        lines.append(f"{label}: " + ("FAIL" if failures else "pass"))
+        lines.extend("  " + f for f in failures)
+    ok = all(step["ok"] for step in payload.values())
+    return Report("pass" if ok else "fail", payload, "\n".join(lines))
 
 
-def cmd_gkm(doc, args, g, order, _) -> Report:
+def cmd_gkm(doc, args) -> Report:
+    g = _graph(doc)
+    order = _order(doc, g.polytope)
     rep = euler_coprimality_check(g)
     pos = order.position
     edges = sorted(({"a": min(pos[e.v], pos[e.w]) + 1,
@@ -184,13 +182,13 @@ def cmd_gkm(doc, args, g, order, _) -> Report:
             raise InputError(f"cannot write {args.dot}: {exc}") from None
         lines.append(f"DOT written to {args.dot}")
         payload["dot"] = args.dot
-    ok = rep.ok
-    return Report("gkm", doc.name, "pass" if ok else "fail",
-                  0 if ok else 1, payload, "\n".join(lines))
+    return Report("pass" if rep.ok else "fail", payload, "\n".join(lines))
 
 
-def cmd_facering(doc, args, g, order, _) -> Report:
+def cmd_facering(doc, args) -> Report:
+    g = _graph(doc)
     P = g.polytope
+    order = _order(doc, P)
     nonfaces = [sorted(S) for S in P.minimal_nonfaces()]
     gens = facering.kernel_generators(g)
     rvecs = {i: facering.r_vector(g, i) for i in range(1, g.d + 1)}
@@ -244,11 +242,11 @@ def cmd_facering(doc, args, g, order, _) -> Report:
             status_ok = False
             lines.append(f"ordinary rank: FAIL ({exc})")
             payload["ordinary_rank"] = {"error": str(exc)}
-    return Report("facering", doc.name, "pass" if status_ok else "fail",
-                  0 if status_ok else 1, payload, "\n".join(lines))
+    return Report("pass" if status_ok else "fail", payload, "\n".join(lines))
 
 
-def cmd_membership(doc, args, g, *_) -> Report:
+def cmd_membership(doc, args) -> Report:
+    g = _graph(doc)
     P = g.polytope
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     grep = in_gamma(g, t)
@@ -268,21 +266,20 @@ def cmd_membership(doc, args, g, *_) -> Report:
         "agree": grep.member == wrep.member,
     }
     ok = grep.member and wrep.member
-    return Report("membership", doc.name, "member" if ok else "non-member",
-                  0 if ok else 1, payload, "\n".join(lines))
+    return Report("member" if ok else "non-member", payload, "\n".join(lines))
 
 
-def cmd_interpolate(doc, args, g, order, _) -> Report:
+def cmd_interpolate(doc, args) -> Report:
+    g = _graph(doc)
     P = g.polytope
+    order = _order(doc, P)
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     try:
         res = facering.interpolate(g, order, t)
     except NotInW as exc:
-        return Report("interpolate", doc.name, "fail", 1,
-                      {"error": str(exc)}, f"not interpolable: {exc}")
+        return Report("fail", {"error": str(exc)}, f"not interpolable: {exc}")
     except ResidualNonzero as exc:
-        return Report("interpolate", doc.name, "fail", 1,
-                      {"error": str(exc)}, f"interpolation failed: {exc}")
+        return Report("fail", {"error": str(exc)}, f"interpolation failed: {exc}")
     lines = [f"P = {res.poly.text()}", "steps:"]
     for s in res.steps:
         lines.append(f"  {s.position + 1}: vertex {fmt_facets(P.vertices[s.vertex])}  "
@@ -293,11 +290,16 @@ def cmd_interpolate(doc, args, g, order, _) -> Report:
                           "vertex": sorted(P.vertices[s.vertex]),
                           "poly": s.poly.json_terms()} for s in res.steps],
                "verified": True}
-    return Report("interpolate", doc.name, "pass", 0, payload, "\n".join(lines))
+    return Report("pass", payload, "\n".join(lines))
 
 
-def cmd_proptest(doc, args, g, order, order_err) -> Report:
-    results = run_all(g, order, order_err, args.seed, args.cases, coords=doc.vertex_coords)
+def cmd_proptest(doc, args) -> Report:
+    if args.cases < 0:
+        raise InputError(f"--cases {args.cases} is negative")
+    g = _graph(doc)
+    order, why = (_order_or_error(doc, g.polytope) if doc.has_order_source
+                  else (None, "no order source in the input document"))
+    results = run_all(g, order, why, args.seed, args.cases, coords=doc.vertex_coords)
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append(f"proptest (seed {args.seed}, cases {args.cases}): "
@@ -305,8 +307,7 @@ def cmd_proptest(doc, args, g, order, order_err) -> Report:
     payload = {"seed": args.seed, "cases": args.cases,
                "suites": [{"name": r.name, "cases": r.cases,
                            "passed": r.passed, "detail": r.detail} for r in results]}
-    return Report("proptest", doc.name, "pass" if ok else "fail",
-                  0 if ok else 1, payload, "\n".join(lines))
+    return Report("pass" if ok else "fail", payload, "\n".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,15 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
 # Namespace, so no state carries from one main() call to the next
 PARSER = build_parser()
 
-# command -> (function, what the pipeline does with the vertex order);
-# validate (None) checks step by step itself
 COMMANDS = {
-    "validate": (cmd_validate, None),
-    "gkm": (cmd_gkm, NEED),
-    "facering": (cmd_facering, NEED),
-    "membership": (cmd_membership, IGNORE),
-    "interpolate": (cmd_interpolate, NEED),
-    "proptest": (cmd_proptest, USE),
+    "validate": cmd_validate,
+    "gkm": cmd_gkm,
+    "facering": cmd_facering,
+    "membership": cmd_membership,
+    "interpolate": cmd_interpolate,
+    "proptest": cmd_proptest,
 }
 
 
@@ -359,17 +358,12 @@ def main(argv=None) -> int:
     try:
         doc = load_document(args.input)
         name = doc.name
-        if args.command == "proptest" and args.cases < 0:
-            raise InputError(f"--cases {args.cases} is negative")
-        command, order = COMMANDS[args.command]
-        if order is None:
-            report = command(doc, args)
-        else:
-            prepared = _prepare(doc, args.command, order)
-            report = (prepared if isinstance(prepared, Report)
-                      else command(doc, args, *prepared))
-        text = _render(report, args.json)
-    except (InputError, PolytopeTooLarge) as exc:
+        try:
+            report = COMMANDS[args.command](doc, args)
+        except Failed as exc:
+            report = exc.report
+        text = _render(args.command, name, report, args.json)
+    except InputError as exc:
         error = str(exc)
     except ValueError as exc:
         # str() of an int past the interpreter's digit limit, anywhere in
@@ -379,12 +373,12 @@ def main(argv=None) -> int:
         error = f"a result integer is too long to print: {str(exc).split(';')[0]}"
     else:
         sys.stdout.write(text)
-        return report.exit_code
+        return EXIT_CODES[report.status]
     print(f"input error: {error}", file=sys.stderr)
     if args.json:
-        sys.stdout.write(_render(Report(args.command, name, "input-error", 2,
-                                        {"error": error}, ""), True))
-    return 2
+        report = Report("input-error", {"error": error}, "")
+        sys.stdout.write(_render(args.command, name, report, True))
+    return EXIT_CODES["input-error"]
 
 
 if __name__ == "__main__":

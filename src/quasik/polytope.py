@@ -19,12 +19,6 @@ from typing import Optional, Sequence
 
 from .lattice import NotUnimodular, dual_basis, is_primitive
 
-MAX_FACETS = 24
-
-
-class PolytopeTooLarge(ValueError):
-    """Facet count exceeds the supported enumeration bound."""
-
 
 class NotAFace(ValueError):
     """The requested facet set has empty intersection."""
@@ -173,9 +167,6 @@ class SimplePolytope:
         """
         if self._nonfaces is not None:
             return self._nonfaces
-        if self.facet_count > MAX_FACETS:
-            raise PolytopeTooLarge(
-                f"{self.facet_count} facets exceeds the enumeration bound {MAX_FACETS}")
         nonfaces = []
         faces = {frozenset()}
         k = 0

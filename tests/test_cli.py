@@ -79,6 +79,52 @@ class TestValidate:
         assert "vertex_order" in err
 
 
+def check_documents():
+    """Every bundled input, and square_h1 without an order source and with
+    a height vector that ties on an edge."""
+    docs = {path.stem: json.loads(path.read_text()) for path in sorted(INPUTS.glob("*.json"))}
+    base = docs["square_h1"]
+    docs["no_order"] = {k: v for k, v in base.items()
+                        if k not in ("vertex_coords", "height_vector")}
+    docs["height_tie"] = base | {"height_vector": [1, 0]}
+    return docs
+
+
+class TestCheckSequence:
+    """validate and the commands that build a graph and resolve an order run
+    the same checks, so they end with the same exit code."""
+
+    EXIT = {"bad_char": 1, "bad_order": 1, "height_tie": 1, "no_order": 2}
+
+    @pytest.mark.parametrize("name", sorted(check_documents()))
+    def test_validate_exit_matches_gkm_and_facering(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(check_documents()[name]))
+        codes = {command: run(capsys, command, path)[0]
+                 for command in ("validate", "gkm", "facering")}
+        assert codes == dict.fromkeys(codes, self.EXIT.get(name, 0))
+
+    def test_case_count_checked_before_validation(self, capsys):
+        code, out, err = run(capsys, "proptest", input_path("bad_char"), "--cases", "-1")
+        assert (code, out) == (2, "")
+        assert err == "input error: --cases -1 is negative\n"
+
+    @pytest.mark.parametrize("status, code, command, name, entries", [
+        ("pass", 0, "validate", "cp2", None),
+        ("fail", 1, "validate", "bad_char", None),
+        ("member", 0, "membership", "cp1", CP1_MEMBER),
+        ("non-member", 1, "membership", "cp1", CP1_NONMEMBER),
+        ("input-error", 2, "validate", "missing", None),
+    ], ids=["pass", "fail", "member", "non-member", "input-error"])
+    def test_status_and_exit_code(self, capsys, tmp_path, status, code, command, name,
+                                  entries):
+        argv = [command, input_path(name)]
+        if entries is not None:
+            argv.append(write_tuple(tmp_path, "t.json", entries))
+        got, out, _ = run(capsys, *argv, "--json")
+        assert (json.loads(out)["status"], got) == (status, code)
+
+
 class TestGkm:
     def test_cp2_dot(self, capsys, tmp_path):
         dot = tmp_path / "cp2.dot"
@@ -398,7 +444,8 @@ def cut_polygon(cuts):
 
 
 class TestFacetBound:
-    """A valid polytope past the non-face search bound is an input error."""
+    """A polygon with 25 facets, past the non-face search's old bound of 24,
+    is an ordinary input: facering gives the rank and proptest passes."""
 
     @pytest.fixture
     def polygon25(self, tmp_path):
@@ -406,19 +453,18 @@ class TestFacetBound:
         path.write_text(json.dumps(cut_polygon(22)))
         return path
 
-    @pytest.mark.parametrize("argv", [["facering"], ["proptest", "--cases", "1"]],
+    @pytest.mark.parametrize("argv", [["facering", "--ordinary"], ["proptest", "--cases", "1"]],
                              ids=["facering", "proptest"])
     def test_past_the_bound(self, capsys, polygon25, argv):
         command, *flags = argv
         assert run(capsys, "validate", polygon25)[0] == 0
-        code, out, err = run(capsys, command, polygon25, *flags)
-        assert (code, out) == (2, "")
-        assert err == "input error: 25 facets exceeds the enumeration bound 24\n"
-        code, out, _ = run(capsys, command, polygon25, *flags, "--json")
-        assert code == 2
+        code, out, err = run(capsys, command, polygon25, *flags, "--json")
+        assert (code, err) == (0, "")
         doc = json.loads(out)
-        assert (doc["status"], doc["input"]) == ("input-error", "polygon25")
-        assert "enumeration bound 24" in doc["payload"]["error"]
+        assert (doc["status"], doc["input"]) == ("pass", "polygon25")
+        if command == "facering":
+            rank = doc["payload"]["ordinary_rank"]
+            assert (rank["rank"], rank["torsion_free"]) == (25, True)
 
 
 class TestUnreadableFiles:
