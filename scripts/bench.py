@@ -6,16 +6,16 @@ Usage, from the root of a checkout:
     python3 scripts/bench.py --label NAME [--src DIR]
 
 The ladder comes from perfbench/gen.py: cube6, bott6, cp10 and poly20,
-each given a height by with_height(M, Random(1)).  On each rung four
+each given a height by with_height(M, Random(1)).  On each rung five
 commands run in process through quasik.cli.main: `proptest --cases 10`,
 `facering --ordinary`, the same with `--json` (so the cost of rendering
-the report shows) and `interpolate` of one phi(P), with P a seeded random
-face element and phi(P) computed by perfbench/check.py, not by quasik.
-Every command runs 3 times plain, for the end-to-end wall time, and 3
-times with nine layers wrapped, for their call counts and their self and
-total times: substitute_monomial_map, divides_one_minus, phi,
-restrict_to_face, interpolate, snf_diagonal, the dense snf it runs on the
-block its unit pivots leave, OrdinaryKModel.__init__ and cli._render.
+the report shows), and `interpolate` and `membership` of one phi(P), with
+P a seeded random face element and phi(P) computed by perfbench/check.py,
+not by quasik.  Every command runs 3 times plain, for the end-to-end wall
+time, and 3 times with nine layers wrapped, for their call counts and
+their self and total times: substitute_monomial_map, divides_one_minus,
+phi, in_w, interpolate, snf_diagonal, the dense snf it runs on the block
+its unit pivots leave, OrdinaryKModel.__init__ and cli._render.
 cube7 and bott7 follow, each command run once (marked as a single run),
 since their proptests take seconds.  The file, written to
 the root of this checkout, holds the medians, every sample, a digest of
@@ -66,6 +66,7 @@ COMMANDS = {
     "facering --ordinary": lambda doc, tup: ["facering", doc, "--ordinary"],
     "facering --ordinary --json": lambda doc, tup: ["facering", doc, "--ordinary", "--json"],
     "interpolate": lambda doc, tup: ["interpolate", doc, tup],
+    "membership": lambda doc, tup: ["membership", doc, tup],
 }
 
 # (module, attribute path) of each timed layer
@@ -73,7 +74,7 @@ LAYERS = {
     "substitute_monomial_map": ("laurent", "substitute_monomial_map"),
     "divides_one_minus": ("laurent", "divides_one_minus"),
     "phi": ("facering", "phi"),
-    "restrict_to_face": ("gkm", "GkmGraph.restrict_to_face"),
+    "in_w": ("gkm", "in_w"),
     "interpolate": ("facering", "interpolate"),
     "snf_diagonal": ("lattice", "snf_diagonal"),
     "snf": ("lattice", "snf"),

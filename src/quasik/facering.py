@@ -7,11 +7,12 @@ the monomial of the dual-basis character of facet i at v (and 1 when the
 vertex is off the facet).  phi is injective modulo the non-face products,
 so ring identities are always verified through it.
 
-interpolate() inverts phi constructively: walking the vertices in a
-height order, it rewrites the current entry through the dual basis at that
-vertex and subtracts, checking at every step that all earlier entries stay
-zero.  It and basis_certificate() take the order as an argument; nothing
-else here depends on one.
+interpolate() inverts phi constructively: walking the vertices in a height
+order, it rewrites the current entry through the dual basis at that vertex
+and subtracts its image on the face above the vertex only, certifying that
+omega_v divides it (so the image is zero off that face) and that the vertex
+comes first there (so no earlier entry moves).  It and basis_certificate()
+take the order as an argument; nothing else here depends on one.
 
 ordinary_rank() returns the certified Z-module model of the ordinary
 quotient: kill the lattice relations by eliminating vertex 0's facet
@@ -42,6 +43,7 @@ from .laurent import (
     LaurentPoly,
     MonomialMap,
     face_profile,
+    project_terms,
     substitute_monomial_map,
 )
 from .polytope import VertexOrder, fmt_facets
@@ -57,13 +59,12 @@ class NotInW(ValueError):
 
 
 class ResidualNonzero(RuntimeError):
-    """An interpolation residual failed to vanish (invalid vertex order)."""
+    """An interpolation step failed its certificate (invalid vertex order)."""
 
-    def __init__(self, step, entry):
-        super().__init__(f"residual entry at order position {entry + 1} "
-                         f"nonzero after step {step + 1}")
+    def __init__(self, step, check):
+        super().__init__(f"step {step + 1}: {check}")
         self.step = step
-        self.entry = entry
+        self.check = check
 
 
 class CertificateFailure(ValueError):
@@ -123,10 +124,11 @@ class InterpolationResult:
 def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> InterpolationResult:
     """Produce P with phi(P) == t for any tuple in the restriction subring.
 
-    Membership is checked up front; afterwards every step, walking the
-    vertices in order, asserts that the residual vanishes on all
-    already-processed vertices, so a successful return is a certified
-    preimage.
+    Membership is checked up front.  Step v takes p = step_v(residual[v]) and
+    subtracts phi(p) only on F_v = face_of(order.extra[v]).  It raises
+    ResidualNonzero unless p with y_i = 1 vanishes for each i in extra[v]
+    (omega_v divides p: phi(p) is zero off F_v), v comes first in F_v and the
+    residual at v is then zero, so a successful return is a certified preimage.
     """
     rep = in_w(g, t)
     if not rep.member:
@@ -137,14 +139,19 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
     for pos, v in enumerate(order.order):
         p = substitute_monomial_map(residual[v], g.step_maps[v], g.face_profile)
         if not p.is_zero:
-            img = phi(g, p)
-            for j in range(g.m):
-                residual[j] = residual[j] - img[j]
+            facets = g.polytope.vertices[v]
+            if any(project_terms(p.terms, g.face_pick(facets - {i})) for i in order.extra[v]):
+                raise ResidualNonzero(pos, "step polynomial not divisible by omega_v")
+            face = g.polytope.face_of(order.extra[v])
+            if any(order.position[j] < pos for j in face.vertices):
+                raise ResidualNonzero(pos, "face above v has an earlier vertex")
+            for j in face.vertices:
+                residual[j] = residual[j] - substitute_monomial_map(
+                    p, g.phi_maps[j], g.char_profile)
             total = total + p
         steps.append(InterpolationStep(pos, v, p))
-        for s in range(pos + 1):
-            if not residual[order.order[s]].is_zero:
-                raise ResidualNonzero(pos, s)
+        if not residual[v].is_zero:
+            raise ResidualNonzero(pos, "residual at v nonzero")
     return InterpolationResult(total, tuple(steps))
 
 

@@ -13,8 +13,8 @@ fixed point.
 
 Every exponent map here is a sparse MonomialMap.  phi at v reads only
 the exponents at v's n facets, since y_i -> 1 off them; the step map at v
-writes only those n exponents; a face's restriction map reads the n
-character exponents and writes one per facet of the face.
+writes only those n exponents, <u, lambda_i> for each facet i of v, so
+restriction to a face through v projects that image onto the face's facets.
 
 Two membership predicates cut out the image of the K-ring:
 
@@ -45,8 +45,10 @@ from .laurent import (
     Profile,
     ProfileMismatch,
     char_profile,
+    coordinate_getter,
     divides_one_minus,
     face_profile,
+    project_terms,
     substitute_monomial_map,
 )
 from .polytope import (
@@ -175,8 +177,6 @@ class GkmGraph:
         self.edges = tuple(
             GkmEdge(v, w, fs, self._edge_character(v, fs))
             for v, w, fs in polytope.edges())
-        # restriction map of each face met so far, keyed by its facet set
-        self.face_maps: dict[frozenset, MonomialMap] = {}
 
     @property
     def n(self) -> int:
@@ -206,14 +206,17 @@ class GkmGraph:
         e^u maps to the monomial with exponents <u, lambda_i> over the face's
         facets i in ascending order.  These lambda_i extend to a lattice basis
         at any vertex of the face, so the map is onto and its kernel is
-        exactly the characters orthogonal to them.  The map of each face is
-        built on first use and kept in face_maps.
+        exactly the characters orthogonal to them.  The step map at a vertex
+        of the face writes these exponents among its n; project its image.
         """
-        M = self.face_maps.get(face.facets)
-        if M is None:
-            M = self.face_maps[face.facets] = MonomialMap.from_rows(
-                [self.lam_row(i) for i in sorted(face.facets)], self.n)
-        return substitute_monomial_map(a, M)
+        image = substitute_monomial_map(a, self.step_maps[face.vertices[0]], self.face_profile)
+        return LaurentPoly(char_profile(len(face.facets), self.bott),
+                           project_terms(image.terms, self.face_pick(face.facets)))
+
+    def face_pick(self, facets):
+        """Face exponents -> those at facets, ascending, then z: y_i -> 1 off facets."""
+        return coordinate_getter(tuple(i - 1 for i in sorted(facets))
+                                 + ((self.d,) if self.bott else ()))
 
     # -- per-vertex exponent maps (z passes through), built on first use
     @cached_property
@@ -281,15 +284,22 @@ def in_gamma(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
 
 
 def in_w(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
-    """Face-agreement membership: restrictions agree at the join of every pair."""
+    """Face-agreement membership: restrictions agree at the join of every pair,
+    compared as projections of each entry's step-map image, made once (restrict_to_face)."""
     _check_tuple(g, t)
     P = g.polytope
+    images = [substitute_monomial_map(a, M, g.face_profile).terms
+              for a, M in zip(t, g.step_maps)]
+    picks = {}
     for v in range(g.m):
         for w in range(v + 1, g.m):
             face = P.join(v, w)
-            a = g.restrict_to_face(t[v], face)
-            b = g.restrict_to_face(t[w], face)
+            pick = picks.get(face.facets) or picks.setdefault(
+                face.facets, g.face_pick(face.facets))
+            a = project_terms(images[v], pick)
+            b = project_terms(images[w], pick)
             if a != b:
+                a, b = g.restrict_to_face(t[v], face), g.restrict_to_face(t[w], face)
                 return MembershipReport(False, MembershipWitness(
                     "pair", v, w,
                     f"restrictions to {face.label()} differ: "

@@ -260,7 +260,7 @@ class MonomialMap:
             raise DimensionMismatch(
                 f"block is not {len(target)} x {len(source)} (target x source)")
         # projections onto source, without and with a trailing z
-        picks = _getter(source), _getter(source + (cols,))
+        picks = coordinate_getter(source), coordinate_getter(source + (cols,))
         for name, value in zip(self.__slots__, (rows, cols, source, target, block, picks)):
             object.__setattr__(self, name, value)
 
@@ -283,7 +283,7 @@ def _index_set(idx: tuple, bound: int) -> bool:
     return not idx or (len(set(idx)) == len(idx) and min(idx) >= 0 and max(idx) < bound)
 
 
-def _getter(idx: tuple):
+def coordinate_getter(idx: tuple):
     """exp -> tuple of exp at idx."""
     if len(idx) > 1:
         return itemgetter(*idx)
@@ -314,19 +314,10 @@ def substitute_monomial_map(f: LaurentPoly, A: MonomialMap, profile: Profile = N
     if profile.bott != src.bott:
         raise DimensionMismatch(
             f"Bott variable z in the {'source' if src.bott else 'target'} profile only")
-    pick = A._picks[src.bott]
-    proj = {}
-    for exp, c in f.terms.items():
-        x = pick(exp)
-        v = proj.get(x, 0) + c
-        if v:
-            proj[x] = v
-        else:
-            del proj[x]             # c != 0, so x was there
     rows, target, block = A.rows, A.target, A.block
     k = len(A.source)
     out = {}
-    for x, c in proj.items():
+    for x, c in project_terms(f.terms, A._picks[src.bott]).items():
         ne = [0] * rows
         for i, r in zip(target, block):
             ne[i] = sum(map(mul, r, x))
@@ -337,6 +328,19 @@ def substitute_monomial_map(f: LaurentPoly, A: MonomialMap, profile: Profile = N
         else:
             del out[ne]
     return _raw(profile, out)
+
+
+def project_terms(terms: dict, pick) -> dict:
+    """{pick(exp): summed coefficient}, zeros dropped: the coordinates pick leaves out -> 1."""
+    proj = {}
+    for exp, c in terms.items():
+        x = pick(exp)
+        v = proj.get(x, 0) + c
+        if v:
+            proj[x] = v
+        else:
+            del proj[x]             # c != 0, so x was there
+    return proj
 
 
 def divides_one_minus(f: LaurentPoly, u) -> bool:

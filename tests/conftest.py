@@ -1,9 +1,12 @@
+import importlib.util
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from quasik import facering
-from quasik.documents import build_polytope, load_document, resolve_order
+from quasik.documents import build_polytope, document_from_dict, load_document, resolve_order
 from quasik.gkm import GkmGraph
 from quasik.laurent import LaurentPoly
 
@@ -46,6 +49,27 @@ def orders(documents, graphs):
     """Each document's vertex order, on the polytope of its graph."""
     return {name: resolve_order(doc, graphs[name].polytope)
             for name, doc in documents.items()}
+
+
+@pytest.fixture(scope="session")
+def generated():
+    """{name: (document, graph, order)} for perfbench/gen.py's cube4, bott4
+    and polygon9, each given a height by with_height(M, Random(1))."""
+    path = ROOT / "perfbench" / "gen.py"
+    if not path.is_file():
+        pytest.skip("no perfbench/gen.py in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    makers = {"cube4": lambda: gen.cube(4),
+              "bott4": lambda: gen.bott(4, random.Random(4)),
+              "polygon9": lambda: gen.polygon(9, random.Random(9))}
+    out = {}
+    for name, make in makers.items():
+        doc = document_from_dict(gen.with_height(make(), random.Random(1)).document(), name)
+        g = GkmGraph(build_polytope(doc), doc.lam)
+        out[name] = (doc, g, resolve_order(doc, g.polytope))
+    return out
 
 
 @pytest.fixture

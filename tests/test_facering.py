@@ -1,9 +1,14 @@
+import random
+from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasik.facering import (
+    InterpolationResult,
+    InterpolationStep,
     NotInW,
     OrdinaryKModel,
     OrdinaryRankFailure,
@@ -14,11 +19,13 @@ from quasik.facering import (
     lattice_relations,
     ordinary_rank,
     phi,
+    ResidualNonzero,
     r_vector,
     theta,
 )
 from conftest import dense_substitute
 from quasik.documents import build_polytope
+from quasik.harness import random_face_element
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
 from quasik.laurent import LaurentPoly, face_profile, substitute_monomial_map
 from quasik.polytope import SimplePolytope, vertex_order_from_heights
@@ -188,6 +195,104 @@ class TestInterpolate:
                 used = g.polytope.vertices[step.vertex]
                 for exps in step.poly.terms:
                     assert all(exps[i] == 0 for i in range(g.d) if i + 1 not in used)
+
+
+def reference_interpolate(g, order, t):
+    """Interpolation without the face-local update: each step's p comes from
+    explicit lambda-row pairings at v, phi(p) is subtracted at all m vertices,
+    and every processed entry must stay zero."""
+    residual = list(t.entries)
+    total = LaurentPoly.zero(g.face_profile)
+    steps = []
+    for pos, v in enumerate(order.order):
+        rows = [g.lam_row(i) if i in g.polytope.vertices[v] else (0,) * g.n
+                for i in range(1, g.d + 1)]
+        p = dense_substitute(residual[v], rows, g.face_profile)
+        residual = [a - b for a, b in zip(residual, phi(g, p))]
+        total = total + p
+        steps.append(InterpolationStep(pos, v, p))
+        assert all(residual[u].is_zero for u in order.order[:pos + 1]), (pos, v)
+    return InterpolationResult(total, tuple(steps))
+
+
+class TestInterpolateReference:
+    def test_bundled_inputs(self, documents, orders):
+        for name, doc in documents.items():
+            for bott in (False, True):
+                g = GkmGraph(build_polytope(doc), doc.lam, bott=bott)
+                for seed in range(3):
+                    t = phi(g, random_face_element(random.Random(f"{name}:{seed}"), g))
+                    assert interpolate(g, orders[name], t) == \
+                        reference_interpolate(g, orders[name], t), (name, bott, seed)
+
+    def test_generated(self, generated):
+        for name, (_, g, order) in generated.items():
+            for seed in range(2):
+                t = phi(g, random_face_element(random.Random(f"{name}:{seed}"), g))
+                assert interpolate(g, order, t) == reference_interpolate(g, order, t), \
+                    (name, seed)
+
+
+def with_extra(order, changes):
+    """order with extra[v] replaced for each v in changes, nothing rechecked."""
+    extra = list(order.extra)
+    for v, facets in changes.items():
+        extra[v] = frozenset(facets)
+    return replace(order, extra=tuple(extra))
+
+
+def omega_sum_image(g, order):
+    """phi of the sum of the basis omegas, whose step at each v is omega_v != 0."""
+    cert = basis_certificate(g, order)
+    t = phi(g, sum((e.omega for e in cert), LaurentPoly.zero(g.face_profile)))
+    assert [s.poly for s in interpolate(g, order, t).steps] == [e.omega for e in cert]
+    return t
+
+
+@pytest.mark.parametrize("g", [H1, CUBE], ids=["h1", "cube3"])
+class TestInterpolateCertificate:
+    """A wrong extra set makes interpolate raise: its per-step certificate
+    does not trust the order."""
+
+    CHECKS = ("step polynomial not divisible by omega_v",
+              "face above v has an earlier vertex", "residual at v nonzero")
+
+    def test_swapped_extra_sets(self, g):
+        order, t = ORDER[g], omega_sum_image(g, ORDER[g])
+        for v, w in combinations(range(g.m), 2):
+            bad = with_extra(order, {v: order.extra[w], w: order.extra[v]})
+            with pytest.raises(ResidualNonzero) as exc:
+                interpolate(g, bad, t)
+            assert exc.value.check in self.CHECKS[:2], (v, w)
+
+    def test_dropped_facet(self, g):
+        order, t = ORDER[g], omega_sum_image(g, ORDER[g])
+        for v in range(g.m):
+            for i in order.extra[v]:
+                with pytest.raises(ResidualNonzero) as exc:
+                    interpolate(g, with_extra(order, {v: order.extra[v] - {i}}), t)
+                assert exc.value.check == "face above v has an earlier vertex"
+                assert exc.value.step == order.position[v]
+
+    def test_added_facet(self, g):
+        order, t = ORDER[g], omega_sum_image(g, ORDER[g])
+        for v in range(g.m):
+            for i in g.polytope.vertices[v] - order.extra[v]:
+                with pytest.raises(ResidualNonzero) as exc:
+                    interpolate(g, with_extra(order, {v: order.extra[v] | {i}}), t)
+                assert str(exc.value) == (f"step {order.position[v] + 1}: "
+                                          "step polynomial not divisible by omega_v")
+
+    def test_phi_maps_not_inverse_to_step_maps(self, g):
+        """phi maps of -Lambda undo no step: the entry at the second vertex
+        stays nonzero while the other two checks pass."""
+        order = ORDER[g]
+        t = omega_sum_image(g, order)
+        bad = GkmGraph(g.polytope, g.lam)
+        bad.phi_maps = GkmGraph(g.polytope, [[-x for x in row] for row in g.lam]).phi_maps
+        with pytest.raises(ResidualNonzero) as exc:
+            interpolate(bad, order, t)
+        assert str(exc.value) == "step 2: residual at v nonzero"
 
 
 class TestKernel:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,11 @@ from quasik.gkm import (
     in_gamma,
     in_w,
 )
+from quasik.documents import build_polytope
+from quasik.harness import perturb_one_entry, random_member_tuple
 from quasik.lattice import normalize_sign, vec_gcd
 from quasik.laurent import LaurentPoly, char_profile
-from quasik.polytope import SimplePolytope, validate_order
+from quasik.polytope import SimplePolytope, fmt_facets, validate_order
 
 INTERVAL = SimplePolytope(1, 2, [[1], [2]])
 TRIANGLE = SimplePolytope(2, 3, [[1, 2], [1, 3], [2, 3]])
@@ -249,6 +252,56 @@ class TestInW:
         which = data.draw(st.integers(0, g.m - 1))
         bad = t.replace(which, t[which] + mono(g, u))
         assert in_gamma(g, bad).member == in_w(g, bad).member == False
+
+
+def reference_in_w(g, t):
+    """All-pairs face agreement restricting through explicit lambda-row
+    pairings, z carried: (member, witness text or None)."""
+    P = g.polytope
+    for v in range(g.m):
+        for w in range(v + 1, g.m):
+            face = P.join(v, w)
+            facets = sorted(face.facets)
+            profile = char_profile(len(facets), g.bott)
+
+            def restrict(a):
+                out = {}
+                for exp, c in a.terms.items():
+                    key = tuple(sum(x * y for x, y in zip(exp, g.lam_row(i)))
+                                for i in facets) + exp[g.n:]
+                    out[key] = out.get(key, 0) + c
+                return LaurentPoly(profile, out)
+
+            a, b = restrict(t[v]), restrict(t[w])
+            if a != b:
+                return False, (f"pair {fmt_facets(P.vertices[v])} -- {fmt_facets(P.vertices[w])}: "
+                               f"restrictions to {face.label()} differ: {a.text()} vs {b.text()}")
+    return True, None
+
+
+class TestInWReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_all_pairs_reference(self, documents, generated, data):
+        """Members and perturb_one_entry non-members, in both profiles; on a
+        Bott profile the tuple is a + z*b, and either part may be perturbed."""
+        docs = {**documents, **{name: doc for name, (doc, _, _) in generated.items()}}
+        name = data.draw(st.sampled_from(sorted(docs)), label="input")
+        bott = data.draw(st.booleans(), label="bott")
+        g = GkmGraph(build_polytope(docs[name]), docs[name].lam, bott=bott)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        member = data.draw(st.booleans(), label="member")
+        parts = [random_member_tuple(rng, g) for _ in range(1 + bott)]
+        if not member:
+            k = rng.randrange(len(parts))
+            parts[k] = perturb_one_entry(rng, g, parts[k])
+        t = parts[0]
+        if bott:
+            t = t + parts[1] * LaurentPoly(g.char_profile, {(0,) * g.n + (1,): 1})
+        rep = in_w(g, t)
+        assert (rep.member, rep.witness and rep.witness.text(g.polytope)) == \
+            reference_in_w(g, t)
+        assert rep.member == member
 
 
 class TestDot:
