@@ -11,8 +11,10 @@ from quasik.laurent import (
     ProfileMismatch,
     ZeroCharacter,
     char_profile,
+    coordinate_getter,
     divides_one_minus,
     face_profile,
+    project_terms,
     substitute_monomial_map,
 )
 
@@ -192,6 +194,14 @@ class TestMonomialMap:
         B = MonomialMap(2, 3, [0], [1], [[2]])
         assert substitute_monomial_map(f, B) == poly(char_profile(2), ((0, 0), 7))
         assert substitute_monomial_map(f * (1 - LaurentPoly.variable(y, 1)), B).is_zero
+
+    def test_projection_sets_left_out_coordinates_to_one(self):
+        y = face_profile(3, bott=True)
+        f = poly(y, ((1, 2, 0, 1), 1), ((1, -1, 0, 1), -1), ((0, 0, 1, 0), 2))
+        assert project_terms(f.terms, coordinate_getter((0, 3))) == {(0, 0): 2}
+        assert project_terms(f.terms, coordinate_getter((2,))) == {(1,): 2}
+        divisible = f * (1 - LaurentPoly.variable(y, 1))
+        assert project_terms(divisible.terms, coordinate_getter((0, 2, 3))) == {}
 
     def test_empty_source(self):
         y = face_profile(2, bott=True)
