@@ -14,7 +14,8 @@ fixed point.
 Every exponent map here is a sparse MonomialMap.  phi at v reads only
 the exponents at v's n facets, since y_i -> 1 off them; the step map at v
 writes only those n exponents, <u, lambda_i> for each facet i of v, so
-restriction to a face through v projects that image onto the face's facets.
+restriction to a face through v projects that image onto the face's
+facets, and no face keeps a map of its own.
 
 Two membership predicates cut out the image of the K-ring:
 
