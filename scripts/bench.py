@@ -16,8 +16,9 @@ time, and 3 times with nine layers wrapped, for their call counts and
 their self and total times: substitute_monomial_map, divides_one_minus,
 phi, in_w, interpolate, snf_diagonal, the dense snf it runs on the block
 its unit pivots leave, OrdinaryKModel.__init__ and cli._render.
-cube7 and bott7 follow, each command run once (marked as a single run),
-since their proptests take seconds.  The file, written to
+cube7, bott7, poly40 (the densest ordinary-model rows) and a cube3 cut
+at three vertices by gen.truncate follow, each command run once (marked
+as a single run), since the larger proptests take seconds.  The file, written to
 the root of this checkout, holds the medians, every sample, a digest of
 each command's output and the machine facts.
 
@@ -58,6 +59,8 @@ LADDER = {
 TAIL = {
     "cube7": lambda: gen.cube(7),
     "bott7": lambda: gen.bott(7, random.Random(7)),
+    "poly40": lambda: gen.polygon(40, random.Random(40)),
+    "cube3_cut3": lambda: gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2),
 }
 RUNS = 3
 
@@ -231,7 +234,9 @@ def main(argv=None) -> int:
         results = bench(cli, LADDER, RUNS, Path(tmp)) + bench(cli, TAIL, 1, Path(tmp))
     report = {"label": args.label, "commit": commit_of(src), "machine": machine_facts(),
               "ladder": "perfbench/gen.py; with_height(M, Random(1)); "
-                        "bott(6, Random(6)), bott(7, Random(7)), polygon(20, Random(20))",
+                        "bott(6, Random(6)), bott(7, Random(7)), polygon(20, Random(20)), "
+                        "polygon(40, Random(40)), cube3_cut3 = truncate(truncate("
+                        "truncate(cube(3), 0), 1), 2)",
               "layers": "calls and self/total ms of each wrapped layer, median of the "
                         "wrapped runs; wall_ms is the median of the plain runs",
               "results": results}

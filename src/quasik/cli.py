@@ -230,7 +230,7 @@ def cmd_facering(doc, args) -> Report:
             "lattice_relations": [p.json_terms() for p in relations],
         }
         try:
-            model = facering.ordinary_rank(g, gens)
+            model = facering.ordinary_rank(g)
             lines.append(f"ordinary rank: {model.rank} "
                          f"(torsion-free, truncation degree {model.degree})")
             payload["ordinary_rank"] = {"rank": model.rank,

@@ -14,15 +14,25 @@ omega_v divides it (so the image is zero off that face) and that the vertex
 comes first there (so no earlier entry moves).  It and basis_certificate()
 take the order as an argument; nothing else here depends on one.
 
+The non-face products and the basis elements omega_v are all products
+prod(1 - y_k) over a facet set S, and the code uses that form: the
+product is written down term by term, phi of it at a vertex u is
+prod(1 - e^{mu_k(u)}) when u lies on every facet of S and 0 otherwise,
+so basis_certificate() decides vanishing from the facet sets and maps
+omega_v at v alone.
+
 ordinary_rank() returns the certified Z-module model of the ordinary
 quotient: kill the lattice relations by eliminating vertex 0's facet
 variables, shift y = 1 + x, drop monomials above total degree n, and read
-rank and torsion off a Smith normal form.  Every face-ring element, the
-non-face products included, enters the model through the same expansion.
+rank and torsion off a Smith normal form.  A non-face product enters the
+model factor by factor: each 1 - y_k starts in degree 1 after the shift,
+so it is expanded only to degree n - |S| + 1 and the truncated factors
+are multiplied.  Any other element (reduce, is_zero) goes through the
+generic expansion, which agrees with the factored one term for term.
 Any vertex would do as well: its lambda rows are a lattice basis, and
-after its elimination a non-face product prod(1 - y_k) still starts in
-degree |S|, so the model has the same d - n variables, monomials and
-nonzero rows r * x^beta (those with |S| + |beta| <= n).
+after its elimination a non-face product still starts in degree |S|, so
+the model has the same d - n variables, monomials and nonzero rows
+r * x^beta (those with |S| + |beta| <= n).
 Degree n is exact, because every x_i lies in the augmentation ideal of a
 2n-dimensional complex with only even cells, so by the Atiyah-Hirzebruch
 filtration any product of n+1 of them vanishes.
@@ -35,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 
 from .gkm import FixedPointTuple, GkmGraph, in_w
 from .lattice import SparseMat, dot, snf_diagonal
@@ -102,8 +113,12 @@ def phi(g: GkmGraph, P: LaurentPoly) -> FixedPointTuple:
 
 
 def r_vector(g: GkmGraph, i: int) -> FixedPointTuple:
-    """Fixed-point restriction tuple of the facet-i generator: phi(y_i)."""
-    return phi(g, LaurentPoly.variable(g.face_profile, i - 1))
+    """Fixed-point restriction tuple of the facet-i generator, phi(y_i):
+    e^{mu_i(v)} at each vertex v on facet i, 1 elsewhere."""
+    one = LaurentPoly.one(g.char_profile)
+    return FixedPointTuple(g.char_profile, tuple(
+        LaurentPoly.char_monomial(g.char_profile, mu[i]) if i in mu else one
+        for mu in g.mu))
 
 
 # -- interpolation ----------------------------------------------------------
@@ -158,10 +173,11 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
 # -- kernel and basis certificate -------------------------------------------
 
 def _nonface_product(profile, facets) -> LaurentPoly:
-    p = LaurentPoly.one(profile)
-    for k in sorted(facets):
-        p = p * (LaurentPoly.one(profile) - LaurentPoly.variable(profile, k - 1))
-    return p
+    """prod(1 - y_k) over the facets, as the sum over T of (-1)^|T| y^T."""
+    terms = {(0,) * profile.nvars: 1}
+    for k in facets:
+        terms.update([(e[:k - 1] + (1,) + e[k:], -c) for e, c in terms.items()])
+    return LaurentPoly(profile, terms)
 
 
 def kernel_generators(g: GkmGraph) -> tuple[LaurentPoly, ...]:
@@ -182,35 +198,41 @@ class CertificateEntry:
 def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry, ...]:
     """Triangular free-module basis along a vertex order.
 
-    omega_t is the product of (1 - y_i) over the facets of v_t that do not
-    contain the face spanned by the incoming edges.  Verified: |S_t| equals
-    the number of incoming edges, phi(omega_t) vanishes at all earlier
-    vertices, and its value at v_t is a nonzero product of Euler classes.
+    omega_t is the product of (1 - y_i) over the facets S_t of v_t that do
+    not contain the face spanned by the incoming edges.  Verified: |S_t|
+    equals the number of incoming edges, phi(omega_t) vanishes at all
+    earlier vertices, and its value at v_t is a nonzero product of Euler
+    classes.  At a vertex u, phi(omega_t) is prod(1 - e^{mu_i(u)}) over S_t
+    when u lies on every facet of S_t and 0 otherwise (y_i -> 1 off facet
+    i); each mu_i(u) is a nonzero character and Z[M] is a domain, so it
+    vanishes exactly off the face of S_t.  The earlier vertices are checked
+    by their facet sets, and omega_t is mapped at v_t alone.
     """
     P = g.polytope
     entries = []
     for pos, v in enumerate(order.order):
-        extra = tuple(sorted(order.extra[v]))
+        S = order.extra[v]
+        extra = tuple(sorted(S))
         if len(extra) != order.ind[v]:
             raise CertificateFailure(
                 f"vertex {fmt_facets(P.vertices[v])}: {len(extra)} extra facets "
                 f"for index {order.ind[v]}", pos)
-        omega = _nonface_product(g.face_profile, extra)
-        img = phi(g, omega)
         for s in range(pos):
-            if not img[order.order[s]].is_zero:
+            if S <= P.vertices[order.order[s]]:
                 raise CertificateFailure(
                     f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}",
                     pos, s)
+        omega = _nonface_product(g.face_profile, extra)
+        diagonal = substitute_monomial_map(omega, g.phi_maps[v], g.char_profile)
         expected = LaurentPoly.one(g.char_profile)
         for i in extra:
             expected = expected * (LaurentPoly.one(g.char_profile)
                                    - LaurentPoly.char_monomial(g.char_profile, g.mu[v][i]))
-        if img[v] != expected or img[v].is_zero:
+        if diagonal != expected or diagonal.is_zero:
             raise CertificateFailure(
                 f"diagonal value at position {pos + 1} is not the Euler-class product",
                 pos, pos)
-        entries.append(CertificateEntry(pos, v, extra, omega, img[v]))
+        entries.append(CertificateEntry(pos, v, extra, omega, diagonal))
     return tuple(entries)
 
 
@@ -254,27 +276,30 @@ class OrdinaryKModel:
     degree n this is exact: each x_i is in the first Atiyah-Hirzebruch
     filtration of the 2n-dimensional even-cell complex, so any product of
     n+1 of them is zero.  The relation matrix has one sparse row
-    {monomial: coeff} per nonzero product r * x^beta of a generator r with
-    a monomial beta, and one column per monomial; its Smith form yields
-    rank and torsion.  gens are the non-face products, kernel_generators(g).
+    {monomial: coeff} per nonzero product r * x^beta of a non-face product
+    r with a monomial beta, and one column per monomial; its Smith form
+    yields rank and torsion.  The non-faces are the polytope's own, and
+    each r is multiplied out of its truncated factors (_nonface_terms).
     """
 
-    def __init__(self, g: GkmGraph, degree: int, gens):
+    def __init__(self, g: GkmGraph, degree: int):
         self.graph = g
         self.degree = degree
         survivors, self._E = _elimination(g)
         self.survivors = tuple(survivors)
         self.monomials = self._monomials(len(survivors), degree)
+        self._factors = {}      # (k, cap) -> _factor(k, cap); facets recur across non-faces
         rows = []
-        for r in map(self._expand, gens):
-            terms = [(e, sum(e), c) for e, c in r.items()]
+        for S in g.polytope.minimal_nonfaces():
+            terms = [(e, sum(e), c) for e, c in self._nonface_terms(S).items()]
+            low = min((deg for _, deg, _ in terms), default=degree + 1)
             for beta in self.monomials:
                 room = degree - sum(beta)
+                if room < low:
+                    break       # monomials come lowest degree first
                 # distinct terms of r stay distinct after the shift by beta
-                row = {tuple(a + b for a, b in zip(e, beta)): c
-                       for e, deg, c in terms if deg <= room}
-                if row:
-                    rows.append(row)
+                rows.append({tuple(map(add, e, beta)): c
+                             for e, deg, c in terms if deg <= room})
         self.rows = tuple(rows)
         diag = snf_diagonal(SparseMat(len(self.monomials), self.rows))
         self._nonzero_factors = tuple(sorted(d for d in diag if d != 0))
@@ -292,23 +317,69 @@ class OrdinaryKModel:
                 for d in range(degree + 1)
                 for combo in combinations_with_replacement(range(nvars), d)]
 
-    def _shift(self, p: LaurentPoly) -> dict:
-        """Substitute y = 1 + x in each survivor variable, truncated.
+    def _factor(self, k: int, cap: int) -> list:
+        """1 - y_k in the shifted survivor variables, truncated at degree cap,
+        as (exponents, degree, coeff).
 
-        A term's expansion grows one coordinate per variable as (exponent
-        prefix, degree, coefficient); its exponents stay distinct, so terms
-        merge only into the output.
+        The elimination sends y_k to the monomial whose exponents are column
+        k of its map; shifted, its constant term is 1, which cancels, so
+        every term left has degree >= 1."""
+        if (k, cap) not in self._factors:
+            x = tuple(row[k - 1] for row in self._E.block)
+            shifted = self._shift({x: 1}, cap)
+            self._factors[k, cap] = [(e, sum(e), -c) for e, c in shifted.items() if any(e)]
+        return self._factors[k, cap]
+
+    def _nonface_terms(self, S) -> dict:
+        """prod(1 - y_k) over S in the shifted survivor variables, truncated
+        at the model's degree, equal to _expand of the product.  Every
+        factor starts in degree 1, so each is needed only to degree
+        degree - |S| + 1, and after j factors the partial product only to
+        degree - (|S| - j)."""
+        cap = self.degree - len(S) + 1
+        if cap < 1:
+            return {}
+        acc = {(0,) * len(self.survivors): 1}
+        for j, k in enumerate(sorted(S)):
+            room = cap + j
+            factor = self._factor(k, cap)
+            prod = {}
+            for e, c in acc.items():
+                deg = sum(e)
+                for f, fdeg, fc in factor:
+                    if deg + fdeg <= room:
+                        key = tuple(map(add, e, f))
+                        v = prod.get(key, 0) + c * fc
+                        if v:
+                            prod[key] = v
+                        else:
+                            del prod[key]
+            acc = prod
+        return acc
+
+    def _shift(self, terms: dict, cap: int) -> dict:
+        """Substitute y = 1 + x in each survivor variable, truncated at
+        total degree cap.
+
+        A term expands over its nonzero exponents only, as ((variable,
+        power), ...) with its degree and coefficient; its expansions stay
+        distinct, so terms merge only into the output, and each output term
+        gets its dense exponent tuple once.
         """
-        cap = self.degree
         out = {}
-        for exp, c in p.terms.items():
+        for exp, c in terms.items():
             partial = [((), 0, c)]
-            for e in exp:
-                series = _binomial_series(e, cap)
-                partial = [(pre + (k,), deg + k, pc * series[k])
-                           for pre, deg, pc in partial
-                           for k in range(min(len(series) - 1, cap - deg) + 1)]
-            for e, _, v in partial:
+            for j, e in enumerate(exp):
+                if e:
+                    series = _binomial_series(e, cap)
+                    partial = [(pre + ((j, k),) if k else pre, deg + k, pc * series[k])
+                               for pre, deg, pc in partial
+                               for k in range(min(len(series) - 1, cap - deg) + 1)]
+            for pre, _, v in partial:
+                e = [0] * len(exp)
+                for j, k in pre:
+                    e[j] = k
+                e = tuple(e)
                 w = out.get(e, 0) + v
                 if w:
                     out[e] = w
@@ -326,7 +397,7 @@ class OrdinaryKModel:
             elem = LaurentPoly(face_profile(self.graph.d),
                                {e[:-1]: c for e, c in elem.terms.items()})
         return self._shift(substitute_monomial_map(
-            elem, self._E, face_profile(len(self.survivors))))
+            elem, self._E, face_profile(len(self.survivors))).terms, self.degree)
 
     def reduce(self, elem: LaurentPoly):
         """Coefficient vector of a face-ring element over the truncated monomials."""
@@ -342,15 +413,15 @@ class OrdinaryKModel:
         return tuple(sorted(d for d in diag if d != 0)) == self._nonzero_factors
 
 
-def ordinary_rank(g: GkmGraph, gens) -> OrdinaryKModel:
+def ordinary_rank(g: GkmGraph) -> OrdinaryKModel:
     """The certified model of the ordinary quotient at degree n.
 
-    One model at the exact truncation degree n is built; its rank, torsion
-    and degree are the answer.  The ordinary K-ring is free of rank m, so
-    any other answer raises OrdinaryRankFailure, never a silent answer.
-    gens are the non-face products, kernel_generators(g).
+    One model at the exact truncation degree n is built from the
+    polytope's minimal non-faces; its rank, torsion and degree are the
+    answer.  The ordinary K-ring is free of rank m, so any other answer
+    raises OrdinaryRankFailure, never a silent answer.
     """
-    model = OrdinaryKModel(g, g.n, gens)
+    model = OrdinaryKModel(g, g.n)
     if model.rank != g.m or not model.torsion_free:
         raise OrdinaryRankFailure(
             f"truncation degree {g.n} gives rank {model.rank}"

@@ -293,18 +293,16 @@ def coordinate_getter(idx: tuple):
     return lambda exp: ()
 
 
-def substitute_monomial_map(f: LaurentPoly, A: MonomialMap, profile: Profile = None) -> LaurentPoly:
+def substitute_monomial_map(f: LaurentPoly, A: MonomialMap, profile: Profile) -> LaurentPoly:
     """Apply the monomial substitution e^u -> e^{A u} to every term of f.
 
     A acts on the t or y exponents; a Bott exponent is carried through
     unchanged, so the source and target profiles must agree on z.  The
-    default target is the character profile with A.rows variables.  Each
+    target profile, of either kind, must have A.rows variables.  Each
     term is first projected onto A's source coordinates, merging the terms
     that collide; only what is left goes through A's block.
     """
     src = f.profile
-    if profile is None:
-        profile = char_profile(A.rows, src.bott)
     if A.cols != src.count:
         raise DimensionMismatch(
             f"matrix has {A.cols} columns, polynomial has {src.count} variables")

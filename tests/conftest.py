@@ -52,18 +52,20 @@ def orders(documents, graphs):
 
 
 @pytest.fixture(scope="session")
-def generated():
-    """{name: (document, graph, order)} for perfbench/gen.py's cube4, bott4
-    and polygon9, each given a height by with_height(M, Random(1))."""
+def perfbench_gen():
+    """The manifold generators of perfbench/gen.py."""
     path = ROOT / "perfbench" / "gen.py"
     if not path.is_file():
         pytest.skip("no perfbench/gen.py in this checkout")
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    makers = {"cube4": lambda: gen.cube(4),
-              "bott4": lambda: gen.bott(4, random.Random(4)),
-              "polygon9": lambda: gen.polygon(9, random.Random(9))}
+    return gen
+
+
+def generated_graphs(gen, makers):
+    """{name: (document, graph, order)} for each manifold make() builds,
+    given a height by with_height(M, Random(1))."""
     out = {}
     for name, make in makers.items():
         doc = document_from_dict(gen.with_height(make(), random.Random(1)).document(), name)
@@ -72,13 +74,22 @@ def generated():
     return out
 
 
+@pytest.fixture(scope="session")
+def generated(perfbench_gen):
+    """perfbench/gen.py's cube4, bott4 and polygon9 (see generated_graphs)."""
+    gen = perfbench_gen
+    return generated_graphs(gen, {"cube4": lambda: gen.cube(4),
+                                  "bott4": lambda: gen.bott(4, random.Random(4)),
+                                  "polygon9": lambda: gen.polygon(9, random.Random(9))})
+
+
 @pytest.fixture
 def short_rank(monkeypatch):
     """Every OrdinaryKModel reports one less than its true rank."""
     init = facering.OrdinaryKModel.__init__
 
-    def patched(self, g, degree, gens):
-        init(self, g, degree, gens)
+    def patched(self, g, degree):
+        init(self, g, degree)
         self.rank -= 1
 
     monkeypatch.setattr(facering.OrdinaryKModel, "__init__", patched)

@@ -150,7 +150,7 @@ def test_criterion_8_ordinary_rank(graphs):
     for name, g in graphs.items():
         start = time.perf_counter()
         try:
-            res = ordinary_rank(g, kernel_generators(g))
+            res = ordinary_rank(g)
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             continue
@@ -165,9 +165,9 @@ def test_criterion_8_ordinary_rank(graphs):
     # cross-check against the hand computation Z[y]/(1-y)^(n+1)
     for name in ("cp1", "cp2"):
         g = graphs[name]
-        res = ordinary_rank(g, kernel_generators(g))
+        res = ordinary_rank(g)
         # degree n truncates (1-y)^(n+1) away unseen; test it one degree up
-        above = OrdinaryKModel(g, g.n + 1, kernel_generators(g))
+        above = OrdinaryKModel(g, g.n + 1)
         surv = res.survivors[0]
         one_minus = (LaurentPoly.one(g.face_profile)
                      - LaurentPoly.variable(g.face_profile, surv - 1))

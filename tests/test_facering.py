@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasik.facering import (
+    CertificateEntry,
+    CertificateFailure,
     InterpolationResult,
     InterpolationStep,
     NotInW,
     OrdinaryKModel,
     OrdinaryRankFailure,
     ResidualNonzero,
+    _nonface_product,
     basis_certificate,
     constant_tuple,
     interpolate,
@@ -23,12 +26,12 @@ from quasik.facering import (
     r_vector,
     theta,
 )
-from conftest import dense_substitute
+from conftest import dense_substitute, generated_graphs
 from quasik.documents import build_polytope
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
 from quasik.harness import random_face_element
 from quasik.laurent import LaurentPoly, face_profile, substitute_monomial_map
-from quasik.polytope import SimplePolytope, vertex_order_from_heights
+from quasik.polytope import SimplePolytope, fmt_facets, vertex_order_from_heights
 
 
 # the height order of each graph make() builds
@@ -356,18 +359,18 @@ class TestOrdinaryRank:
     def test_ranks(self, graphs):
         expected = {"cp1": 2, "cp2": 3, "cp3": 4, "square_h1": 4, "cube": 8}
         for name, g in graphs.items():
-            res = ordinary_rank(g, kernel_generators(g))
+            res = ordinary_rank(g)
             assert (res.degree, res.rank, res.torsion_free) == (g.n, g.m, True), name
             assert res.rank == expected.get(name, g.m), name
 
     def test_violated_certificate_raises(self, short_rank):
         with pytest.raises(OrdinaryRankFailure, match="rank 2, expected a free module of rank 3"):
-            ordinary_rank(CP2, kernel_generators(CP2))
+            ordinary_rank(CP2)
 
     def test_hirzebruch_all_k(self):
         for k in (0, 1, 2, 3):
             g = make(f"h{k}")
-            res = ordinary_rank(g, kernel_generators(g))
+            res = ordinary_rank(g)
             assert (res.rank, res.torsion_free) == (4, True)
 
     def test_truncation_model_cross_check(self):
@@ -375,8 +378,8 @@ class TestOrdinaryRank:
         for g in (CP1, CP2):
             # at degree n a degree-(n+1) product is truncated away unseen, so
             # its vanishing is checked against the relations one degree up
-            res = ordinary_rank(g, kernel_generators(g))
-            above = OrdinaryKModel(g, g.n + 1, kernel_generators(g))
+            res = ordinary_rank(g)
+            above = OrdinaryKModel(g, g.n + 1)
             surv = res.survivors[0]
             one_minus = (LaurentPoly.one(g.face_profile)
                          - LaurentPoly.variable(g.face_profile, surv - 1))
@@ -386,7 +389,7 @@ class TestOrdinaryRank:
             assert above.is_zero(one_minus ** (g.n + 1))
 
     def test_nonface_products_vanish_in_model(self):
-        res = ordinary_rank(H1, kernel_generators(H1))
+        res = ordinary_rank(H1)
         for gen in kernel_generators(H1):
             assert res.is_zero(gen)
 
@@ -405,7 +408,7 @@ def truncated_product(a, b, cap):
 class TestShift:
     """y = 1 + x, truncated above the model's degree, is a ring map."""
 
-    MODEL = OrdinaryKModel(CUBE, CUBE.n, kernel_generators(CUBE))
+    MODEL = OrdinaryKModel(CUBE, CUBE.n)
     PROFILE = face_profile(len(MODEL.survivors))
 
     def polys(self):
@@ -413,11 +416,14 @@ class TestShift:
         return st.dictionaries(exps, st.integers(-4, 4), max_size=4).map(
             lambda d: LaurentPoly(self.PROFILE, d))
 
+    def shift(self, p):
+        return self.MODEL._shift(p.terms, self.MODEL.degree)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_ring_map(self, data):
         p, q = data.draw(self.polys()), data.draw(self.polys())
-        shift, cap = self.MODEL._shift, self.MODEL.degree
+        shift, cap = self.shift, self.MODEL.degree
         assert shift(p * q) == truncated_product(shift(p), shift(q), cap)
         total = dict(shift(p))
         for e, c in shift(q).items():
@@ -425,7 +431,7 @@ class TestShift:
         assert shift(p + q) == {e: c for e, c in total.items() if c}
 
     def test_variables(self):
-        shift, cap = self.MODEL._shift, self.MODEL.degree
+        shift, cap = self.shift, self.MODEL.degree
         one = (0,) * self.PROFILE.nvars
         for j in range(self.PROFILE.nvars):
             y = LaurentPoly.variable(self.PROFILE, j)
@@ -457,8 +463,199 @@ class TestBottVariable:
         assert in_gamma(g, img).member and in_w(g, img).member
         res = interpolate(g, order, img)
         assert phi(g, res.poly) == img
-        rank = ordinary_rank(g, kernel_generators(g))
+        rank = ordinary_rank(g)
         assert (rank.rank, rank.torsion_free) == (3, True)
         for gen in kernel_generators(g):
             assert phi(g, gen).is_zero
         basis_certificate(g, order)
+
+
+# -- oracles for the closed-form products ------------------------------------
+
+def multiplied_product(profile, facets):
+    """prod(1 - y_k) multiplied out one factor at a time."""
+    p = LaurentPoly.one(profile)
+    for k in sorted(facets):
+        p = p * (LaurentPoly.one(profile) - LaurentPoly.variable(profile, k - 1))
+    return p
+
+
+def reference_certificate(g, order):
+    """The certificate with phi(omega) evaluated at every vertex: omega is
+    multiplied out, and vanishing at earlier positions is read off the
+    images rather than the facet sets."""
+    P = g.polytope
+    entries = []
+    for pos, v in enumerate(order.order):
+        extra = tuple(sorted(order.extra[v]))
+        if len(extra) != order.ind[v]:
+            raise CertificateFailure(
+                f"vertex {fmt_facets(P.vertices[v])}: {len(extra)} extra facets "
+                f"for index {order.ind[v]}", pos)
+        omega = multiplied_product(g.face_profile, extra)
+        img = phi(g, omega)
+        for s in range(pos):
+            if not img[order.order[s]].is_zero:
+                raise CertificateFailure(
+                    f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}",
+                    pos, s)
+        expected = LaurentPoly.one(g.char_profile)
+        for i in extra:
+            expected = expected * (1 - mono(g, g.mu[v][i]))
+        if img[v] != expected or img[v].is_zero:
+            raise CertificateFailure(
+                f"diagonal value at position {pos + 1} is not the Euler-class product",
+                pos, pos)
+        entries.append(CertificateEntry(pos, v, extra, omega, img[v]))
+    return tuple(entries)
+
+
+def outcome(certify, g, order):
+    """The entries, or the raised exception's type, message, position and entry."""
+    try:
+        return certify(g, order)
+    except CertificateFailure as exc:
+        return (CertificateFailure, str(exc), exc.position, exc.entry)
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def reference_rows(model):
+    """The model's rows built from the generic expansion of each multiplied
+    non-face product, every monomial beta tried."""
+    g = model.graph
+    rows = []
+    for S in g.polytope.minimal_nonfaces():
+        r = model._expand(multiplied_product(g.face_profile, S))
+        for beta in model.monomials:
+            room = model.degree - sum(beta)
+            row = {tuple(a + b for a, b in zip(e, beta)): c
+                   for e, c in r.items() if sum(e) <= room}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def row_multiset(rows):
+    return sorted(sorted(row.items()) for row in rows)
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs(documents, orders, generated, perfbench_gen):
+    """{name: (graph, order)}: the bundled inputs with and without z, the
+    generated fixture, polygon12 and a cube3 cut at three vertices."""
+    gen = perfbench_gen
+    out = {}
+    for name, doc in documents.items():
+        for bott in (False, True):
+            g = GkmGraph(build_polytope(doc), doc.lam, bott=bott)
+            out[f"{name}{'_bott' if bott else ''}"] = (g, orders[name])
+    extra = generated_graphs(gen, {
+        "polygon12": lambda: gen.polygon(12, random.Random(12)),
+        "cube3_cut3": lambda: gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2)})
+    for name, (_, g, order) in {**generated, **extra}.items():
+        out[name] = (g, order)
+    return out
+
+
+def certificate_mutations(g, order):
+    """Orders whose order, extra or ind is changed with nothing rechecked."""
+    m = len(order.order)
+    first = g.polytope.vertices[order.order[0]]
+    for v in order.order[1:]:
+        # extra[v] is all of the first vertex's facets
+        ind = list(order.ind)
+        ind[v] = len(first)
+        yield replace(with_extra(order, {v: first}), ind=tuple(ind))
+    for a in range(m - 1):
+        swapped = list(order.order)
+        swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
+        yield replace(order, order=tuple(swapped))
+    for v in range(m):
+        for i in order.extra[v]:
+            yield with_extra(order, {v: order.extra[v] - {i}})
+            ind = list(order.ind)
+            ind[v] -= 1
+            yield replace(with_extra(order, {v: order.extra[v] - {i}}), ind=tuple(ind))
+    for v, w in combinations(range(m), 2):
+        yield with_extra(order, {v: order.extra[w], w: order.extra[v]})
+
+
+class TestCertificateOracle:
+    def test_matches_all_vertex_certificate(self, oracle_graphs):
+        for name, (g, order) in oracle_graphs.items():
+            assert basis_certificate(g, order) == reference_certificate(g, order), name
+
+    def test_mutated_orders_fail_alike(self, oracle_graphs):
+        """Same exception, message, position and entry as the reference, on
+        mutations that reach both order checks (the diagonal one needs bad
+        phi maps, below)."""
+        kinds = set()
+        for name, (g, order) in oracle_graphs.items():
+            for bad in certificate_mutations(g, order):
+                got = outcome(basis_certificate, g, bad)
+                assert got == outcome(reference_certificate, g, bad), (name, bad)
+                if isinstance(got, tuple) and got[0] is CertificateFailure:
+                    kinds.add("earlier" if "earlier position" in got[1] else "size")
+        assert kinds == {"size", "earlier"}
+
+    def test_bad_phi_maps_fail_the_diagonal(self, oracle_graphs):
+        for name, (g, order) in oracle_graphs.items():
+            if g.m < 2:
+                continue
+            bad = GkmGraph(g.polytope, g.lam, bott=g.bott)
+            bad.phi_maps = GkmGraph(g.polytope, [[-x for x in row] for row in g.lam],
+                                    bott=g.bott).phi_maps
+            got = outcome(basis_certificate, bad, order)
+            assert got == outcome(reference_certificate, bad, order), name
+            assert got == (CertificateFailure,
+                           "diagonal value at position 2 is not the Euler-class product",
+                           1, 1), name
+
+    def test_phi_substitutions_are_one_per_vertex(self, oracle_graphs, monkeypatch):
+        import quasik.facering as facering
+        calls = []
+        real = facering.substitute_monomial_map
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(facering, "substitute_monomial_map", counted)
+        for name, (g, order) in oracle_graphs.items():
+            calls.clear()
+            basis_certificate(g, order)
+            assert len(calls) == g.m, name
+
+
+class TestClosedForms:
+    def test_nonface_product_matches_multiplied(self, oracle_graphs):
+        for name, (g, order) in oracle_graphs.items():
+            sets = list(g.polytope.minimal_nonfaces()) + list(order.extra)
+            sets += [range(1, k + 1) for k in range(min(g.d, 5) + 1)]
+            for S in sets:
+                assert _nonface_product(g.face_profile, frozenset(S)) == \
+                    multiplied_product(g.face_profile, S), (name, S)
+
+    def test_r_vector_is_phi_of_the_generator(self, oracle_graphs):
+        for name, (g, _) in oracle_graphs.items():
+            for i in range(1, g.d + 1):
+                assert r_vector(g, i) == phi(g, LaurentPoly.variable(g.face_profile, i - 1)), \
+                    (name, i)
+
+    def test_factored_terms_match_generic_expansion(self, oracle_graphs):
+        """At degree n - 1, n and n + 1, each non-face product multiplied out
+        of truncated factors equals _expand of the multiplied product."""
+        for name, (g, _) in oracle_graphs.items():
+            for degree in (g.n - 1, g.n, g.n + 1):
+                model = OrdinaryKModel(g, degree)
+                for S in g.polytope.minimal_nonfaces():
+                    assert model._nonface_terms(S) == \
+                        model._expand(multiplied_product(g.face_profile, S)), (name, degree, S)
+
+    def test_rows_match_generic_expansion(self, oracle_graphs):
+        for name, (g, _) in oracle_graphs.items():
+            for degree in (g.n, g.n + 1):
+                model = OrdinaryKModel(g, degree)
+                assert row_multiset(model.rows) == row_multiset(reference_rows(model)), \
+                    (name, degree)
