@@ -16,11 +16,12 @@ time, and 3 times with nine layers wrapped, for their call counts and
 their self and total times: substitute_monomial_map, divides_one_minus,
 phi, in_w, interpolate, snf_diagonal, the dense snf it runs on the block
 its unit pivots leave, OrdinaryKModel.__init__ and cli._render.
-cube7, bott7, poly40 (the densest ordinary-model rows) and a cube3 cut
-at three vertices by gen.truncate follow, each command run once (marked
-as a single run), since the larger proptests take seconds.  The file, written to
-the root of this checkout, holds the medians, every sample, a digest of
-each command's output and the machine facts.
+cube7, bott7, poly40 (the densest ordinary-model rows), a cube3 cut at
+three vertices by gen.truncate and polygon6xcp2 (a gen.product of a
+hexagon and CP^2) follow, each command run once (marked as a single run),
+since the larger proptests take seconds.  The file, written to the root of
+this checkout, holds the medians, every sample, a digest of each command's
+output and the machine facts.
 
 --src points at the src directory of the quasik to measure (default:
 this checkout's), so one copy of this script can time another commit.
@@ -61,6 +62,7 @@ TAIL = {
     "bott7": lambda: gen.bott(7, random.Random(7)),
     "poly40": lambda: gen.polygon(40, random.Random(40)),
     "cube3_cut3": lambda: gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2),
+    "polygon6xcp2": lambda: gen.product(gen.polygon(6, random.Random(6)), gen.cp(2)),
 }
 RUNS = 3
 

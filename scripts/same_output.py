@@ -13,7 +13,8 @@ Each --src is the src directory of one quasik tree.  The runs are:
 * a perfbench/gen.py ladder: cp1-cp4, cube2-cube4, bott2-bott4,
   polygon5-polygon7, one vertex truncation, then cube6, bott6, cp10,
   poly20, poly25 (past the 24 facets that the non-face search once
-  refused) and poly40 (where the ordinary model's rows are densest), each
+  refused), poly40 (where the ordinary model's rows are densest) and
+  polygon6xcp2 (a gen.product, whose faces are products of faces), each
   given a height by with_height(M, Random(1));
 * on each document: validate, gkm (plain and with --dot), facering (plain
   and --ordinary), membership and interpolate of a member tuple and of a
@@ -63,6 +64,7 @@ LADDER = {
     "poly20": lambda: gen.polygon(20, random.Random(20)),
     "poly25": lambda: gen.polygon(25, random.Random(25)),
     "poly40": lambda: gen.polygon(40, random.Random(40)),
+    "polygon6xcp2": lambda: gen.product(gen.polygon(6, random.Random(6)), gen.cp(2)),
 }
 
 USAGE = [

@@ -27,12 +27,10 @@ variables, shift y = 1 + x, drop monomials above total degree n, and read
 rank and torsion off a Smith normal form.  A non-face product enters the
 model factor by factor: each 1 - y_k starts in degree 1 after the shift,
 so it is expanded only to degree n - |S| + 1 and the truncated factors
-are multiplied.  Any other element (reduce, is_zero) goes through the
-generic expansion, which agrees with the factored one term for term.
-Any vertex would do as well: its lambda rows are a lattice basis, and
-after its elimination a non-face product still starts in degree |S|, so
-the model has the same d - n variables, monomials and nonzero rows
-r * x^beta (those with |S| + |beta| <= n).
+are multiplied.  Any vertex would do as well: its lambda rows are a
+lattice basis, and after its elimination a non-face product still starts
+in degree |S|, so the model has the same d - n variables, monomials and
+nonzero rows r * x^beta (those with |S| + |beta| <= n).
 Degree n is exact, because every x_i lies in the augmentation ideal of a
 2n-dimensional complex with only even cells, so by the Atiyah-Hirzebruch
 filtration any product of n+1 of them vanishes.
@@ -52,8 +50,7 @@ from .lattice import SparseMat, dot, snf_diagonal
 from .laurent import (
     DimensionMismatch,
     LaurentPoly,
-    MonomialMap,
-    face_profile,
+    _raw,
     project_terms,
     substitute_monomial_map,
 )
@@ -177,7 +174,7 @@ def _nonface_product(profile, facets) -> LaurentPoly:
     terms = {(0,) * profile.nvars: 1}
     for k in facets:
         terms.update([(e[:k - 1] + (1,) + e[k:], -c) for e, c in terms.items()])
-    return LaurentPoly(profile, terms)
+    return _raw(profile, terms)
 
 
 def kernel_generators(g: GkmGraph) -> tuple[LaurentPoly, ...]:
@@ -246,19 +243,15 @@ def lattice_relations(g: GkmGraph) -> tuple[LaurentPoly, ...]:
 
 
 def _elimination(g: GkmGraph):
-    """(survivors, E): the facets off vertex 0 and the exponent map that
-    eliminates vertex 0's facet variables."""
-    block = sorted(g.polytope.vertices[0])
-    survivors = [i for i in range(1, g.d + 1) if i not in g.polytope.vertices[0]]
-    mu = g.mu[0]
-    rows = []
-    for si in survivors:
-        row = [0] * g.d
-        row[si - 1] = 1
-        for b in block:
-            row[b - 1] = -dot(mu[b], g.lam_row(si))
-        rows.append(row)
-    return survivors, MonomialMap.from_rows(rows, g.d)
+    """(survivors, image): the facets off vertex 0, and image[k] the survivor
+    exponents of y_k once the lattice relations eliminate vertex 0's facets:
+    y_b = prod over survivors s of y_s^{-<mu_b(0), lambda_s>}."""
+    base = g.polytope.vertices[0]
+    survivors = [i for i in range(1, g.d + 1) if i not in base]
+    image = {k: tuple(int(k == s) for s in survivors) for k in survivors}
+    image.update({b: tuple(-dot(mu, g.lam_row(s)) for s in survivors)
+                  for b, mu in g.mu[0].items()})
+    return survivors, image
 
 
 def _binomial_series(e: int, cap: int):
@@ -268,11 +261,32 @@ def _binomial_series(e: int, cap: int):
     return [(-1) ** k * comb(-e + k - 1, k) for k in range(cap + 1)]
 
 
+def _shift(exp, cap: int) -> dict:
+    """y^exp with y = 1 + x in each variable, truncated at total degree cap,
+    as {exponents: coeff}.  Only nonzero exponents expand, as ((variable,
+    power), ...) with degree and coefficient; each choice of powers is a
+    distinct term with a nonzero coefficient, so nothing merges."""
+    partial = [((), 0, 1)]
+    for j, e in enumerate(exp):
+        if e:
+            series = _binomial_series(e, cap)
+            partial = [(pre + ((j, k),) if k else pre, deg + k, c * series[k])
+                       for pre, deg, c in partial
+                       for k in range(min(len(series) - 1, cap - deg) + 1)]
+    out = {}
+    for pre, _, c in partial:
+        e = [0] * len(exp)
+        for j, k in pre:
+            e[j] = k
+        out[tuple(e)] = c
+    return out
+
+
 class OrdinaryKModel:
     """Z-module model of the ordinary quotient at one truncation degree.
 
-    All face variables except vertex 0's block are shifted by y = 1 + x;
-    monomials of total degree > degree are declared zero.  At
+    Vertex 0's facet variables are eliminated, the others shifted by
+    y = 1 + x; monomials of total degree > degree are declared zero.  At
     degree n this is exact: each x_i is in the first Atiyah-Hirzebruch
     filtration of the 2n-dimensional even-cell complex, so any product of
     n+1 of them is zero.  The relation matrix has one sparse row
@@ -285,7 +299,7 @@ class OrdinaryKModel:
     def __init__(self, g: GkmGraph, degree: int):
         self.graph = g
         self.degree = degree
-        survivors, self._E = _elimination(g)
+        survivors, self._image = _elimination(g)
         self.survivors = tuple(survivors)
         self.monomials = self._monomials(len(survivors), degree)
         self._factors = {}      # (k, cap) -> _factor(k, cap); facets recur across non-faces
@@ -302,9 +316,9 @@ class OrdinaryKModel:
                              for e, deg, c in terms if deg <= room})
         self.rows = tuple(rows)
         diag = snf_diagonal(SparseMat(len(self.monomials), self.rows))
-        self._nonzero_factors = tuple(sorted(d for d in diag if d != 0))
-        self.rank = len(self.monomials) - len(self._nonzero_factors)
-        self.torsion = tuple(d for d in self._nonzero_factors if d != 1)
+        factors = sorted(d for d in diag if d != 0)
+        self.rank = len(self.monomials) - len(factors)
+        self.torsion = tuple(d for d in factors if d != 1)
 
     @property
     def torsion_free(self) -> bool:
@@ -313,29 +327,32 @@ class OrdinaryKModel:
     @staticmethod
     def _monomials(nvars: int, degree: int) -> list:
         """Exponent tuples of total degree <= degree, lowest degree first."""
-        return [tuple(combo.count(j) for j in range(nvars))
-                for d in range(degree + 1)
-                for combo in combinations_with_replacement(range(nvars), d)]
+        out = []
+        for d in range(degree + 1):
+            for combo in combinations_with_replacement(range(nvars), d):
+                e = [0] * nvars
+                for j in combo:
+                    e[j] += 1
+                out.append(tuple(e))
+        return out
 
     def _factor(self, k: int, cap: int) -> list:
         """1 - y_k in the shifted survivor variables, truncated at degree cap,
         as (exponents, degree, coeff).
 
-        The elimination sends y_k to the monomial whose exponents are column
-        k of its map; shifted, its constant term is 1, which cancels, so
-        every term left has degree >= 1."""
+        The elimination sends y_k to a monomial in the survivors; shifted,
+        its constant term is 1, which cancels, so every term left has
+        degree >= 1."""
         if (k, cap) not in self._factors:
-            x = tuple(row[k - 1] for row in self._E.block)
-            shifted = self._shift({x: 1}, cap)
-            self._factors[k, cap] = [(e, sum(e), -c) for e, c in shifted.items() if any(e)]
+            self._factors[k, cap] = [(e, sum(e), -c)
+                                     for e, c in _shift(self._image[k], cap).items() if any(e)]
         return self._factors[k, cap]
 
     def _nonface_terms(self, S) -> dict:
         """prod(1 - y_k) over S in the shifted survivor variables, truncated
-        at the model's degree, equal to _expand of the product.  Every
-        factor starts in degree 1, so each is needed only to degree
-        degree - |S| + 1, and after j factors the partial product only to
-        degree - (|S| - j)."""
+        at the model's degree.  Every factor starts in degree 1, so each is
+        needed only to degree degree - |S| + 1, and after j factors the
+        partial product only to degree - (|S| - j)."""
         cap = self.degree - len(S) + 1
         if cap < 1:
             return {}
@@ -356,61 +373,6 @@ class OrdinaryKModel:
                             del prod[key]
             acc = prod
         return acc
-
-    def _shift(self, terms: dict, cap: int) -> dict:
-        """Substitute y = 1 + x in each survivor variable, truncated at
-        total degree cap.
-
-        A term expands over its nonzero exponents only, as ((variable,
-        power), ...) with its degree and coefficient; its expansions stay
-        distinct, so terms merge only into the output, and each output term
-        gets its dense exponent tuple once.
-        """
-        out = {}
-        for exp, c in terms.items():
-            partial = [((), 0, c)]
-            for j, e in enumerate(exp):
-                if e:
-                    series = _binomial_series(e, cap)
-                    partial = [(pre + ((j, k),) if k else pre, deg + k, pc * series[k])
-                               for pre, deg, pc in partial
-                               for k in range(min(len(series) - 1, cap - deg) + 1)]
-            for pre, _, v in partial:
-                e = [0] * len(exp)
-                for j, k in pre:
-                    e[j] = k
-                e = tuple(e)
-                w = out.get(e, 0) + v
-                if w:
-                    out[e] = w
-                elif e in out:
-                    del out[e]
-        return out
-
-    def _expand(self, elem: LaurentPoly) -> dict:
-        """A face-ring element in the shifted survivor variables, truncated:
-        drop a zero z exponent (the model is Bott-free), eliminate the base
-        vertex's variables, then substitute y = 1 + x."""
-        if elem.profile.bott:
-            if any(e[-1] for e in elem.terms):
-                raise DimensionMismatch("ordinary model is Bott-free")
-            elem = LaurentPoly(face_profile(self.graph.d),
-                               {e[:-1]: c for e, c in elem.terms.items()})
-        return self._shift(substitute_monomial_map(
-            elem, self._E, face_profile(len(self.survivors))).terms, self.degree)
-
-    def reduce(self, elem: LaurentPoly):
-        """Coefficient vector of a face-ring element over the truncated monomials."""
-        terms = self._expand(elem)
-        return tuple(terms.get(e, 0) for e in self.monomials)
-
-    def is_zero(self, elem: LaurentPoly) -> bool:
-        """Does the element vanish in the truncated quotient?"""
-        terms = self._expand(elem)
-        if not terms:
-            return True
-        diag = snf_diagonal(SparseMat(len(self.monomials), self.rows + (terms,)))
-        return tuple(sorted(d for d in diag if d != 0)) == self._nonzero_factors
 
 
 def ordinary_rank(g: GkmGraph) -> OrdinaryKModel:

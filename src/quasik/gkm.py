@@ -22,7 +22,8 @@ Two membership predicates cut out the image of the K-ring:
 * in_gamma -- for every edge, the entry difference is divisible by the
   K-theoretic Euler class 1 - e^{-u} of the edge character u;
 * in_w     -- for every vertex pair, the two entries agree after
-  restriction to the minimal face containing both vertices.
+  restriction to the minimal face containing both vertices, the one cut
+  out by their shared facets.
 
 The two predicates agree; in_w deliberately checks all pairs rather than
 reducing to edges so that the agreement stays independent evidence.
@@ -286,7 +287,9 @@ def in_gamma(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
 
 def in_w(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
     """Face-agreement membership: restrictions agree at the join of every pair,
-    compared as projections of each entry's step-map image, made once (restrict_to_face)."""
+    the face of the facets S both share (a facet through all of that face
+    passes through both), compared as projections onto S of each entry's
+    step-map image, made once (restrict_to_face)."""
     _check_tuple(g, t)
     P = g.polytope
     images = [substitute_monomial_map(a, M, g.face_profile).terms
@@ -294,17 +297,16 @@ def in_w(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
     picks = {}
     for v in range(g.m):
         for w in range(v + 1, g.m):
-            face = P.join(v, w)
-            pick = picks.get(face.facets) or picks.setdefault(
-                face.facets, g.face_pick(face.facets))
+            S = P.vertices[v] & P.vertices[w]
+            pick = picks.get(S) or picks.setdefault(S, g.face_pick(S))
             a = project_terms(images[v], pick)
             b = project_terms(images[w], pick)
             if a != b:
-                a, b = g.restrict_to_face(t[v], face), g.restrict_to_face(t[w], face)
+                profile = char_profile(len(S), g.bott)
                 return MembershipReport(False, MembershipWitness(
                     "pair", v, w,
-                    f"restrictions to {face.label()} differ: "
-                    f"{a.text()} vs {b.text()}"))
+                    f"restrictions to {P.face_of(S).label()} differ: "
+                    f"{LaurentPoly(profile, a).text()} vs {LaurentPoly(profile, b).text()}"))
     return MembershipReport(True)
 
 

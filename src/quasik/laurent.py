@@ -264,12 +264,6 @@ class MonomialMap:
         for name, value in zip(self.__slots__, (rows, cols, source, target, block, picks)):
             object.__setattr__(self, name, value)
 
-    @staticmethod
-    def from_rows(rows, cols: int) -> "MonomialMap":
-        """The map of a dense matrix given by its rows, reading every column."""
-        rows = tuple(rows)
-        return MonomialMap(len(rows), cols, range(cols), range(len(rows)), rows)
-
     def __setattr__(self, *a):
         raise AttributeError("MonomialMap is immutable")
 

@@ -97,7 +97,6 @@ class SimplePolytope:
         self._adjacency = None
         self._nonfaces = None
         self._faces = None
-        self._joins = {}        # shared facet set -> the face it cuts out
 
     @property
     def m(self) -> int:
@@ -135,14 +134,6 @@ class SimplePolytope:
             raise NotAFace(f"facets {fmt_facets(S)} have empty intersection")
         sat = frozenset.intersection(*(self.vertices[v] for v in verts))
         return Face(sat, verts)
-
-    def join(self, v: int, w: int) -> Face:
-        """The minimal face containing both vertices (the whole polytope if none)."""
-        S = self.vertices[v] & self.vertices[w]
-        face = self._joins.get(S)
-        if face is None:
-            face = self._joins[S] = self.face_of(S)
-        return face
 
     def all_faces(self):
         """Every face, enumerated through subsets of vertex facet sets."""

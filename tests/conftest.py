@@ -8,7 +8,8 @@ import pytest
 from quasik import facering
 from quasik.documents import build_polytope, document_from_dict, load_document, resolve_order
 from quasik.gkm import GkmGraph
-from quasik.laurent import LaurentPoly
+from quasik.lattice import SparseMat, snf_diagonal
+from quasik.laurent import LaurentPoly, face_profile
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -27,6 +28,58 @@ def dense_substitute(f, rows, profile):
         ne = tuple(sum(row[j] * exp[j] for j in range(k)) for row in rows) + exp[k:]
         out[ne] = out.get(ne, 0) + c
     return LaurentPoly(profile, out)
+
+
+def join(P, v, w):
+    """The minimal face containing vertices v and w: the face of the facets
+    they share (the whole polytope if none)."""
+    return P.face_of(P.vertices[v] & P.vertices[w])
+
+
+def eliminate(g, elem):
+    """A Bott-free face-ring element with the base vertex's variables
+    eliminated: the dense matrix whose column k is _elimination's image of
+    y_k, applied by dense_substitute."""
+    survivors, image = facering._elimination(g)
+    rows = [[image[k][r] for k in range(1, g.d + 1)] for r in range(len(survivors))]
+    return dense_substitute(elem, rows, face_profile(len(survivors)))
+
+
+def shift_terms(terms, cap):
+    """facering._shift extended linearly to {exponents: coeff}, zeros dropped."""
+    out = {}
+    for exp, c in terms.items():
+        for e, v in facering._shift(exp, cap).items():
+            out[e] = out.get(e, 0) + c * v
+    return {e: c for e, c in out.items() if c}
+
+
+def model_terms(model, elem):
+    """Reference expansion of a face-ring element in an OrdinaryKModel's
+    shifted survivor variables, truncated at its degree: drop a zero z
+    exponent (the model is Bott-free), eliminate, then shift."""
+    g = model.graph
+    if elem.profile.bott:
+        assert not any(e[-1] for e in elem.terms), "ordinary model is Bott-free"
+        elem = LaurentPoly(face_profile(g.d), {e[:-1]: c for e, c in elem.terms.items()})
+    return shift_terms(eliminate(g, elem).terms, model.degree)
+
+
+def model_reduce(model, elem):
+    """Coefficient vector of a face-ring element over the model's monomials."""
+    terms = model_terms(model, elem)
+    return tuple(terms.get(e, 0) for e in model.monomials)
+
+
+def model_vanishes(model, elem) -> bool:
+    """Does the element vanish in the model's truncated quotient?  Adding
+    its row leaves the nonzero Smith invariants as they are."""
+    terms = model_terms(model, elem)
+
+    def invariants(rows):
+        return sorted(d for d in snf_diagonal(SparseMat(len(model.monomials), rows)) if d)
+
+    return not terms or invariants(model.rows + (terms,)) == invariants(model.rows)
 
 
 def input_path(name: str) -> Path:

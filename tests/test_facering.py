@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -26,11 +26,19 @@ from quasik.facering import (
     r_vector,
     theta,
 )
-from conftest import dense_substitute, generated_graphs
+from conftest import (
+    dense_substitute,
+    eliminate,
+    generated_graphs,
+    model_reduce,
+    model_terms,
+    model_vanishes,
+    shift_terms,
+)
 from quasik.documents import build_polytope
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
 from quasik.harness import random_face_element
-from quasik.laurent import LaurentPoly, face_profile, substitute_monomial_map
+from quasik.laurent import LaurentPoly, face_profile
 from quasik.polytope import SimplePolytope, fmt_facets, vertex_order_from_heights
 
 
@@ -346,13 +354,9 @@ class TestPresentations:
         assert [p.text() for p in lattice_relations(CP1)] == ["-1 + y1*y2^-1"]
 
     def test_lattice_relations_die_under_elimination(self):
-        from quasik.facering import _elimination
-        from quasik.laurent import face_profile
         for g in (CP1, CP2, H1, CUBE):
-            survivors, E = _elimination(g)
             for rel in lattice_relations(g):
-                img = substitute_monomial_map(rel, E, face_profile(len(survivors)))
-                assert img.is_zero
+                assert eliminate(g, rel).is_zero
 
 
 class TestOrdinaryRank:
@@ -383,15 +387,15 @@ class TestOrdinaryRank:
             surv = res.survivors[0]
             one_minus = (LaurentPoly.one(g.face_profile)
                          - LaurentPoly.variable(g.face_profile, surv - 1))
-            assert not res.is_zero(one_minus ** g.n)
-            assert not above.is_zero(one_minus ** g.n)
-            assert any(above.reduce(one_minus ** (g.n + 1)))
-            assert above.is_zero(one_minus ** (g.n + 1))
+            assert not model_vanishes(res, one_minus ** g.n)
+            assert not model_vanishes(above, one_minus ** g.n)
+            assert any(model_reduce(above, one_minus ** (g.n + 1)))
+            assert model_vanishes(above, one_minus ** (g.n + 1))
 
     def test_nonface_products_vanish_in_model(self):
         res = ordinary_rank(H1)
         for gen in kernel_generators(H1):
-            assert res.is_zero(gen)
+            assert model_vanishes(res, gen)
 
 
 def truncated_product(a, b, cap):
@@ -406,7 +410,8 @@ def truncated_product(a, b, cap):
 
 
 class TestShift:
-    """y = 1 + x, truncated above the model's degree, is a ring map."""
+    """y = 1 + x, truncated above the model's degree and extended linearly
+    from _shift of one monomial, is a ring map."""
 
     MODEL = OrdinaryKModel(CUBE, CUBE.n)
     PROFILE = face_profile(len(MODEL.survivors))
@@ -417,7 +422,7 @@ class TestShift:
             lambda d: LaurentPoly(self.PROFILE, d))
 
     def shift(self, p):
-        return self.MODEL._shift(p.terms, self.MODEL.degree)
+        return shift_terms(p.terms, self.MODEL.degree)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -449,6 +454,9 @@ class TestShift:
         assert len(monos) == len(set(monos)) == comb(nvars + degree, degree)
         assert all(len(e) == nvars and sum(e) <= degree for e in monos)
         assert [sum(e) for e in monos] == sorted(sum(e) for e in monos)
+        assert monos == [tuple(combo.count(j) for j in range(nvars))
+                         for d in range(degree + 1)
+                         for combo in combinations_with_replacement(range(nvars), d)]
 
 
 class TestBottVariable:
@@ -526,7 +534,7 @@ def reference_rows(model):
     g = model.graph
     rows = []
     for S in g.polytope.minimal_nonfaces():
-        r = model._expand(multiplied_product(g.face_profile, S))
+        r = model_terms(model, multiplied_product(g.face_profile, S))
         for beta in model.monomials:
             room = model.degree - sum(beta)
             row = {tuple(a + b for a, b in zip(e, beta)): c
@@ -645,13 +653,15 @@ class TestClosedForms:
 
     def test_factored_terms_match_generic_expansion(self, oracle_graphs):
         """At degree n - 1, n and n + 1, each non-face product multiplied out
-        of truncated factors equals _expand of the multiplied product."""
+        of truncated factors equals the reference expansion (model_terms)
+        of the multiplied product."""
         for name, (g, _) in oracle_graphs.items():
             for degree in (g.n - 1, g.n, g.n + 1):
                 model = OrdinaryKModel(g, degree)
                 for S in g.polytope.minimal_nonfaces():
                     assert model._nonface_terms(S) == \
-                        model._expand(multiplied_product(g.face_profile, S)), (name, degree, S)
+                        model_terms(model, multiplied_product(g.face_profile, S)), \
+                        (name, degree, S)
 
     def test_rows_match_generic_expansion(self, oracle_graphs):
         for name, (g, _) in oracle_graphs.items():

@@ -18,6 +18,8 @@ from quasik.lattice import normalize_sign, vec_gcd
 from quasik.laurent import LaurentPoly, char_profile
 from quasik.polytope import SimplePolytope, fmt_facets, validate_order
 
+from conftest import join
+
 INTERVAL = SimplePolytope(1, 2, [[1], [2]])
 TRIANGLE = SimplePolytope(2, 3, [[1, 2], [1, 3], [2, 3]])
 SQUARE = SimplePolytope(2, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -149,7 +151,7 @@ class TestRestriction:
         assert r == LaurentPoly.monomial(p1, (1,)) - LaurentPoly.one(p1)
 
     def test_whole_polytope_is_augmentation(self):
-        whole = SQUARE.join(0, 2)
+        whole = join(SQUARE, 0, 2)
         f = LaurentPoly.one(H1.char_profile) - mono(H1, (1, 0))
         assert H1.restrict_to_face(f, whole).is_zero
         g = 3 * mono(H1, (2, -1)) + 2 * LaurentPoly.one(H1.char_profile)
@@ -238,7 +240,7 @@ class TestInW:
         # the edge reduction inside in_gamma matches the joins used by in_w
         for g in (CP1, CP2, H1, cube_graph()):
             for e in g.edges:
-                assert g.polytope.join(e.v, e.w).facets == e.facets
+                assert join(g.polytope, e.v, e.w).facets == e.facets
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -260,7 +262,7 @@ def reference_in_w(g, t):
     P = g.polytope
     for v in range(g.m):
         for w in range(v + 1, g.m):
-            face = P.join(v, w)
+            face = join(P, v, w)
             facets = sorted(face.facets)
             profile = char_profile(len(facets), g.bott)
 

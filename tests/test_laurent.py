@@ -33,8 +33,8 @@ def polys(profile, max_terms=4, bound=3, coeff=5):
 
 
 def dense(rows):
-    """The map of a dense matrix with at least one row."""
-    return MonomialMap.from_rows(rows, len(rows[0]))
+    """The map of a dense matrix with at least one row, reading every column."""
+    return MonomialMap(len(rows), len(rows[0]), range(len(rows[0])), range(len(rows)), rows)
 
 
 def identity(n):

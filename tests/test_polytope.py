@@ -17,6 +17,8 @@ from quasik.polytope import (
     vertex_order_from_heights,
 )
 
+from conftest import join
+
 TRIANGLE = SimplePolytope(2, 3, [[1, 2], [1, 3], [2, 3]])
 SQUARE = SimplePolytope(2, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 INTERVAL = SimplePolytope(1, 2, [[1], [2]])
@@ -90,27 +92,33 @@ class TestFaces:
             assert all(len(a) == P.dim for a in adj)
 
     def test_join(self):
-        f = TRIANGLE.join(0, 1)
+        # the join of two vertices is the face of the facets they share
+        f = join(TRIANGLE, 0, 1)
         assert f.facets == frozenset({1})
         assert f.vertices == (0, 1)
-        whole = SQUARE.join(0, 2)
+        whole = join(SQUARE, 0, 2)
         assert whole.is_whole
         assert whole.vertices == (0, 1, 2, 3)
         C, _ = cube()
-        f = C.join(0, 3)  # (0,0,0) and (1,1,0) share the bottom facet 3
+        f = join(C, 0, 3)  # (0,0,0) and (1,1,0) share the bottom facet 3
         assert f.facets == frozenset({3})
 
     def test_join_facets_saturated(self):
+        # the shared facets are already saturated, for every pair, not only edges
         for P in (TRIANGLE, SQUARE, cube()[0], simplex3()):
+            for v in range(P.m):
+                for w in range(v, P.m):
+                    S = P.vertices[v] & P.vertices[w]
+                    assert P.face_of(S).facets == S
             for v, w, fs in P.edges():
-                assert P.join(v, w).facets == fs
+                assert join(P, v, w).facets == fs
 
     def test_join_is_minimal(self):
         # every face containing both vertices has a smaller facet set
         for P in (TRIANGLE, SQUARE, cube()[0], simplex3()):
             for v in range(P.m):
                 for w in range(v, P.m):
-                    j = P.join(v, w)
+                    j = join(P, v, w)
                     for face in P.all_faces():
                         if v in face.vertices and w in face.vertices:
                             assert face.facets <= j.facets
