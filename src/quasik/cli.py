@@ -7,8 +7,11 @@ the interpreter's 4300-digit string conversion limit); EXIT_CODES maps each
 report status to its code.
 Output is deterministic for fixed (input, flags, seed).  The --json report
 is ASCII only and byte for byte what json.dumps(report, sort_keys=True,
-indent=2) writes.  The argument parser is built once per process, when
-this module is imported; each main() call parses into a new namespace.
+indent=2) writes, each polynomial in it the sorted list of its
+{"coeff", "exps"} terms, which _json_text writes straight from the
+polynomial.  A text report is built only when it is printed, without
+--json.  The argument parser is built once per process, when this module
+is imported; each main() call parses into a new namespace.
 
 Every command is a function of (doc, args) that returns a Report, and
 builds what it needs with two helpers.  _graph checks the polytope is
@@ -29,12 +32,14 @@ import argparse
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from . import facering
 from .documents import InputError, build_polytope, load_document, load_tuple, resolve_order
 from .facering import NotInW, OrdinaryRankFailure, ResidualNonzero
 from .gkm import GkmGraph, dot_export, euler_coprimality_check, in_gamma, in_w
 from .harness import run_all
+from .laurent import LaurentPoly
 from .polytope import (
     InvalidOrder,
     NonGenericHeight,
@@ -46,9 +51,13 @@ from .polytope import (
 
 @dataclass
 class Report:
+    """A command's outcome: its status, the --json payload (which may hold
+    LaurentPoly values) and human(), which builds the text report from the
+    same values; main calls it only when it prints the text."""
+
     status: str
     payload: dict
-    human: str
+    human: Callable[[], str]
 
 
 # each report status and its exit code
@@ -59,17 +68,23 @@ class Failed(Exception):
     """A command ends early with this failure report."""
 
     def __init__(self, report: Report):
-        super().__init__(report.human)
+        super().__init__(report.status)
         self.report = report
+
+    def __str__(self):
+        return self.report.human()
 
 
 def _json_text(obj, indent="\n") -> str:
     """obj exactly as json.dumps(obj, sort_keys=True, indent=2) writes it.
 
-    Reports hold only str-keyed dicts, lists, tuples, str, int, bool and
-    None; anything else (a float, a non-str key) raises TypeError.  An int
-    past the 4300-digit conversion limit raises int.__repr__'s ValueError,
-    as json.dumps does.  indent is the newline and indentation before obj.
+    Reports hold only str-keyed dicts, lists, tuples, str, int, bool, None
+    and LaurentPoly; anything else (a float, a non-str key) raises
+    TypeError.  A polynomial is written as its sorted terms, each
+    {"coeff": c, "exps": [...]}, with no dicts built (its profile has at
+    least one variable).  An int past the 4300-digit conversion limit
+    raises int.__repr__'s ValueError, as json.dumps does.  indent is the
+    newline and indentation before obj.
     """
     if obj is None:
         return "null"
@@ -82,6 +97,13 @@ def _json_text(obj, indent="\n") -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     inner = indent + "  "
+    if isinstance(obj, LaurentPoly):
+        i2 = inner + "  "
+        term = "{" + i2 + '"coeff": %s,' + i2 + '"exps": [' + i2 + "  %s" + i2 + "]" + inner + "}"
+        sep = "," + i2 + "  "
+        body = ("," + inner).join([term % (int.__repr__(c), sep.join(map(int.__repr__, e)))
+                                   for e, c in obj.sorted_terms()])
+        return "[" + inner + body + indent + "]" if body else "[]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -101,7 +123,8 @@ def _render(command: str, input_name: str, report: Report, as_json: bool) -> str
         doc = {"command": command, "input": input_name,
                "status": report.status, "payload": report.payload}
         return _json_text(doc) + "\n"
-    return report.human if report.human.endswith("\n") else report.human + "\n"
+    text = report.human()
+    return text if text.endswith("\n") else text + "\n"
 
 
 def _checks(doc):
@@ -117,8 +140,8 @@ def _graph(doc) -> GkmGraph:
     P, simple, char = _checks(doc)
     failures = list(simple.failures or char.failures)
     if failures:
-        human = "input fails validation:\n" + "\n".join("  " + f for f in failures)
-        raise Failed(Report("fail", {"failures": failures}, human))
+        raise Failed(Report("fail", {"failures": failures}, lambda: (
+            "input fails validation:\n" + "\n".join("  " + f for f in failures))))
     return GkmGraph(P, doc.lam, bott=doc.use_bott, mu=char.mu)
 
 
@@ -135,7 +158,7 @@ def _order(doc, P):
     a missing order source is an input error."""
     order, err = _order_or_error(doc, P)
     if err:
-        raise Failed(Report("fail", {"error": err}, f"vertex order: FAIL ({err})"))
+        raise Failed(Report("fail", {"error": err}, lambda: f"vertex order: FAIL ({err})"))
     return order
 
 
@@ -146,13 +169,17 @@ def cmd_validate(doc, args) -> Report:
         err = _order_or_error(doc, P)[1]
         steps += [("characteristic", "characteristic matrix", char.failures),
                   ("order", "vertex order", [err] if err else [])]
-    payload, lines = {}, []
-    for key, label, failures in steps:
-        payload[key] = {"ok": not failures, "failures": list(failures)}
-        lines.append(f"{label}: " + ("FAIL" if failures else "pass"))
-        lines.extend("  " + f for f in failures)
+    payload = {key: {"ok": not failures, "failures": list(failures)}
+               for key, _, failures in steps}
+
+    def human():
+        lines = []
+        for _, label, failures in steps:
+            lines.append(f"{label}: " + ("FAIL" if failures else "pass"))
+            lines.extend("  " + f for f in failures)
+        return "\n".join(lines)
     ok = all(step["ok"] for step in payload.values())
-    return Report("pass" if ok else "fail", payload, "\n".join(lines))
+    return Report("pass" if ok else "fail", payload, human)
 
 
 def cmd_gkm(doc, args) -> Report:
@@ -165,12 +192,6 @@ def cmd_gkm(doc, args) -> Report:
                      "facets": sorted(e.facets),
                      "character": list(e.character)} for e in g.edges),
                    key=lambda e: (e["a"], e["b"]))
-    lines = [f"fixed points: {g.m}", f"edges: {len(g.edges)}"]
-    for e in edges:
-        lines.append(f"  v{e['a']} -- v{e['b']}  facets {fmt_facets(e['facets'])}  "
-                     f"character ({','.join(str(x) for x in e['character'])})")
-    lines.append("euler-class coprimality: " + ("pass" if rep.ok else "FAIL"))
-    lines.extend("  " + f for f in rep.failures)
     payload = {"fixed_points": g.m, "edges": edges,
                "euler_check": {"ok": rep.ok, "failures": list(rep.failures)}}
     if args.dot:
@@ -180,9 +201,19 @@ def cmd_gkm(doc, args) -> Report:
                 fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write {args.dot}: {exc}") from None
-        lines.append(f"DOT written to {args.dot}")
         payload["dot"] = args.dot
-    return Report("pass" if rep.ok else "fail", payload, "\n".join(lines))
+
+    def human():
+        lines = [f"fixed points: {g.m}", f"edges: {len(g.edges)}"]
+        for e in edges:
+            lines.append(f"  v{e['a']} -- v{e['b']}  facets {fmt_facets(e['facets'])}  "
+                         f"character ({','.join(str(x) for x in e['character'])})")
+        lines.append("euler-class coprimality: " + ("pass" if rep.ok else "FAIL"))
+        lines.extend("  " + f for f in rep.failures)
+        if args.dot:
+            lines.append(f"DOT written to {args.dot}")
+        return "\n".join(lines)
+    return Report("pass" if rep.ok else "fail", payload, human)
 
 
 def cmd_facering(doc, args) -> Report:
@@ -191,48 +222,31 @@ def cmd_facering(doc, args) -> Report:
     order = _order(doc, P)
     nonfaces = [sorted(S) for S in P.minimal_nonfaces()]
     gens = facering.kernel_generators(g)
-    rvecs = {i: facering.r_vector(g, i) for i in range(1, g.d + 1)}
-    lines = ["minimal non-faces: " + ", ".join(fmt_facets(S) for S in nonfaces)]
-    lines.append("ideal generators:")
-    lines.extend(f"  {p.text()}" for p in gens)
-    lines.append("restriction tuples:")
-    for i in range(1, g.d + 1):
-        lines.append(f"  y{i} -> {rvecs[i].text()}")
+    rvecs = [facering.r_vector(g, i) for i in range(1, g.d + 1)]
     payload = {
         "minimal_nonfaces": nonfaces,
-        "j_generators": [p.json_terms() for p in gens],
-        "r_vectors": {f"y{i}": rvecs[i].json_entries() for i in range(1, g.d + 1)},
+        "j_generators": gens,
+        "r_vectors": {f"y{i}": r.entries for i, r in enumerate(rvecs, 1)},
     }
     status_ok = True
     try:
-        cert = facering.basis_certificate(g, order)
-        lines.append("basis certificate:")
-        for e in cert:
-            lines.append(f"  position {e.position + 1}: vertex "
-                         f"{fmt_facets(P.vertices[e.vertex])}, extra facets "
-                         f"{fmt_facets(e.extra_facets)}, omega = {e.omega.text()}")
         payload["certificate"] = [
             {"position": e.position + 1,
              "vertex": sorted(P.vertices[e.vertex]),
              "extra_facets": list(e.extra_facets),
-             "omega": e.omega.json_terms()} for e in cert]
+             "omega": e.omega} for e in facering.basis_certificate(g, order)]
     except facering.CertificateFailure as exc:
         status_ok = False
-        lines.append(f"basis certificate: FAIL ({exc})")
         payload["certificate"] = {"error": str(exc)}
     if args.ordinary:
         relations = facering.lattice_relations(g)
-        lines.append("ordinary presentation relations:")
-        lines.extend(f"  {p.text()}" for p in gens + relations)
         payload["ordinary_presentation"] = {
             "generators": [f"y{i}" for i in range(1, g.d + 1)],
-            "j_generators": payload["j_generators"],
-            "lattice_relations": [p.json_terms() for p in relations],
+            "j_generators": gens,
+            "lattice_relations": relations,
         }
         try:
             model = facering.ordinary_rank(g)
-            lines.append(f"ordinary rank: {model.rank} "
-                         f"(torsion-free, truncation degree {model.degree})")
             payload["ordinary_rank"] = {"rank": model.rank,
                                         "torsion_free": model.torsion_free,
                                         "degree": model.degree,
@@ -240,9 +254,31 @@ def cmd_facering(doc, args) -> Report:
                                                   "rows": len(model.rows)}}
         except OrdinaryRankFailure as exc:
             status_ok = False
-            lines.append(f"ordinary rank: FAIL ({exc})")
             payload["ordinary_rank"] = {"error": str(exc)}
-    return Report("pass" if status_ok else "fail", payload, "\n".join(lines))
+
+    def human():
+        lines = ["minimal non-faces: " + ", ".join(fmt_facets(S) for S in nonfaces),
+                 "ideal generators:"]
+        lines.extend(f"  {p.text()}" for p in gens)
+        lines.append("restriction tuples:")
+        lines.extend(f"  y{i} -> {r.text()}" for i, r in enumerate(rvecs, 1))
+        cert = payload["certificate"]
+        if isinstance(cert, dict):
+            lines.append(f"basis certificate: FAIL ({cert['error']})")
+        else:
+            lines.append("basis certificate:")
+            lines.extend(f"  position {e['position']}: vertex {fmt_facets(e['vertex'])}, "
+                         f"extra facets {fmt_facets(e['extra_facets'])}, "
+                         f"omega = {e['omega'].text()}" for e in cert)
+        if args.ordinary:
+            lines.append("ordinary presentation relations:")
+            lines.extend(f"  {p.text()}" for p in gens + relations)
+            rank = payload["ordinary_rank"]
+            lines.append(f"ordinary rank: FAIL ({rank['error']})" if "error" in rank else
+                         f"ordinary rank: {rank['rank']} "
+                         f"(torsion-free, truncation degree {rank['degree']})")
+        return "\n".join(lines)
+    return Report("pass" if status_ok else "fail", payload, human)
 
 
 def cmd_membership(doc, args) -> Report:
@@ -251,13 +287,6 @@ def cmd_membership(doc, args) -> Report:
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     grep = in_gamma(g, t)
     wrep = in_w(g, t)
-    lines = [f"edge-divisibility membership: {'member' if grep.member else 'NOT a member'}"]
-    if grep.witness:
-        lines.append("  " + grep.witness.text(P))
-    lines.append(f"face-agreement membership: {'member' if wrep.member else 'NOT a member'}")
-    if wrep.witness:
-        lines.append("  " + wrep.witness.text(P))
-    lines.append("predicates agree: " + ("yes" if grep.member == wrep.member else "NO"))
     payload = {
         "in_gamma": {"member": grep.member,
                      "witness": grep.witness.text(P) if grep.witness else None},
@@ -265,8 +294,18 @@ def cmd_membership(doc, args) -> Report:
                  "witness": wrep.witness.text(P) if wrep.witness else None},
         "agree": grep.member == wrep.member,
     }
+
+    def human():
+        lines = []
+        for label, key in (("edge-divisibility", "in_gamma"), ("face-agreement", "in_w")):
+            rep = payload[key]
+            lines.append(f"{label} membership: {'member' if rep['member'] else 'NOT a member'}")
+            if rep["witness"]:
+                lines.append("  " + rep["witness"])
+        lines.append("predicates agree: " + ("yes" if payload["agree"] else "NO"))
+        return "\n".join(lines)
     ok = grep.member and wrep.member
-    return Report("member" if ok else "non-member", payload, "\n".join(lines))
+    return Report("member" if ok else "non-member", payload, human)
 
 
 def cmd_interpolate(doc, args) -> Report:
@@ -276,21 +315,23 @@ def cmd_interpolate(doc, args) -> Report:
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     try:
         res = facering.interpolate(g, order, t)
-    except NotInW as exc:
-        return Report("fail", {"error": str(exc)}, f"not interpolable: {exc}")
-    except ResidualNonzero as exc:
-        return Report("fail", {"error": str(exc)}, f"interpolation failed: {exc}")
-    lines = [f"P = {res.poly.text()}", "steps:"]
-    for s in res.steps:
-        lines.append(f"  {s.position + 1}: vertex {fmt_facets(P.vertices[s.vertex])}  "
-                     f"p = {s.poly.text()}")
-    lines.append("verification phi(P) == tuple: pass")
-    payload = {"poly": res.poly.json_terms(),
+    except (NotInW, ResidualNonzero) as exc:
+        err = str(exc)
+        what = "not interpolable" if isinstance(exc, NotInW) else "interpolation failed"
+        return Report("fail", {"error": err}, lambda: f"{what}: {err}")
+    payload = {"poly": res.poly,
                "steps": [{"position": s.position + 1,
                           "vertex": sorted(P.vertices[s.vertex]),
-                          "poly": s.poly.json_terms()} for s in res.steps],
+                          "poly": s.poly} for s in res.steps],
                "verified": True}
-    return Report("pass", payload, "\n".join(lines))
+
+    def human():
+        lines = [f"P = {res.poly.text()}", "steps:"]
+        lines.extend(f"  {s['position']}: vertex {fmt_facets(s['vertex'])}  "
+                     f"p = {s['poly'].text()}" for s in payload["steps"])
+        lines.append("verification phi(P) == tuple: pass")
+        return "\n".join(lines)
+    return Report("pass", payload, human)
 
 
 def cmd_proptest(doc, args) -> Report:
@@ -300,14 +341,16 @@ def cmd_proptest(doc, args) -> Report:
     order, why = (_order_or_error(doc, g.polytope) if doc.has_order_source
                   else (None, "no order source in the input document"))
     results = run_all(g, order, why, args.seed, args.cases, coords=doc.vertex_coords)
-    lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
-    lines.append(f"proptest (seed {args.seed}, cases {args.cases}): "
-                 + ("ALL PASS" if ok else "FAILURES"))
     payload = {"seed": args.seed, "cases": args.cases,
                "suites": [{"name": r.name, "cases": r.cases,
                            "passed": r.passed, "detail": r.detail} for r in results]}
-    return Report("pass" if ok else "fail", payload, "\n".join(lines))
+
+    def human():
+        return "\n".join([r.line() for r in results]
+                         + [f"proptest (seed {args.seed}, cases {args.cases}): "
+                            + ("ALL PASS" if ok else "FAILURES")])
+    return Report("pass" if ok else "fail", payload, human)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +419,7 @@ def main(argv=None) -> int:
         return EXIT_CODES[report.status]
     print(f"input error: {error}", file=sys.stderr)
     if args.json:
-        report = Report("input-error", {"error": error}, "")
+        report = Report("input-error", {"error": error}, lambda: "")
         sys.stdout.write(_render(args.command, name, report, True))
     return EXIT_CODES["input-error"]
 

@@ -139,9 +139,6 @@ class FixedPointTuple:
     def text(self) -> str:
         return "(" + ", ".join(a.text() for a in self.entries) + ")"
 
-    def json_entries(self):
-        return [a.json_terms() for a in self.entries]
-
 
 @dataclass(frozen=True)
 class MembershipWitness:

@@ -223,9 +223,6 @@ class LaurentPoly:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
 
-    def json_terms(self):
-        return [{"coeff": c, "exps": list(e)} for e, c in self.sorted_terms()]
-
     def __repr__(self):
         return f"LaurentPoly({self.text()!r})"
 

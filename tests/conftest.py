@@ -82,6 +82,12 @@ def model_vanishes(model, elem) -> bool:
     return not terms or invariants(model.rows + (terms,)) == invariants(model.rows)
 
 
+def json_terms(p):
+    """Reference --json shape of a polynomial: its sorted terms, each a
+    {"coeff": c, "exps": [...]} dict."""
+    return [{"coeff": c, "exps": list(e)} for e, c in p.sorted_terms()]
+
+
 def input_path(name: str) -> Path:
     return INPUTS / f"{name}.json"
 

@@ -1,15 +1,20 @@
 import json
+import random
 import subprocess
 import sys
 import time
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from quasik import facering
 from quasik.cli import _json_text, main
+from quasik.documents import build_polytope, load_document, load_tuple, resolve_order
+from quasik.gkm import FixedPointTuple, GkmGraph
+from quasik.laurent import LaurentPoly, char_profile, face_profile
 
-from conftest import INPUTS, input_path
+from conftest import INPUTS, input_path, json_terms
 
 
 def run(capsys, *argv):
@@ -303,8 +308,32 @@ class TestDeterminism:
 # quotes, backslashes, control characters, non-ASCII text, lone surrogates
 TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fa\u00e9\u2028\ud800\udfff\U0001f600')
                | st.characters(exclude_categories=()), max_size=6)
+PROFILES = [char_profile(1), char_profile(3), face_profile(5),
+            char_profile(2, bott=True), face_profile(3, bott=True)]
+
+
+def polys(profile):
+    """Polynomials in profile, the zero polynomial included, with negative
+    exponents and coefficients up to 2^200."""
+    exps = st.tuples(*[st.integers(-3, 3) | st.integers()] * profile.nvars)
+    return st.dictionaries(exps, st.integers(-2 ** 200, 2 ** 200), max_size=4).map(
+        lambda terms: LaurentPoly(profile, terms))
+
+
+def reference(obj):
+    """obj with each polynomial replaced by its reference term list."""
+    if isinstance(obj, LaurentPoly):
+        return json_terms(obj)
+    if isinstance(obj, (list, tuple)):
+        return [reference(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: reference(v) for k, v in obj.items()}
+    return obj
+
+
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200) | TEXT,
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200) | TEXT
+    | st.sampled_from(PROFILES).flatmap(polys),
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(TEXT, kids, max_size=4)),
     max_leaves=30)
@@ -312,22 +341,89 @@ JSON_VALUES = st.recursive(
 
 class TestJsonText:
     """The --json renderer writes exactly what json.dumps(sort_keys=True,
-    indent=2) writes."""
+    indent=2) writes, each polynomial as its reference term list."""
 
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)
     @example({"a": [[], {}, ()], "b": {"c": {}}, "": [[[]]]})
+    @example({"p": [LaurentPoly.zero(face_profile(2)),
+                    (LaurentPoly(char_profile(2, bott=True), {(-1, 0, 4): -2 ** 200}),)]})
     def test_matches_json_dumps(self, value):
-        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert _json_text(value) == json.dumps(reference(value), sort_keys=True, indent=2)
 
     def test_integer_too_long(self):
-        with pytest.raises(ValueError, match="integer string conversion"):
-            _json_text({"x": [10 ** 4400]})
+        for value in (10 ** 4400, LaurentPoly(char_profile(1), {(1,): 10 ** 4400}),
+                      LaurentPoly(face_profile(2), {(0, -10 ** 4400): 1})):
+            with pytest.raises(ValueError, match="integer string conversion"):
+                _json_text({"x": [value]})
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(PROFILES).flatmap(
+        lambda prof: st.lists(polys(prof), min_size=1, max_size=4).map(
+            lambda entries: FixedPointTuple(prof, entries))))
+    def test_tuple_round_trip(self, tmp_path, t):
+        path = tmp_path / "t.json"
+        path.write_text(_json_text({"entries": t.entries}))
+        assert load_tuple(path, t.profile, len(t.entries)) == t
 
     @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a"}, b"a"])
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             _json_text([value])
+
+
+class TestRenderOnce:
+    """--json writes each polynomial from its terms and never builds the
+    text report; the text report still prints every polynomial."""
+
+    @pytest.fixture(params=["cube", "bott3"])
+    def manifold(self, request, tmp_path, perfbench_gen):
+        """(document path, graph, order, member tuple path) of inputs/cube.json
+        or of a generated Bott tower."""
+        if request.param == "cube":
+            path = input_path("cube")
+        else:
+            gen = perfbench_gen
+            path = tmp_path / "bott3.json"
+            M = gen.with_height(gen.bott(3, random.Random(3)), random.Random(1))
+            path.write_text(json.dumps(M.document()))
+        doc = load_document(path)
+        g = GkmGraph(build_polytope(doc), doc.lam, bott=doc.use_bott)
+        y = [LaurentPoly.variable(g.face_profile, i) for i in range(g.d)]
+        t = facering.phi(g, 2 - y[0] * y[1] ** -1 + 3 * y[2] ** 2)
+        member = write_tuple(tmp_path, "member.json", [json_terms(a) for a in t.entries])
+        return path, g, resolve_order(doc, g.polytope), member
+
+    def test_json_never_builds_text(self, capsys, monkeypatch, manifold):
+        path, _, _, member = manifold
+        runs = [("facering", path, "--ordinary", "--json"),
+                ("interpolate", path, member, "--json")]
+        before = [run(capsys, *argv) for argv in runs]
+        assert [code for code, _, _ in before] == [0, 0]
+
+        def no_text(self):
+            raise AssertionError("text report built under --json")
+        monkeypatch.setattr(LaurentPoly, "text", no_text)
+        assert [run(capsys, *argv) for argv in runs] == before
+
+    def test_text_prints_every_polynomial(self, capsys, manifold):
+        path, g, order, member = manifold
+        t = load_tuple(member, g.char_profile, g.m)
+        res = facering.interpolate(g, order, t)
+        for argv, polynomials in [
+            (("facering", path, "--ordinary"),
+             [*facering.kernel_generators(g),
+              *(a for i in range(1, g.d + 1) for a in facering.r_vector(g, i).entries),
+              *(e.omega for e in facering.basis_certificate(g, order)),
+              *facering.kernel_generators(g), *facering.lattice_relations(g)]),
+            (("interpolate", path, member), [res.poly, *(s.poly for s in res.steps)]),
+        ]:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            at = 0
+            for p in polynomials:
+                at = out.index(p.text(), at) + len(p.text())
 
 
 class TestSharedParser:

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_substitute
+from conftest import dense_substitute, json_terms
+from quasik.cli import _json_text
 from quasik.lattice import NotPrimitive, _xgcd, vec_gcd
 from quasik.laurent import (
     DimensionMismatch,
@@ -94,7 +97,8 @@ class TestRendering:
 
     def test_json_terms(self):
         f = poly(P2, ((1, 0), -1), ((0, 0), 1))
-        assert f.json_terms() == [{"coeff": 1, "exps": [0, 0]}, {"coeff": -1, "exps": [1, 0]}]
+        assert json_terms(f) == [{"coeff": 1, "exps": [0, 0]}, {"coeff": -1, "exps": [1, 0]}]
+        assert json.loads(_json_text(f)) == json_terms(f)
 
 
 class TestSubstitution:
