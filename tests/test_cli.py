@@ -423,7 +423,9 @@ class TestRenderOnce:
             assert code == 0
             at = 0
             for p in polynomials:
-                at = out.index(p.text(), at) + len(p.text())
+                at = out.find(p.text(), at)
+                assert at >= 0, f"{argv[0]}: {p.text()} not printed in order"
+                at += len(p.text())
 
 
 class TestSharedParser:
