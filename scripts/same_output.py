@@ -27,8 +27,10 @@ at one vertex.  All runs of a tree go through quasik.cli.main in one
 subprocess, with that tree's src first on the path, in a working
 directory of its own so that DOT files land there under the same
 relative name.  Stdout, stderr, exit code and DOT bytes are compared run
-by run; the script prints the number of runs and every run that differs,
-and exits 1 if any does.
+by run; the script prints every run that differs, the number of runs,
+and a tally of the differing runs by command (the subcommand and its
+--options) and by the fields that differ, against which a declared
+output change can be checked.  It exits 1 if any run differs.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -185,14 +188,18 @@ def main(argv=None) -> int:
         argvs = runs(workdir)
         a, b = (run_tree(src, argvs, workdir) for src in srcs)
         tmp_prefix = str(workdir)
-    differ = 0
+    tally = Counter()
     for argv, x, y in zip(argvs, a, b):
         fields = [k for k in ("stdout", "stderr", "code", "dot") if x[k] != y[k]]
         if fields:
-            differ += 1
             shown = " ".join(s.replace(tmp_prefix, "$TMP") for s in argv)
             print(f"DIFFERS ({', '.join(fields)}): quasik {shown}")
+            command = " ".join(argv[:1] + [s for s in argv[1:] if s.startswith("--")])
+            tally[command or "(no arguments)", ", ".join(fields)] += 1
+    differ = sum(tally.values())
     print(f"{len(argvs)} runs, {len(argvs) - differ} identical, {differ} differ")
+    for (command, fields), count in sorted(tally.items()):
+        print(f"  {count} differ in {fields}: quasik {command}")
     return 1 if differ else 0
 
 

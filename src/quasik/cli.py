@@ -36,7 +36,7 @@ from typing import Callable
 
 from . import facering
 from .documents import InputError, build_polytope, load_document, load_tuple, resolve_order
-from .facering import NotInW, OrdinaryRankFailure, ResidualNonzero
+from .facering import OrdinaryRankFailure, ResidualNonzero
 from .gkm import GkmGraph, dot_export, euler_coprimality_check, in_gamma, in_w
 from .harness import run_all
 from .laurent import LaurentPoly
@@ -242,7 +242,6 @@ def cmd_facering(doc, args) -> Report:
         relations = facering.lattice_relations(g)
         payload["ordinary_presentation"] = {
             "generators": [f"y{i}" for i in range(1, g.d + 1)],
-            "j_generators": gens,
             "lattice_relations": relations,
         }
         try:
@@ -315,10 +314,9 @@ def cmd_interpolate(doc, args) -> Report:
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     try:
         res = facering.interpolate(g, order, t)
-    except (NotInW, ResidualNonzero) as exc:
+    except ResidualNonzero as exc:
         err = str(exc)
-        what = "not interpolable" if isinstance(exc, NotInW) else "interpolation failed"
-        return Report("fail", {"error": err}, lambda: f"{what}: {err}")
+        return Report("fail", {"error": err}, lambda: f"not interpolable: {err}")
     payload = {"poly": res.poly,
                "steps": [{"position": s.position + 1,
                           "vertex": sorted(P.vertices[s.vertex]),

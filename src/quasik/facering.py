@@ -11,8 +11,11 @@ interpolate() inverts phi constructively: walking the vertices in a height
 order, it rewrites the current entry through the dual basis at that vertex
 and subtracts its image on the face above the vertex only, certifying that
 omega_v divides it (so the image is zero off that face) and that the vertex
-comes first there (so no earlier entry moves).  It and basis_certificate()
-take the order as an argument; nothing else here depends on one.
+comes first there (so no earlier entry moves).  Those checks decide
+membership: the image of phi is the GKM ring, and under a valid order a
+tuple outside it fails the divisibility check at some step, so no separate
+membership test runs first.  It and basis_certificate() take the order as
+an argument; nothing else here depends on one.
 
 The non-face products and the basis elements omega_v are all products
 prod(1 - y_k) over a facet set S, and the code uses that form: the
@@ -45,7 +48,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 
-from .gkm import FixedPointTuple, GkmGraph, in_w
+from .gkm import FixedPointTuple, GkmGraph, _check_tuple
 from .lattice import SparseMat, dot, snf_diagonal
 from .laurent import (
     DimensionMismatch,
@@ -57,17 +60,9 @@ from .laurent import (
 from .polytope import VertexOrder, fmt_facets
 
 
-class NotInW(ValueError):
-    """Interpolation input fails face-agreement membership."""
-
-    def __init__(self, report):
-        super().__init__("tuple is not in the restriction subring: "
-                         + (report.witness.detail if report.witness else ""))
-        self.report = report
-
-
 class ResidualNonzero(RuntimeError):
-    """An interpolation step failed its certificate (invalid vertex order)."""
+    """An interpolation step failed its certificate: the tuple is not in the
+    image of phi, or the vertex order is not a valid height order."""
 
     def __init__(self, step, check):
         super().__init__(f"step {step + 1}: {check}")
@@ -134,17 +129,20 @@ class InterpolationResult:
 
 
 def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> InterpolationResult:
-    """Produce P with phi(P) == t for any tuple in the restriction subring.
+    """Produce P with phi(P) == t, or raise ResidualNonzero if t is not in
+    the image of phi.
 
-    Membership is checked up front.  Step v takes p = step_v(residual[v]) and
-    subtracts phi(p) only on F_v = face_of(order.extra[v]).  It raises
-    ResidualNonzero unless p with y_i = 1 vanishes for each i in extra[v]
-    (omega_v divides p: phi(p) is zero off F_v), v comes first in F_v and the
-    residual at v is then zero, so a successful return is a certified preimage.
+    Only the tuple's shape is checked up front (ValueError for the wrong
+    length, ProfileMismatch for the wrong profile); the steps decide
+    membership.  Step v takes p = step_v(residual[v]) and subtracts phi(p)
+    only on F_v = face_of(order.extra[v]).  It raises ResidualNonzero unless
+    p with y_i = 1 vanishes for each i in extra[v] (omega_v divides p: phi(p)
+    is zero off F_v), v comes first in F_v and the residual at v is then
+    zero, so a successful return is a certified preimage.  Under a valid
+    order a non-member fails the first check: the second holds for every
+    tuple, and the third too, since phi_v undoes step_v.
     """
-    rep = in_w(g, t)
-    if not rep.member:
-        raise NotInW(rep)
+    _check_tuple(g, t)
     residual = list(t.entries)
     total = LaurentPoly.zero(g.face_profile)
     steps = []

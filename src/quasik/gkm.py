@@ -286,7 +286,7 @@ def in_w(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
     """Face-agreement membership: restrictions agree at the join of every pair,
     the face of the facets S both share (a facet through all of that face
     passes through both), compared as projections onto S of each entry's
-    step-map image, made once (restrict_to_face)."""
+    step-map image, which is made once per entry."""
     _check_tuple(g, t)
     P = g.polytope
     images = [substitute_monomial_map(a, M, g.face_profile).terms

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from quasik import facering
 from quasik.cli import _json_text, main
 from quasik.documents import build_polytope, load_document, load_tuple, resolve_order
-from quasik.gkm import FixedPointTuple, GkmGraph
+from quasik.gkm import FixedPointTuple, GkmGraph, in_w
 from quasik.laurent import LaurentPoly, char_profile, face_profile
 
 from conftest import INPUTS, input_path, json_terms
@@ -163,7 +163,8 @@ class TestFacering:
                                             "stats": {"monomials": 3, "rows": 0}}
         pres = payload["ordinary_presentation"]
         assert pres["generators"] == ["y1", "y2", "y3"]
-        assert pres["j_generators"] == payload["j_generators"]
+        # J is reported once, at the top level
+        assert "j_generators" not in pres and len(payload["j_generators"]) == 1
         assert len(pres["lattice_relations"]) == 2
 
     def test_failed_rank_certificate(self, capsys, short_rank):
@@ -265,6 +266,30 @@ class TestInterpolate:
         t = write_tuple(tmp_path, "t.json", CP1_NONMEMBER)
         code, out, _ = run(capsys, "interpolate", input_path("cp1"), t)
         assert code == 1
+        err = "step 2: step polynomial not divisible by omega_v"
+        assert out == f"not interpolable: {err}\n"
+        code, out, _ = run(capsys, "interpolate", input_path("cp1"), t, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["status"], doc["payload"]) == ("fail", {"error": err})
+
+    def test_member_runs_no_membership_test(self, capsys, tmp_path, monkeypatch):
+        """The interpolation steps decide membership: in_w is not called."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return in_w(*args)
+        for name, mod in list(sys.modules.items()):
+            if name == "quasik" or name.startswith("quasik."):
+                for key, value in list(vars(mod).items()):
+                    if value is in_w:
+                        monkeypatch.setattr(mod, key, counted)
+        t = write_tuple(tmp_path, "t.json", CP1_MEMBER)
+        assert run(capsys, "interpolate", input_path("cp1"), t)[0] == 0
+        assert calls == []
+        assert run(capsys, "membership", input_path("cp1"), t)[0] == 0
+        assert len(calls) == 1
 
 
 class TestProptest:

@@ -11,7 +11,6 @@ from quasik.facering import (
     CertificateFailure,
     InterpolationResult,
     InterpolationStep,
-    NotInW,
     OrdinaryKModel,
     OrdinaryRankFailure,
     ResidualNonzero,
@@ -37,8 +36,8 @@ from conftest import (
 )
 from quasik.documents import build_polytope
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
-from quasik.harness import random_face_element
-from quasik.laurent import LaurentPoly, face_profile
+from quasik.harness import perturb_one_entry, random_face_element, random_member_tuple
+from quasik.laurent import LaurentPoly, ProfileMismatch, char_profile, face_profile
 from quasik.polytope import SimplePolytope, fmt_facets, vertex_order_from_heights
 
 
@@ -186,11 +185,45 @@ class TestInterpolate:
             res = interpolate(g, ORDER[g], constant_tuple(g, LaurentPoly.one(g.char_profile)))
             assert res.poly == LaurentPoly.one(g.face_profile)
 
-    def test_not_in_w(self):
-        one = LaurentPoly.one(CP1.char_profile)
-        t = FixedPointTuple(CP1.char_profile, (one, one + mono(CP1, (1,))))
-        with pytest.raises(NotInW):
-            interpolate(CP1, ORDER[CP1], t)
+    def test_tuple_shape(self):
+        """A tuple of the wrong length or profile is refused before any step."""
+        one = LaurentPoly.one(CP2.char_profile)
+        for k in (2, 4):
+            with pytest.raises(ValueError) as exc:
+                interpolate(CP2, ORDER[CP2], FixedPointTuple(CP2.char_profile, (one,) * k))
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == f"tuple has {k} entries for 3 fixed points"
+        with_z = char_profile(2, bott=True)
+        with pytest.raises(ProfileMismatch):
+            interpolate(CP2, ORDER[CP2], FixedPointTuple.constant(
+                with_z, 3, LaurentPoly.one(with_z)))
+
+    def test_not_in_w(self, documents, orders, generated):
+        """interpolate decides membership as in_gamma and in_w do: it returns
+        P with phi(P) == t exactly when both accept t, and under a valid
+        order rejects every other tuple at the omega_v divisibility check."""
+        cases = [(f"{name}{'+z' if bott else ''}",
+                  GkmGraph(build_polytope(doc), doc.lam, bott=bott), orders[name])
+                 for name, doc in documents.items() for bott in (False, True)]
+        cases += [(name, g, order) for name, (_, g, order) in generated.items()]
+        seen = set()
+        for name, g, order in cases:
+            for seed in range(3):
+                rng = random.Random(f"{name}:{seed}")
+                member = random_member_tuple(rng, g)
+                for t in (member, perturb_one_entry(rng, g, member)):
+                    expected = in_gamma(g, t).member
+                    assert in_w(g, t).member == expected, (name, seed)
+                    try:
+                        res = interpolate(g, order, t)
+                    except ResidualNonzero as exc:
+                        assert not expected, (name, seed, str(exc))
+                        assert exc.check == "step polynomial not divisible by omega_v", \
+                            (name, seed)
+                    else:
+                        assert expected and phi(g, res.poly) == t, (name, seed)
+                    seen.add(expected)
+        assert seen == {True, False}
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
