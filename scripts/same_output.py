@@ -7,15 +7,17 @@ Usage, from the root of a checkout:
 
 Each --src is the src directory of one quasik tree.  The runs are:
 
-* the bundled inputs/*.json, each also as a use_bott variant, plus two
-  variants of square_h1: one with no order source and one whose height
-  vector ties on an edge;
+* the bundled inputs/*.json, plus four variants of square_h1: one with
+  no order source, one whose height vector ties on an edge, and two that
+  fail validate_simple, one without its 4th vertex (square_open) and one
+  with a 5th vertex {2,4} (square_extra);
 * a perfbench/gen.py ladder: cp1-cp4, cube2-cube4, bott2-bott4,
   polygon5-polygon7, one vertex truncation, then cube6, bott6, cp10,
   poly20, poly25 (past the 24 facets that the non-face search once
   refused), poly40 (where the ordinary model's rows are densest) and
   polygon6xcp2 (a gen.product, whose faces are products of faces), each
   given a height by with_height(M, Random(1));
+* each of these documents also as a use_bott variant;
 * on each document: validate, gkm (plain and with --dot), facering (plain
   and --ordinary), membership and interpolate of a member tuple and of a
   non-member, and proptest --cases 4, each in text and in --json;
@@ -113,11 +115,12 @@ def manifold_of(doc: dict) -> gen.Manifold:
 
 def tuples_of(doc: dict, rng: random.Random):
     """(member, non-member) tuple documents for doc; a document with a
-    non-unimodular vertex gets constant tuples of the right shape."""
+    non-unimodular or singular vertex block gets constant tuples of the
+    right shape."""
     M = manifold_of(doc)
     try:
         member = check.phi(M, check.dual_bases(M), check.random_face_element(M, rng))
-    except ValueError:
+    except (ValueError, StopIteration):
         member = [{(0,) * M.dim: 1} for _ in range(M.m)]
     other = check.add_monomial(member, rng.randrange(M.m), (1,) * M.dim, 1)
     out = []
@@ -137,6 +140,11 @@ def documents() -> dict[str, dict]:
     docs["no_order"] = {k: v for k, v in base.items()
                         if k not in ("vertex_coords", "height_vector")} | {"name": "no_order"}
     docs["height_tie"] = base | {"name": "height_tie", "height_vector": [1, 0]}
+    docs["square_open"] = base | {"name": "square_open", "vertices": base["vertices"][:3],
+                                  "vertex_coords": base["vertex_coords"][:3]}
+    docs["square_extra"] = base | {"name": "square_extra",
+                                   "vertices": base["vertices"] + [[2, 4]],
+                                   "vertex_coords": base["vertex_coords"] + [[2, 2]]}
     for name, make in LADDER.items():
         M = replace(gen.with_height(make(), random.Random(1)), name=name)
         docs[name] = M.document()

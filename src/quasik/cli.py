@@ -71,9 +71,6 @@ class Failed(Exception):
         super().__init__(report.status)
         self.report = report
 
-    def __str__(self):
-        return self.report.human()
-
 
 def _json_text(obj, indent="\n") -> str:
     """obj exactly as json.dumps(obj, sort_keys=True, indent=2) writes it.

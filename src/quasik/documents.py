@@ -116,11 +116,12 @@ def document_from_dict(obj, where="input") -> InputDocument:
         vc = obj["vertex_coords"]
         _expect(isinstance(vc, list) and len(vc) == m,
                 f"field 'vertex_coords': expected {m} rows")
-        vertex_coords = tuple(
-            tuple(_rational(x, f"field 'vertex_coords[{i}][{j}]'")
-                  for j, x in enumerate(row)) if isinstance(row, list)
-            else _fail(f"field 'vertex_coords[{i}]': expected a list")
-            for i, row in enumerate(vc))
+        coords = []
+        for i, row in enumerate(vc):
+            _expect(isinstance(row, list), f"field 'vertex_coords[{i}]': expected a list")
+            coords.append(tuple(_rational(x, f"field 'vertex_coords[{i}][{j}]'")
+                                for j, x in enumerate(row)))
+        vertex_coords = tuple(coords)
         hv = obj["height_vector"]
         _expect(isinstance(hv, list), "field 'height_vector': expected a list")
         height_vector = tuple(_rational(x, f"field 'height_vector[{i}]'")
@@ -138,10 +139,6 @@ def document_from_dict(obj, where="input") -> InputDocument:
 
     return InputDocument(name, n, d, tuple(vertices), lam,
                          vertex_order, vertex_coords, height_vector, use_bott)
-
-
-def _fail(msg):
-    raise InputError(msg)
 
 
 def load_json(path):

@@ -5,6 +5,11 @@ recorded as the set of exactly n facets containing it.  Facet indices are
 1-based everywhere (input, output, witness messages); vertices are 0-based
 positions into the input list.
 
+Two facts are built once, lazily.  The ridge map (each (n-1)-subset of a
+vertex's facets -> the vertices holding it) gives validation's ridge
+checks and the edges; the face set (every subset of a vertex's facet
+set) gives the faces and the minimal non-faces.
+
 Only incidence combinatorics is modelled.  Geometric realizability is not
 decided: validation checks the necessary local conditions (simplicity,
 edge counts, connectivity) and trusts the input beyond that.
@@ -93,8 +98,10 @@ class SimplePolytope:
         self.dim = int(dim)
         self.facet_count = int(facet_count)
         self.vertices = tuple(frozenset(int(i) for i in fs) for fs in vertex_facets)
+        self._ridges = None
         self._edges = None
         self._adjacency = None
+        self._face_sets = None
         self._nonfaces = None
         self._faces = None
 
@@ -102,15 +109,24 @@ class SimplePolytope:
     def m(self) -> int:
         return len(self.vertices)
 
+    def _ridge_map(self):
+        """{(n-1)-subset of a vertex's facets, sorted: the vertices holding it,
+        in vertex order}."""
+        if self._ridges is None:
+            ridges = {}
+            for v, fs in enumerate(self.vertices):
+                for sub in combinations(sorted(fs), self.dim - 1):
+                    ridges.setdefault(sub, []).append(v)
+            self._ridges = ridges
+        return self._ridges
+
     def edges(self):
-        """All edges: (v, w, shared facet set) with v < w sharing n-1 facets."""
+        """All edges: (v, w, shared facet set) with v < w sharing n-1 facets,
+        the vertex pairs of each ridge, in (v, w) order."""
         if self._edges is None:
-            out = []
-            for v, w in combinations(range(self.m), 2):
-                shared = self.vertices[v] & self.vertices[w]
-                if len(shared) == self.dim - 1:
-                    out.append((v, w, shared))
-            self._edges = tuple(out)
+            out = [(v, w, frozenset(sub)) for sub, vs in self._ridge_map().items()
+                   for v, w in combinations(vs, 2)]
+            self._edges = tuple(sorted(out, key=lambda e: e[:2]))
         return self._edges
 
     def adjacency(self):
@@ -122,10 +138,6 @@ class SimplePolytope:
             self._adjacency = tuple(frozenset(a) for a in adj)
         return self._adjacency
 
-    def is_face(self, facet_set) -> bool:
-        S = frozenset(facet_set)
-        return any(S <= fs for fs in self.vertices)
-
     def face_of(self, facet_set) -> Face:
         """The face cut out by facet_set, with the facet set saturated."""
         S = frozenset(facet_set)
@@ -135,16 +147,21 @@ class SimplePolytope:
         sat = frozenset.intersection(*(self.vertices[v] for v in verts))
         return Face(sat, verts)
 
+    def _face_set(self):
+        """The facet set of every face: every subset of a vertex's facet set."""
+        if self._face_sets is None:
+            self._face_sets = {frozenset(sub) for fs in self.vertices
+                               for k in range(len(fs) + 1)
+                               for sub in combinations(fs, k)}
+        return self._face_sets
+
     def all_faces(self):
-        """Every face, enumerated through subsets of vertex facet sets."""
+        """Every face, each once with its saturated facet set."""
         if self._faces is None:
             seen = {}
-            for v in range(self.m):
-                fs = sorted(self.vertices[v])
-                for k in range(len(fs) + 1):
-                    for sub in combinations(fs, k):
-                        face = self.face_of(sub)
-                        seen.setdefault(face.facets, face)
+            for S in self._face_set():
+                face = self.face_of(S)
+                seen.setdefault(face.facets, face)
             self._faces = tuple(sorted(
                 seen.values(), key=lambda f: (len(f.facets), sorted(f.facets))))
         return self._faces
@@ -152,32 +169,20 @@ class SimplePolytope:
     def minimal_nonfaces(self):
         """Inclusion-minimal facet sets with empty intersection.
 
-        Layered search: size-(k+1) candidates are extensions of size-k faces,
-        and a candidate all of whose k-subsets are faces is either a face or a
-        minimal non-face.
+        A minimal non-face T minus any one facet j is a face S, so T is
+        S | {j} for a face S and a facet j off it: the union is not a face
+        and each of its other subsets S | {j} - {i} is.
         """
-        if self._nonfaces is not None:
-            return self._nonfaces
-        nonfaces = []
-        faces = {frozenset()}
-        k = 0
-        while faces:
-            candidates = set()
+        if self._nonfaces is None:
+            faces = self._face_set()
+            found = set()
             for S in faces:
                 for j in range(1, self.facet_count + 1):
                     if j not in S:
-                        candidates.add(S | {j})
-            next_faces = set()
-            for S in sorted(candidates, key=sorted):
-                if k >= 1 and any(S - {j} not in faces for j in S):
-                    continue  # contains a smaller non-face
-                if self.is_face(S):
-                    next_faces.add(S)
-                else:
-                    nonfaces.append(S)
-            faces = next_faces
-            k += 1
-        self._nonfaces = tuple(sorted(nonfaces, key=sorted))
+                        T = S | {j}
+                        if T not in faces and all(T - {i} in faces for i in S):
+                            found.add(T)
+            self._nonfaces = tuple(sorted(found, key=sorted))
         return self._nonfaces
 
 
@@ -212,21 +217,18 @@ def validate_simple(P: SimplePolytope) -> ValidationReport:
         if i not in used:
             fails.append(f"facet {i}: not on any vertex")
 
-    # each (n-1)-subset of facets lies in at most 2 vertices, and each of the
-    # n such subsets of a vertex is shared with exactly one other vertex
-    subset_count = {}
+    # each ridge lies in at most 2 vertices, and each of the n ridges of a
+    # vertex is shared with exactly one other vertex
+    ridges = P._ridge_map()
+    for sub, vs in sorted(ridges.items()):
+        if len(vs) > 2:
+            fails.append(f"facet subset {fmt_facets(sub)}: contained in {len(vs)} vertices (max 2)")
     for fs in P.vertices:
         for sub in combinations(sorted(fs), n - 1):
-            subset_count[sub] = subset_count.get(sub, 0) + 1
-    for sub, cnt in sorted(subset_count.items()):
-        if cnt > 2:
-            fails.append(f"facet subset {fmt_facets(sub)}: contained in {cnt} vertices (max 2)")
-    for v, fs in enumerate(P.vertices):
-        for sub in combinations(sorted(fs), n - 1):
-            if subset_count[sub] != 2:
+            if len(ridges[sub]) != 2:
                 fails.append(
                     f"vertex {fmt_facets(fs)}: subset {fmt_facets(sub)} shared with "
-                    f"{subset_count[sub] - 1} other vertices (expected 1)")
+                    f"{len(ridges[sub]) - 1} other vertices (expected 1)")
     if fails:
         return ValidationReport.from_failures(fails)
 
@@ -314,6 +316,10 @@ def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:
     minima, let w be one that is not the earliest: the face of extra[w]
     contains F and fails too, and it is F itself when F is the first
     failing face in (size, facets) order, the face reported.
+
+    Only the sinks are counted after that: a source v has extra[v] empty,
+    so its face is the whole polytope, whose earliest vertex order[0] is
+    always a source, and every other source has already failed there.
     """
     order = [int(v) for v in order]
     if sorted(order) != list(range(P.m)):
@@ -331,9 +337,6 @@ def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:
     sinks = [v for v in range(P.m) if vo.ind[v] == P.dim]
     if len(sinks) != 1:
         raise InvalidOrder(f"orientation has {len(sinks)} sinks (expected 1)")
-    sources = [v for v in range(P.m) if vo.ind[v] == 0]
-    if len(sources) != 1:
-        raise InvalidOrder(f"orientation has {len(sources)} sources (expected 1)")
     return vo
 
 
@@ -343,10 +346,8 @@ def vertex_order_from_heights(P: SimplePolytope,
     """Order vertices by the height <coords(v), w>; ties on an edge are rejected."""
     if len(coords) != P.m:
         raise ValueError(f"{len(coords)} coordinate rows for {P.m} vertices")
-    w = [Fraction(x) for x in w]
     heights = []
     for row in coords:
-        row = [Fraction(x) for x in row]
         if len(row) != len(w):
             raise ValueError("coordinate/height-vector length mismatch")
         heights.append(sum(a * b for a, b in zip(row, w)))

@@ -513,6 +513,18 @@ class TestMalformedOrders:
         assert doc["status"] == "input-error"
         assert "vertex_coords[0]" in doc["payload"]["error"]
 
+    def test_coordinate_row_not_a_list(self, capsys, tmp_path):
+        doc = json.loads(input_path("square_h0").read_text())
+        doc["vertex_coords"][1] = 5
+        bad = tmp_path / "row_not_a_list.json"
+        bad.write_text(json.dumps(doc))
+        message = "field 'vertex_coords[1]': expected a list"
+        assert run(capsys, "validate", bad) == (2, "", f"input error: {message}\n")
+        code, out, err = run(capsys, "validate", bad, "--json")
+        assert (code, err) == (2, f"input error: {message}\n")
+        report = json.loads(out)
+        assert (report["status"], report["payload"]) == ("input-error", {"error": message})
+
     def test_input_error_report_names_document(self, capsys, tmp_path):
         # a loaded document is reported by its name, as in every other report
         t = write_tuple(tmp_path, "t.json", [[{"coeff": 1, "exps": [0, 0]}]] * 3)

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasik.documents import build_polytope, load_document
 from quasik.polytope import (
     InvalidOrder,
     NonGenericHeight,
@@ -17,7 +18,7 @@ from quasik.polytope import (
     vertex_order_from_heights,
 )
 
-from conftest import join
+from conftest import INPUTS, join
 
 TRIANGLE = SimplePolytope(2, 3, [[1, 2], [1, 3], [2, 3]])
 SQUARE = SimplePolytope(2, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -68,13 +69,34 @@ class TestValidateSimple:
         assert not rep.ok
         assert any("expected 2" in f for f in rep.failures)
 
+    def test_ridge_in_one_vertex(self):
+        # the square without its 4th vertex {1,4}
+        rep = validate_simple(SimplePolytope(2, 4, [[1, 2], [2, 3], [3, 4]]))
+        assert rep.failures == (
+            "vertex {1,2}: subset {1} shared with 0 other vertices (expected 1)",
+            "vertex {3,4}: subset {4} shared with 0 other vertices (expected 1)")
+
+    def test_ridge_in_three_vertices(self):
+        # the square plus a vertex {2,4}
+        rep = validate_simple(SimplePolytope(2, 4, [[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]]))
+        assert rep.failures == (
+            "facet subset {2}: contained in 3 vertices (max 2)",
+            "facet subset {4}: contained in 3 vertices (max 2)",
+            "vertex {1,2}: subset {2} shared with 2 other vertices (expected 1)",
+            "vertex {2,3}: subset {2} shared with 2 other vertices (expected 1)",
+            "vertex {3,4}: subset {4} shared with 2 other vertices (expected 1)",
+            "vertex {1,4}: subset {4} shared with 2 other vertices (expected 1)",
+            "vertex {2,4}: subset {2} shared with 2 other vertices (expected 1)",
+            "vertex {2,4}: subset {4} shared with 2 other vertices (expected 1)")
+
+    def test_disconnected(self):
+        # two triangles, on facets 1-3 and 4-6
+        rep = validate_simple(SimplePolytope(
+            2, 6, [[1, 2], [1, 3], [2, 3], [4, 5], [4, 6], [5, 6]]))
+        assert rep.failures == ("edge graph disconnected: vertex #4 unreachable from #1",)
+
 
 class TestFaces:
-    def test_is_face(self):
-        assert TRIANGLE.is_face({1, 2})
-        assert not TRIANGLE.is_face({1, 2, 3})
-        assert not SQUARE.is_face({1, 3})
-
     def test_face_of_raises(self):
         with pytest.raises(NotAFace):
             TRIANGLE.face_of({1, 2, 3})
@@ -127,9 +149,22 @@ class TestFaces:
 def brute_force_minimal_nonfaces(P):
     facets = range(1, P.facet_count + 1)
     nonfaces = [frozenset(S) for k in range(1, P.facet_count + 1)
-                for S in combinations(facets, k) if not P.is_face(S)]
+                for S in combinations(facets, k)
+                if not any(set(S) <= fs for fs in P.vertices)]
     return sorted((S for S in nonfaces
                    if not any(T < S for T in nonfaces)), key=sorted)
+
+
+def edges_by_definition(P):
+    """(v, w, shared facets) for v < w sharing dim - 1 facets, in (v, w) order."""
+    return [(v, w, P.vertices[v] & P.vertices[w])
+            for v, w in combinations(range(P.m), 2)
+            if len(P.vertices[v] & P.vertices[w]) == P.dim - 1]
+
+
+def assert_oracles(P):
+    assert list(P.edges()) == edges_by_definition(P)
+    assert list(P.minimal_nonfaces()) == brute_force_minimal_nonfaces(P)
 
 
 class TestMinimalNonfaces:
@@ -148,6 +183,26 @@ class TestMinimalNonfaces:
     def test_brute_force_agreement(self):
         for P in (TRIANGLE, SQUARE, INTERVAL, cube()[0], simplex3()):
             assert list(P.minimal_nonfaces()) == brute_force_minimal_nonfaces(P)
+
+
+class TestOracles:
+    """edges() and minimal_nonfaces() against their definitions."""
+
+    def test_bundled_inputs(self):
+        for path in sorted(INPUTS.glob("*.json")):
+            P = build_polytope(load_document(path))
+            assert validate_simple(P).ok, path.name
+            assert_oracles(P)
+
+    def test_generated(self, perfbench_gen, generated):
+        gen = perfbench_gen
+        made = [gen.polygon(12, random.Random(12)), gen.truncate(gen.cube(3), 3),
+                gen.product(gen.polygon(6, random.Random(6)), gen.cp(2))]
+        polytopes = [g.polytope for _, g, _ in generated.values()]
+        polytopes += [SimplePolytope(M.dim, M.facets, M.vertices) for M in made]
+        for P in polytopes:
+            assert validate_simple(P).ok
+            assert_oracles(P)
 
 
 CP2_LAMBDA = [[1, 0], [0, 1], [-1, -1]]
