@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .gkm import FixedPointTuple
-from .laurent import LaurentPoly, Profile
+from .laurent import Profile, _raw
 from .polytope import SimplePolytope, VertexOrder, validate_order, vertex_order_from_heights
 
 
@@ -94,8 +94,10 @@ def document_from_dict(obj, where="input") -> InputDocument:
     vertices = []
     for i, row in enumerate(obj["vertices"]):
         _expect(isinstance(row, list), f"field 'vertices[{i}]': expected a list")
-        vertices.append(tuple(_int(x, f"field 'vertices[{i}][{j}]'")
-                              for j, x in enumerate(row)))
+        facets = tuple(_int(x, f"field 'vertices[{i}][{j}]'") for j, x in enumerate(row))
+        for j, x in enumerate(facets):
+            _expect(x not in facets[:j], f"field 'vertices[{i}]': facet {x} listed twice")
+        vertices.append(facets)
     lam = _int_matrix(obj["lambda"], "field 'lambda'", rows=d, cols=n)
     m = len(vertices)
 
@@ -198,5 +200,5 @@ def load_tuple(path, profile: Profile, m: int) -> FixedPointTuple:
                     f"{where}.exps: expected {profile.nvars} exponents")
             key = tuple(_int(x, f"{where}.exps[{k}]") for k, x in enumerate(exps))
             terms[key] = terms.get(key, 0) + c
-        polys.append(LaurentPoly(profile, terms))
+        polys.append(_raw(profile, {e: c for e, c in terms.items() if c}))
     return FixedPointTuple(profile, polys)

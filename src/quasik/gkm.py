@@ -124,9 +124,6 @@ class FixedPointTuple:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        return FixedPointTuple(self.profile, tuple(a ** k for a in self.entries))
-
     def replace(self, i: int, value: LaurentPoly) -> "FixedPointTuple":
         entries = list(self.entries)
         entries[i] = value
@@ -166,10 +163,9 @@ class GkmGraph:
         """mu, when given, is the per-vertex dual basis that
         validate_characteristic found for this (polytope, lam)."""
         self.polytope = polytope
-        self.lam = tuple(tuple(int(x) for x in row) for row in lam)
+        self.lam = tuple(map(tuple, lam))
         self.bott = bott
-        n = polytope.dim
-        self.char_profile = char_profile(n, bott)
+        self.char_profile = char_profile(polytope.dim, bott)
         self.face_profile = face_profile(polytope.facet_count, bott)
         self.mu = tuple(mu) if mu is not None else tuple(
             vertex_dual_basis(self.lam, fs) for fs in polytope.vertices)

@@ -2,9 +2,9 @@
 
 Everything is driven by string-seeded random.Random instances, so a run is
 reproducible from (input, seed, cases) alone.  Members of the restriction
-subring are built as combinations of r-vectors with diagonal coefficients
-coming from the monomial structure map; non-members perturb a single entry
-by a monomial, which can never stay divisible on the edges at that vertex.
+subring are built as phi of one random face-ring element, a combination of
+monomials theta(u) * y^a; non-members perturb a single entry by a
+monomial, which can never stay divisible on the edges at that vertex.
 
 Two suites walk a vertex order: the interpolation round trip and the basis
 certificate.  run_all takes the document's order, or None and the reason
@@ -22,7 +22,6 @@ from .facering import (
     interpolate,
     kernel_generators,
     phi,
-    r_vector,
     theta,
 )
 from .gkm import GkmGraph, euler_coprimality_check, in_gamma, in_w
@@ -70,18 +69,14 @@ def random_face_element(rng, g: GkmGraph) -> LaurentPoly:
 
 
 def random_member_tuple(rng, g: GkmGraph):
-    """Combination of r-vector products with diagonal monomial coefficients."""
-    total = None
+    """phi(sum of eps * theta(u) * y^a), the sum of eps * e^u * prod r_i^{a_i}."""
+    P = LaurentPoly.zero(g.face_profile)
     for _ in range(rng.randint(1, MAX_TERMS)):
         u = random_character(rng, g.n)
         eps = rng.choice([1, -1, 2, -2])
-        part = constant_tuple(g, LaurentPoly.char_monomial(g.char_profile, u, eps))
-        for i in range(1, g.d + 1):
-            a = rng.randint(-1, 2)
-            if a:
-                part = part * r_vector(g, i) ** a
-        total = part if total is None else total + part
-    return total
+        a = [rng.randint(-1, 2) for _ in range(g.d)] + [0] * g.bott
+        P = P + theta(g, u) * LaurentPoly.monomial(g.face_profile, a, eps)
+    return phi(g, P)
 
 
 def perturb_one_entry(rng, g: GkmGraph, t):

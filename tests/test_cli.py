@@ -64,6 +64,20 @@ class TestValidate:
         assert code == 2
         assert "vertices" in err
 
+    def test_repeated_facet_in_a_vertex_row(self, capsys, tmp_path):
+        """A row of dim entries that lists a facet twice is a schema error,
+        not a row of fewer facets."""
+        doc = json.loads(input_path("cp2").read_text())
+        doc["vertices"][0] = [1, 2, 1]
+        bad = tmp_path / "repeated.json"
+        bad.write_text(json.dumps(doc))
+        message = "field 'vertices[0]': facet 1 listed twice"
+        assert run(capsys, "validate", bad) == (2, "", f"input error: {message}\n")
+        code, out, err = run(capsys, "validate", bad, "--json")
+        assert (code, err) == (2, f"input error: {message}\n")
+        report = json.loads(out)
+        assert (report["status"], report["payload"]) == ("input-error", {"error": message})
+
     def test_both_order_sources(self, capsys, tmp_path):
         doc = json.loads(input_path("cp1").read_text())
         doc["vertex_order"] = [1, 2]
@@ -391,6 +405,19 @@ class TestJsonText:
         path = tmp_path / "t.json"
         path.write_text(_json_text({"entries": t.entries}))
         assert load_tuple(path, t.profile, len(t.entries)) == t
+
+    def test_tuple_terms_merged_on_read(self, tmp_path):
+        """Repeated exponents are summed and terms that cancel dropped."""
+        prof = char_profile(1, bott=True)
+        termlists = [[(2, [1, 0]), (-2, [1, 0]), (1, [0, 0]), (3, [0, 0]), (0, [2, 1])],
+                     [(5, [-1, 1]), (-5, [-1, 1])],
+                     [(1, [0, 2]), (0, [1, 1]), (-1, [0, 3]), (1, [0, 3]), (2, [0, 2])]]
+        path = write_tuple(tmp_path, "t.json", [[{"coeff": c, "exps": e} for c, e in terms]
+                                                for terms in termlists])
+        got = load_tuple(path, prof, len(termlists))
+        want = [{(0, 0): 4}, {}, {(0, 2): 3}]
+        assert [a.terms for a in got] == want
+        assert got == FixedPointTuple(prof, [LaurentPoly(prof, terms) for terms in want])
 
     @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a"}, b"a"])
     def test_other_types_raise(self, value):

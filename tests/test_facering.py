@@ -15,6 +15,7 @@ from quasik.facering import (
     OrdinaryRankFailure,
     ResidualNonzero,
     _nonface_product,
+    _one_minus_product,
     basis_certificate,
     constant_tuple,
     interpolate,
@@ -36,7 +37,13 @@ from conftest import (
 )
 from quasik.documents import build_polytope
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
-from quasik.harness import perturb_one_entry, random_face_element, random_member_tuple
+from quasik.harness import (
+    MAX_TERMS,
+    perturb_one_entry,
+    random_character,
+    random_face_element,
+    random_member_tuple,
+)
 from quasik.laurent import LaurentPoly, ProfileMismatch, char_profile, face_profile
 from quasik.polytope import SimplePolytope, fmt_facets, vertex_order_from_heights
 
@@ -521,6 +528,31 @@ def multiplied_product(profile, facets):
     return p
 
 
+def multiplied_euler_product(g, characters):
+    """prod(1 - e^u) over the characters, multiplied out one factor at a time."""
+    p = LaurentPoly.one(g.char_profile)
+    for u in characters:
+        p = p * (1 - mono(g, u))
+    return p
+
+
+def reference_member_tuple(rng, g):
+    """random_member_tuple's draws, combined as r-vector products raised to
+    their exponents entry by entry, times a diagonal monomial tuple."""
+    total = None
+    for _ in range(rng.randint(1, MAX_TERMS)):
+        u = random_character(rng, g.n)
+        eps = rng.choice([1, -1, 2, -2])
+        part = constant_tuple(g, mono(g, u, eps))
+        for i in range(1, g.d + 1):
+            a = rng.randint(-1, 2)
+            if a:
+                r = r_vector(g, i)
+                part = part * FixedPointTuple(r.profile, tuple(x ** a for x in r.entries))
+        total = part if total is None else total + part
+    return total
+
+
 def reference_certificate(g, order):
     """The certificate with phi(omega) evaluated at every vertex: omega is
     multiplied out, and vanishing at earlier positions is read off the
@@ -677,6 +709,31 @@ class TestClosedForms:
             for S in sets:
                 assert _nonface_product(g.face_profile, frozenset(S)) == \
                     multiplied_product(g.face_profile, S), (name, S)
+
+    def test_euler_product_matches_multiplied(self, oracle_graphs):
+        """On the characters mu_i(v) of every vertex, which are not unit
+        vectors, and on every subset of them, with and without z."""
+        for name, (g, _) in oracle_graphs.items():
+            z = (0,) * g.bott
+            for v, mu in enumerate(g.mu):
+                facets = sorted(mu)
+                for k in range(len(facets) + 1):
+                    for S in combinations(facets, k):
+                        chars = [mu[i] for i in S]
+                        assert _one_minus_product(g.char_profile, [u + z for u in chars]) \
+                            == multiplied_euler_product(g, chars), (name, v, S)
+
+    def test_random_member_is_the_r_vector_combination(self, documents):
+        """Same draws in the same order, and the same tuple as the r-vector
+        products, on the bundled inputs with and without z."""
+        for name, doc in documents.items():
+            for bott in (False, True):
+                g = GkmGraph(build_polytope(doc), doc.lam, bott=bott)
+                for seed in range(5):
+                    got, want = random.Random(seed), random.Random(seed)
+                    assert random_member_tuple(got, g) == reference_member_tuple(want, g), \
+                        (name, bott, seed)
+                    assert got.random() == want.random(), (name, bott, seed)
 
     def test_r_vector_is_phi_of_the_generator(self, oracle_graphs):
         for name, (g, _) in oracle_graphs.items():
