@@ -8,14 +8,19 @@ vertex is off the facet).  phi is injective modulo the non-face products,
 so ring identities are always verified through it.
 
 interpolate() inverts phi constructively: walking the vertices in a height
-order, it rewrites the current entry through the dual basis at that vertex
-and subtracts its image on the face above the vertex only, certifying that
-omega_v divides it (so the image is zero off that face) and that the vertex
-comes first there (so no earlier entry moves).  Those checks decide
-membership: the image of phi is the GKM ring, and under a valid order a
-tuple outside it fails the divisibility check at some step, so no separate
-membership test runs first.  It and basis_certificate() take the order as
-an argument; nothing else here depends on one.
+order, it reads each entry once, at its vertex's step.  The step
+polynomials of the earlier vertices u whose face F_u holds v are owed to
+v as one face-ring sum.  The step at v rewrites the entry through the
+dual basis at v and subtracts the owed sum kept at v's facets, which
+gives the step polynomial of the entry less phi of the owed sum without
+forming that difference.  Three checks certify each step: phi at v
+undoes the rewrite, omega_v divides the step polynomial (so its image is
+zero off F_v), and v comes first in F_v (so no earlier entry moves);
+together they give phi(P) = t.  They also decide membership: the image
+of phi is the GKM ring, and under a valid order a tuple outside it fails
+the divisibility check at some step, so no separate membership test runs
+first.  It and basis_certificate() take the order as an argument;
+nothing else here depends on one.
 
 The non-face products, the basis elements omega_v = prod(1 - y_k) over
 S and their Euler-class values prod(1 - e^{mu_k(u)}) at a vertex u on
@@ -54,6 +59,7 @@ from .laurent import (
     DimensionMismatch,
     LaurentPoly,
     _raw,
+    keep_terms,
     project_terms,
     substitute_monomial_map,
 )
@@ -134,35 +140,61 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
 
     Only the tuple's shape is checked up front (ValueError for the wrong
     length, ProfileMismatch for the wrong profile); the steps decide
-    membership.  Step v takes p = step_v(residual[v]) and subtracts phi(p)
-    only on F_v = face_of(order.extra[v]).  It raises ResidualNonzero unless
-    p with y_i = 1 vanishes for each i in extra[v] (omega_v divides p: phi(p)
-    is zero off F_v), v comes first in F_v and the residual at v is then
-    zero, so a successful return is a certified preimage.  Under a valid
-    order a non-member fails the first check: the second holds for every
-    tuple, and the third too, since phi_v undoes step_v.
+    membership.  owed[v] is the sum of the step polynomials p_u of the
+    earlier u whose face F_u = face_of(order.extra[u]) holds v.  Step v
+    takes s = step_v(t[v]) and p_v = s - pi_v(owed[v]), where pi_v keeps the
+    exponents that phi_v reads (v's facets and z) and zeroes the rest; then
+    it adds p_v to owed[j] for the other vertices j of F_v.  This is the
+    step polynomial of the residual t[v] - phi_v(owed[v]) without forming
+    it, since step_v(phi_v(q)) = pi_v(q) (mu(v) is dual to lambda at v).
+    Each step raises ResidualNonzero unless
+
+    * phi_v(s) == t[v] ("residual at v nonzero"),
+    * p_v with y_i = 1 vanishes for each i in extra[v] (omega_v divides
+      p_v, so phi_w(p_v) = 0 at every w off F_v), and
+    * v comes first in F_v (so p_v adds nothing at an earlier vertex).
+
+    Together they give phi(P) == t: by the second and third, phi_v(P) is
+    phi_v(owed[v]) + phi_v(p_v), and phi_v(pi_v(q)) = phi_v(q) makes that
+    phi_v(s), which the first check compares with t[v].  So a successful
+    return is a certified preimage.  Under a valid order a non-member fails
+    the divisibility check: the first check holds for every tuple, since
+    phi_v undoes step_v, and the third too.
     """
     _check_tuple(g, t)
-    residual = list(t.entries)
-    total = LaurentPoly.zero(g.face_profile)
+    nvars = g.face_profile.nvars
+    z = (g.d,) if g.bott else ()
+
+    def add(acc, terms, sign=1):
+        for e, c in terms.items():
+            x = acc.get(e, 0) + sign * c
+            if x:
+                acc[e] = x
+            else:
+                del acc[e]          # c != 0, so e was there
+
+    owed = {}
+    total = {}
     steps = []
     for pos, v in enumerate(order.order):
-        p = substitute_monomial_map(residual[v], g.step_maps[v], g.face_profile)
-        if not p.is_zero:
+        s = substitute_monomial_map(t.entries[v], g.step_maps[v], g.face_profile)
+        if substitute_monomial_map(s, g.phi_maps[v], g.char_profile) != t.entries[v]:
+            raise ResidualNonzero(pos, "residual at v nonzero")
+        terms = dict(s.terms)
+        add(terms, keep_terms(owed.pop(v, {}), g.phi_maps[v].source + z, nvars), -1)
+        if terms:
             facets = g.polytope.vertices[v]
-            if any(project_terms(p.terms, g.face_pick(facets - {i})) for i in order.extra[v]):
+            if any(project_terms(terms, g.face_pick(facets - {i})) for i in order.extra[v]):
                 raise ResidualNonzero(pos, "step polynomial not divisible by omega_v")
             face = g.polytope.face_of(order.extra[v])
             if any(order.position[j] < pos for j in face.vertices):
                 raise ResidualNonzero(pos, "face above v has an earlier vertex")
             for j in face.vertices:
-                residual[j] = residual[j] - substitute_monomial_map(
-                    p, g.phi_maps[j], g.char_profile)
-            total = total + p
-        steps.append(InterpolationStep(pos, v, p))
-        if not residual[v].is_zero:
-            raise ResidualNonzero(pos, "residual at v nonzero")
-    return InterpolationResult(total, tuple(steps))
+                if j != v:
+                    add(owed.setdefault(j, {}), terms)
+            add(total, terms)
+        steps.append(InterpolationStep(pos, v, _raw(g.face_profile, terms)))
+    return InterpolationResult(_raw(g.face_profile, total), tuple(steps))
 
 
 # -- kernel and basis certificate -------------------------------------------

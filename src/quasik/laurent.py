@@ -70,9 +70,11 @@ class LaurentPoly:
     __slots__ = ("profile", "terms")
 
     def __init__(self, profile: Profile, terms):
+        """terms: a {exponents: coeff} map or (exponents, coeff) pairs; the
+        coefficients of equal exponents are summed and zero sums dropped."""
         clean = {}
         nv = profile.nvars
-        for exp, c in dict(terms).items():
+        for exp, c in (terms.items() if hasattr(terms, "items") else terms):
             exp = tuple(int(e) for e in exp)
             if len(exp) != nv:
                 raise DimensionMismatch(
@@ -330,6 +332,18 @@ def project_terms(terms: dict, pick) -> dict:
         else:
             del proj[x]             # c != 0, so x was there
     return proj
+
+
+def keep_terms(terms: dict, keep: tuple, nvars: int) -> dict:
+    """project_terms onto the coordinates keep, written back at full length:
+    {exp with every coordinate off keep set to 0: summed coefficient}."""
+    out = {}
+    for x, c in project_terms(terms, coordinate_getter(keep)).items():
+        e = [0] * nvars
+        for i, a in zip(keep, x):
+            e[i] = a
+        out[tuple(e)] = c
+    return out
 
 
 def divides_one_minus(f: LaurentPoly, u) -> bool:

@@ -7,9 +7,9 @@ import pytest
 
 from quasik import facering
 from quasik.documents import build_polytope, document_from_dict, load_document, resolve_order
-from quasik.gkm import GkmGraph
+from quasik.gkm import GkmGraph, _check_tuple
 from quasik.lattice import SparseMat, snf_diagonal
-from quasik.laurent import LaurentPoly, face_profile
+from quasik.laurent import LaurentPoly, face_profile, project_terms, substitute_monomial_map
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -80,6 +80,34 @@ def model_vanishes(model, elem) -> bool:
         return sorted(d for d in snf_diagonal(SparseMat(len(model.monomials), rows)) if d)
 
     return not terms or invariants(model.rows + (terms,)) == invariants(model.rows)
+
+
+def push_interpolate(g, order, t):
+    """Reference interpolate in push form, with the same three checks: step
+    v maps residual[v] through step_v and subtracts phi(p) from the residual
+    at every vertex of F_v = face_of(order.extra[v]), so it makes
+    sum |F_v| + m substitutions where interpolate makes 2m."""
+    _check_tuple(g, t)
+    residual = list(t.entries)
+    total = LaurentPoly.zero(g.face_profile)
+    steps = []
+    for pos, v in enumerate(order.order):
+        p = substitute_monomial_map(residual[v], g.step_maps[v], g.face_profile)
+        if not p.is_zero:
+            facets = g.polytope.vertices[v]
+            if any(project_terms(p.terms, g.face_pick(facets - {i})) for i in order.extra[v]):
+                raise facering.ResidualNonzero(pos, "step polynomial not divisible by omega_v")
+            face = g.polytope.face_of(order.extra[v])
+            if any(order.position[j] < pos for j in face.vertices):
+                raise facering.ResidualNonzero(pos, "face above v has an earlier vertex")
+            for j in face.vertices:
+                residual[j] = residual[j] - substitute_monomial_map(
+                    p, g.phi_maps[j], g.char_profile)
+            total = total + p
+        steps.append(facering.InterpolationStep(pos, v, p))
+        if not residual[v].is_zero:
+            raise facering.ResidualNonzero(pos, "residual at v nonzero")
+    return facering.InterpolationResult(total, tuple(steps))
 
 
 def json_terms(p):

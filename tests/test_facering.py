@@ -33,6 +33,7 @@ from conftest import (
     model_reduce,
     model_terms,
     model_vanishes,
+    push_interpolate,
     shift_terms,
 )
 from quasik.documents import build_polytope
@@ -282,6 +283,95 @@ class TestInterpolateReference:
                 t = phi(g, random_face_element(random.Random(f"{name}:{seed}"), g))
                 assert interpolate(g, order, t) == reference_interpolate(g, order, t), \
                     (name, seed)
+
+
+@pytest.fixture
+def substitutions(monkeypatch):
+    """The arguments of each substitute_monomial_map call made in facering."""
+    import quasik.facering as facering
+    calls = []
+    real = facering.substitute_monomial_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(facering, "substitute_monomial_map", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def push_ladder(perfbench_gen):
+    """{name: (graph, order)}: perfbench/gen.py's cp1-cp4, cube2-cube4,
+    bott2-bott4, polygon5-polygon7, a cut cube3 and polygon6 x cp2, each
+    also with z."""
+    gen = perfbench_gen
+    makers = {
+        **{f"cp{n}": (lambda n=n: gen.cp(n)) for n in (1, 2, 3, 4)},
+        **{f"cube{n}": (lambda n=n: gen.cube(n)) for n in (2, 3, 4)},
+        **{f"bott{n}": (lambda n=n: gen.bott(n, random.Random(n))) for n in (2, 3, 4)},
+        **{f"polygon{k}": (lambda k=k: gen.polygon(k, random.Random(k))) for k in (5, 6, 7)},
+        "cube3_cut": lambda: gen.truncate(gen.cube(3), 0),
+        "polygon6xcp2": lambda: gen.product(gen.polygon(6, random.Random(6)), gen.cp(2)),
+    }
+    out = {}
+    for name, (_, g, order) in generated_graphs(gen, makers).items():
+        out[name] = (g, order)
+        out[f"{name}+z"] = (GkmGraph(g.polytope, g.lam, bott=True, mu=g.mu), order)
+    return out
+
+
+def interpolation_outcome(interp, g, order, t):
+    """The result, or the step and check that failed."""
+    try:
+        return interp(g, order, t)
+    except ResidualNonzero as exc:
+        return (exc.step, exc.check)
+
+
+class TestInterpolatePushForm:
+    """interpolate against push_interpolate, which subtracts phi(p) on F_v."""
+
+    def test_members_and_non_members(self, push_ladder):
+        """Identical steps and polynomial on phi(P); on phi(P) with one
+        monomial added, the same failed step of the divisibility check."""
+        for name, (g, order) in push_ladder.items():
+            for seed in range(3):
+                rng = random.Random(f"{name}:{seed}")
+                member = phi(g, random_face_element(rng, g))
+                got = interpolation_outcome(interpolate, g, order, member)
+                assert isinstance(got, InterpolationResult), (name, seed, got)
+                assert got == push_interpolate(g, order, member), (name, seed)
+                other = perturb_one_entry(rng, g, member)
+                got = interpolation_outcome(interpolate, g, order, other)
+                assert isinstance(got, tuple), (name, seed)
+                assert got[1] == "step polynomial not divisible by omega_v", (name, seed)
+                assert got == interpolation_outcome(push_interpolate, g, order, other), \
+                    (name, seed)
+
+    def test_mutated_orders(self, push_ladder):
+        """The same outcome under orders whose order or extra sets are
+        wrong, which reach the check that v comes first in F_v."""
+        checks = set()
+        for name in ("cp3", "cube3+z", "bott3", "cube3_cut", "polygon6"):
+            g, order = push_ladder[name]
+            t = phi(g, random_face_element(random.Random(name), g))
+            for bad in certificate_mutations(g, order):
+                got = interpolation_outcome(interpolate, g, bad, t)
+                assert got == interpolation_outcome(push_interpolate, g, bad, t), (name, bad)
+                if isinstance(got, tuple):
+                    checks.add(got[1])
+        assert checks == {"step polynomial not divisible by omega_v",
+                          "face above v has an earlier vertex"}
+
+    def test_substitutions_are_two_per_vertex(self, generated, substitutions):
+        """One step map and one phi map per vertex, none per vertex of F_v."""
+        for name in ("cube4", "bott4"):
+            _, g, order = generated[name]
+            t = phi(g, random_face_element(random.Random(name), g))
+            substitutions.clear()
+            interpolate(g, order, t)
+            assert len(substitutions) <= 2 * g.m, (name, len(substitutions))
 
 
 def with_extra(order, changes):
@@ -685,20 +775,11 @@ class TestCertificateOracle:
                            "diagonal value at position 2 is not the Euler-class product",
                            1, 1), name
 
-    def test_phi_substitutions_are_one_per_vertex(self, oracle_graphs, monkeypatch):
-        import quasik.facering as facering
-        calls = []
-        real = facering.substitute_monomial_map
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(facering, "substitute_monomial_map", counted)
+    def test_phi_substitutions_are_one_per_vertex(self, oracle_graphs, substitutions):
         for name, (g, order) in oracle_graphs.items():
-            calls.clear()
+            substitutions.clear()
             basis_certificate(g, order)
-            assert len(calls) == g.m, name
+            assert len(substitutions) == g.m, name
 
 
 class TestClosedForms:

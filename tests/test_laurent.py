@@ -17,6 +17,7 @@ from quasik.laurent import (
     coordinate_getter,
     divides_one_minus,
     face_profile,
+    keep_terms,
     project_terms,
     substitute_monomial_map,
 )
@@ -47,6 +48,16 @@ def identity(n):
 def primitive_chars(n, bound=3):
     return st.tuples(*[st.integers(-bound, bound)] * n).filter(any).map(
         lambda v: tuple(x // vec_gcd(v) for x in v))
+
+
+class TestConstruction:
+    def test_pairs_with_equal_exponents_are_summed(self):
+        p1 = char_profile(1)
+        assert LaurentPoly(p1, [((1,), 2), ((1,), -2)]).terms == {}
+        assert LaurentPoly(p1, [((1,), 2), ((1,), 3)]).terms == {(1,): 5}
+        merged = LaurentPoly(p1, [((1,), 2), ((1.0,), 3)]).terms
+        assert merged == {(1,): 5}
+        assert [type(e) for exp in merged for e in exp] == [int]
 
 
 class TestArithmetic:
@@ -206,6 +217,18 @@ class TestMonomialMap:
         assert project_terms(f.terms, coordinate_getter((2,))) == {(1,): 2}
         divisible = f * (1 - LaurentPoly.variable(y, 1))
         assert project_terms(divisible.terms, coordinate_getter((0, 2, 3))) == {}
+
+    def test_keep_terms_zeroes_left_out_coordinates(self):
+        y = face_profile(3, bott=True)
+        f = poly(y, ((1, 2, 0, 1), 1), ((1, -1, 0, 1), -1), ((0, 0, 1, 0), 2))
+        assert keep_terms(f.terms, (0, 3), 4) == {(0, 0, 0, 0): 2}
+        assert keep_terms(f.terms, (2,), 4) == {(0, 0, 1, 0): 2}
+        assert keep_terms(f.terms, (), 4) == {(0, 0, 0, 0): 2}
+        # a map reads only its source, so it cannot tell f from f kept there
+        A = MonomialMap(2, 3, [2, 0], [1], [[3, 1]])
+        x = char_profile(2, bott=True)
+        kept = LaurentPoly(y, keep_terms(f.terms, A.source + (3,), 4))
+        assert substitute_monomial_map(kept, A, x) == substitute_monomial_map(f, A, x)
 
     def test_empty_source(self):
         y = face_profile(2, bott=True)
