@@ -27,6 +27,10 @@ output and the machine facts.
 
 --src points at the src directory of the quasik to measure (default:
 this checkout's), so one copy of this script can time another commit.
+The parent's and the change's files are separate runs minutes apart, so
+host drift between them reads as a code effect; compare the wall times
+of two trees with scripts/interleave.py, which runs them op by op in one
+process.
 """
 
 from __future__ import annotations

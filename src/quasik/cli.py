@@ -10,7 +10,8 @@ is ASCII only and byte for byte what json.dumps(report, sort_keys=True,
 indent=2) writes, each polynomial in it the sorted list of its
 {"coeff", "exps"} terms, which _json_text writes straight from the
 polynomial.  A text report is built only when it is printed, without
---json.  The argument parser is built once per process, when this module
+--json.  gkm --dot writes its DOT file from the same sorted edge rows as
+its report.  The argument parser is built once per process, when this module
 is imported; each main() call parses into a new namespace.
 
 Every command is a function of (doc, args) that returns a Report, and
@@ -37,7 +38,7 @@ from typing import Callable
 from . import facering
 from .documents import InputError, build_polytope, load_document, load_tuple, resolve_order
 from .facering import OrdinaryRankFailure, ResidualNonzero
-from .gkm import GkmGraph, dot_export, euler_coprimality_check, in_gamma, in_w
+from .gkm import GkmGraph, euler_coprimality_check, in_gamma, in_w
 from .harness import run_all
 from .laurent import LaurentPoly
 from .polytope import (
@@ -192,7 +193,10 @@ def cmd_gkm(doc, args) -> Report:
     payload = {"fixed_points": g.m, "edges": edges,
                "euler_check": {"ok": rep.ok, "failures": list(rep.failures)}}
     if args.dot:
-        text = dot_export(g, order)
+        dot = ["graph gkm {"] + [f"  v{k + 1};" for k in range(g.m)]
+        dot += [f'  v{e["a"]} -- v{e["b"]} [label="({",".join(map(str, e["character"]))})"];'
+                for e in edges]
+        text = "\n".join(dot + ["}"]) + "\n"
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .gkm import FixedPointTuple
-from .laurent import Profile, _raw
+from .laurent import Profile, _raw, add_terms
 from .polytope import SimplePolytope, VertexOrder, validate_order, vertex_order_from_heights
 
 
@@ -189,7 +189,7 @@ def load_tuple(path, profile: Profile, m: int) -> FixedPointTuple:
     polys = []
     for i, termlist in enumerate(entries):
         _expect(isinstance(termlist, list), f"{path}: entries[{i}] must be a list of terms")
-        terms = {}
+        terms = []
         for j, term in enumerate(termlist):
             where = f"{path}: entries[{i}][{j}]"
             _expect(isinstance(term, dict) and set(term) == {"coeff", "exps"},
@@ -199,6 +199,6 @@ def load_tuple(path, profile: Profile, m: int) -> FixedPointTuple:
             _expect(isinstance(exps, list) and len(exps) == profile.nvars,
                     f"{where}.exps: expected {profile.nvars} exponents")
             key = tuple(_int(x, f"{where}.exps[{k}]") for k, x in enumerate(exps))
-            terms[key] = terms.get(key, 0) + c
-        polys.append(_raw(profile, {e: c for e, c in terms.items() if c}))
+            terms.append((key, c))
+        polys.append(_raw(profile, add_terms({}, terms)))
     return FixedPointTuple(profile, polys)

@@ -59,6 +59,7 @@ from .laurent import (
     DimensionMismatch,
     LaurentPoly,
     _raw,
+    add_terms,
     keep_terms,
     project_terms,
     substitute_monomial_map,
@@ -164,15 +165,6 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
     _check_tuple(g, t)
     nvars = g.face_profile.nvars
     z = (g.d,) if g.bott else ()
-
-    def add(acc, terms, sign=1):
-        for e, c in terms.items():
-            x = acc.get(e, 0) + sign * c
-            if x:
-                acc[e] = x
-            else:
-                del acc[e]          # c != 0, so e was there
-
     owed = {}
     total = {}
     steps = []
@@ -180,8 +172,8 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
         s = substitute_monomial_map(t.entries[v], g.step_maps[v], g.face_profile)
         if substitute_monomial_map(s, g.phi_maps[v], g.char_profile) != t.entries[v]:
             raise ResidualNonzero(pos, "residual at v nonzero")
-        terms = dict(s.terms)
-        add(terms, keep_terms(owed.pop(v, {}), g.phi_maps[v].source + z, nvars), -1)
+        owed_v = keep_terms(owed.pop(v, {}), g.phi_maps[v].source + z, nvars)
+        terms = add_terms(dict(s.terms), owed_v.items(), -1)
         if terms:
             facets = g.polytope.vertices[v]
             if any(project_terms(terms, g.face_pick(facets - {i})) for i in order.extra[v]):
@@ -191,8 +183,8 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
                 raise ResidualNonzero(pos, "face above v has an earlier vertex")
             for j in face.vertices:
                 if j != v:
-                    add(owed.setdefault(j, {}), terms)
-            add(total, terms)
+                    add_terms(owed.setdefault(j, {}), terms.items())
+            add_terms(total, terms.items())
         steps.append(InterpolationStep(pos, v, _raw(g.face_profile, terms)))
     return InterpolationResult(_raw(g.face_profile, total), tuple(steps))
 

@@ -30,8 +30,8 @@ reducing to edges so that the agreement stays independent evidence.
 
 The graph holds no vertex order: (Q, Lambda) alone fix it and both
 predicates.  A height order enters only the constructive steps, so
-dot_export takes one for its vertex labels, as facering's interpolate and
-basis_certificate do.
+facering's interpolate and basis_certificate take one as an argument, and
+the CLI's gkm report (and its DOT text) numbers the vertices by it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .polytope import (
     Face,
     SimplePolytope,
     ValidationReport,
-    VertexOrder,
     fmt_facets,
     vertex_dual_basis,
 )
@@ -69,9 +68,6 @@ class GkmEdge:
     w: int
     facets: frozenset[int]
     character: tuple[int, ...]  # primitive, first nonzero coordinate positive
-
-    def label(self) -> str:
-        return "(" + ",".join(str(x) for x in self.character) + ")"
 
 
 class FixedPointTuple:
@@ -263,7 +259,7 @@ def euler_coprimality_check(g: GkmGraph) -> ValidationReport:
                        for i in range(g.n) for j in range(i + 1, g.n)) and g.n > 1:
                     fails.append(
                         f"vertex {name}: dependent edge characters {u} and {w}")
-    return ValidationReport.from_failures(fails)
+    return ValidationReport(tuple(fails))
 
 
 def in_gamma(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
@@ -308,16 +304,3 @@ def _check_tuple(g: GkmGraph, t: FixedPointTuple):
         raise ValueError(f"tuple has {len(t)} entries for {g.m} fixed points")
     if t.profile != g.char_profile:
         raise ProfileMismatch(f"{t.profile} != {g.char_profile}")
-
-
-def dot_export(g: GkmGraph, order: VertexOrder) -> str:
-    """Undirected DOT graph; vertices are named by their position in order."""
-    pos = order.position
-    lines = ["graph gkm {"]
-    for k in range(g.m):
-        lines.append(f"  v{k + 1};")
-    for e in sorted(g.edges, key=lambda e: tuple(sorted((pos[e.v], pos[e.w])))):
-        a, b = sorted((pos[e.v], pos[e.w]))
-        lines.append(f'  v{a + 1} -- v{b + 1} [label="{e.label()}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -60,12 +60,11 @@ def random_character(rng, n):
 
 
 def random_face_element(rng, g: GkmGraph) -> LaurentPoly:
-    terms = {}
-    for _ in range(rng.randint(1, MAX_TERMS)):
-        exps = tuple(rng.randint(-EXP_BOUND, EXP_BOUND) for _ in range(g.face_profile.nvars))
-        c = rng.choice([x for x in range(-MAX_COEFF, MAX_COEFF + 1) if x])
-        terms[exps] = terms.get(exps, 0) + c
-    return LaurentPoly(g.face_profile, terms)
+    nvars = g.face_profile.nvars
+    coeffs = [x for x in range(-MAX_COEFF, MAX_COEFF + 1) if x]
+    return LaurentPoly(g.face_profile, [
+        (tuple(rng.randint(-EXP_BOUND, EXP_BOUND) for _ in range(nvars)), rng.choice(coeffs))
+        for _ in range(rng.randint(1, MAX_TERMS))])
 
 
 def random_member_tuple(rng, g: GkmGraph):

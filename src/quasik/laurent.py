@@ -7,12 +7,18 @@ stored as a map from exponent tuples (negative entries allowed) to nonzero
 integer coefficients; the zero polynomial is the empty map.  A monomial
 substitution is a MonomialMap, which stores only the coordinates it reads
 and writes.
+
+add_terms is the one in-place sum of sparse terms: the constructor, +, -
+and *, interpolation's face sums and the tuple loader all go through it.
+Three hot kernels keep their own merge loops: project_terms,
+substitute_monomial_map and the ordinary model's truncated non-face
+products (facering.OrdinaryKModel._nonface_terms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .lattice import NotPrimitive, vec_gcd
 
@@ -71,21 +77,26 @@ class LaurentPoly:
 
     def __init__(self, profile: Profile, terms):
         """terms: a {exponents: coeff} map or (exponents, coeff) pairs; the
-        coefficients of equal exponents are summed and zero sums dropped."""
-        clean = {}
+        coefficients of equal exponents are summed and zero sums dropped.
+        Exponents and coefficients must be integers; an integral value of
+        another type (1.0) is stored as an int, anything else (2.5,
+        Fraction(7, 2)) raises ValueError."""
+        pairs = []
         nv = profile.nvars
         for exp, c in (terms.items() if hasattr(terms, "items") else terms):
-            exp = tuple(int(e) for e in exp)
+            given = tuple(exp)
+            exp = tuple(map(int, given))
+            if exp != given:
+                raise ValueError(f"exponent vector {given} is not integral")
             if len(exp) != nv:
                 raise DimensionMismatch(
                     f"exponent vector {exp} has length {len(exp)}, profile needs {nv}")
-            c = int(c)
-            if c:
-                clean[exp] = clean.get(exp, 0) + c
-                if clean[exp] == 0:
-                    del clean[exp]
+            coeff = int(c)
+            if coeff != c:
+                raise ValueError(f"coefficient {c!r} is not an integer")
+            pairs.append((exp, coeff))
         object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", add_terms({}, pairs))
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -143,14 +154,7 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.constant(self.profile, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return _raw(self.profile, out)
+        return _raw(self.profile, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -160,7 +164,8 @@ class LaurentPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.constant(self.profile, other)
-        return self + (-other)
+        self._check(other)
+        return _raw(self.profile, add_terms(dict(self.terms), other.terms.items(), -1))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -173,13 +178,8 @@ class LaurentPoly:
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
+            add_terms(out, [(tuple(map(add, e1, e2)), c1 * c2)
+                            for e2, c2 in other.terms.items()])
         return _raw(self.profile, out)
 
     __rmul__ = __mul__
@@ -227,6 +227,20 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.text()!r})"
+
+
+def add_terms(acc: dict, terms, sign: int = 1) -> dict:
+    """Add sign * c at e into acc for each (e, c) in terms, in place, keeping
+    no zero coefficient; returns acc.  project_terms,
+    substitute_monomial_map and OrdinaryKModel._nonface_terms inline this
+    loop, since they are the hot kernels."""
+    for e, c in terms:
+        x = acc.get(e, 0) + sign * c
+        if x:
+            acc[e] = x
+        else:
+            acc.pop(e, None)
+    return acc
 
 
 def _raw(profile: Profile, terms: dict) -> LaurentPoly:
@@ -370,9 +384,9 @@ def divides_one_minus(f: LaurentPoly, u) -> bool:
     n = prof.count
     p = next(k for k, x in enumerate(u) if x)
     up = u[p]
-    acc = {}
-    for exp, c in f.terms.items():
+
+    def coset_key(exp):
         ap = exp[p]
-        key = tuple(up * exp[k] - ap * u[k] for k in range(n)) + exp[n:]
-        acc[key] = acc.get(key, 0) + c
-    return not any(acc.values())
+        return tuple(up * exp[k] - ap * u[k] for k in range(n)) + exp[n:]
+
+    return not project_terms(f.terms, coset_key)

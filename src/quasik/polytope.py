@@ -43,13 +43,11 @@ class InvalidOrder(ValueError):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     failures: tuple[str, ...]
 
-    @staticmethod
-    def from_failures(failures) -> "ValidationReport":
-        failures = tuple(failures)
-        return ValidationReport(not failures, failures)
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def validate_simple(P: SimplePolytope) -> ValidationReport:
     if P.m < 1:
         fails.append("no vertices")
     if fails:
-        return ValidationReport.from_failures(fails)
+        return ValidationReport(tuple(fails))
 
     for v, fs in enumerate(P.vertices):
         if any(i < 1 or i > d for i in fs):
@@ -210,7 +208,7 @@ def validate_simple(P: SimplePolytope) -> ValidationReport:
             fails.append(f"vertices #{seen[fs] + 1} and #{v + 1} share the facet set {fmt_facets(fs)}")
         seen[fs] = v
     if fails:
-        return ValidationReport.from_failures(fails)
+        return ValidationReport(tuple(fails))
 
     used = frozenset.union(*P.vertices)
     for i in range(1, d + 1):
@@ -230,7 +228,7 @@ def validate_simple(P: SimplePolytope) -> ValidationReport:
                     f"vertex {fmt_facets(fs)}: subset {fmt_facets(sub)} shared with "
                     f"{len(ridges[sub]) - 1} other vertices (expected 1)")
     if fails:
-        return ValidationReport.from_failures(fails)
+        return ValidationReport(tuple(fails))
 
     # connectivity of the edge graph
     reached = {0}
@@ -245,7 +243,7 @@ def validate_simple(P: SimplePolytope) -> ValidationReport:
     if len(reached) != P.m:
         missing = min(set(range(P.m)) - reached)
         fails.append(f"edge graph disconnected: vertex #{missing + 1} unreachable from #1")
-    return ValidationReport.from_failures(fails)
+    return ValidationReport(tuple(fails))
 
 
 def vertex_dual_basis(lam: Sequence[Sequence[int]], facets) -> dict:
@@ -268,12 +266,12 @@ def validate_characteristic(P: SimplePolytope,
     fails = []
     if len(lam) != d:
         fails.append(f"characteristic matrix has {len(lam)} rows, expected {d}")
-        return CharacteristicReport(False, tuple(fails))
+        return CharacteristicReport(tuple(fails))
     for i, row in enumerate(lam):
         if len(row) != n:
             fails.append(f"row {i + 1}: length {len(row)}, expected {n}")
     if fails:
-        return CharacteristicReport(False, tuple(fails))
+        return CharacteristicReport(tuple(fails))
     for i, row in enumerate(lam):
         if not is_primitive(row):
             fails.append(f"row {i + 1} {tuple(row)}: not primitive")
@@ -284,8 +282,8 @@ def validate_characteristic(P: SimplePolytope,
         except NotUnimodular as exc:
             fails.append(f"vertex {fmt_facets(fs)}: |det| = {abs(exc.det)} (expected 1)")
     if fails:
-        return CharacteristicReport(False, tuple(fails))
-    return CharacteristicReport(True, (), tuple(mu))
+        return CharacteristicReport(tuple(fails))
+    return CharacteristicReport((), tuple(mu))
 
 
 def _order_data(P: SimplePolytope, order):

@@ -153,6 +153,17 @@ class TestGkm:
         assert 'v1 -- v3 [label="(0,1)"];' in text
         assert text.count("--") == 3
 
+    def test_dot_labels_follow_order(self, capsys, tmp_path):
+        doc = tmp_path / "interval.json"
+        doc.write_text(json.dumps({"name": "interval", "dim": 1, "facets": 2,
+                                   "vertices": [[1], [2]], "lambda": [[1], [-1]],
+                                   "vertex_order": [2, 1]}))
+        dot = tmp_path / "interval.dot"
+        code, _, _ = run(capsys, "gkm", doc, "--dot", dot)
+        text = dot.read_text()
+        assert code == 0 and text.startswith("graph gkm {")
+        assert 'v1 -- v2 [label="(1)"];' in text
+
     def test_cube_edge_count(self, capsys):
         code, out, _ = run(capsys, "gkm", input_path("cube"), "--json")
         assert code == 0

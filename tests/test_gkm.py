@@ -7,7 +7,6 @@ from quasik.gkm import (
     FixedPointTuple,
     GkmEdge,
     GkmGraph,
-    dot_export,
     euler_coprimality_check,
     in_gamma,
     in_w,
@@ -16,7 +15,7 @@ from quasik.documents import build_polytope
 from quasik.harness import perturb_one_entry, random_member_tuple
 from quasik.lattice import normalize_sign, vec_gcd
 from quasik.laurent import LaurentPoly, char_profile
-from quasik.polytope import SimplePolytope, fmt_facets, validate_order
+from quasik.polytope import SimplePolytope, fmt_facets
 
 from conftest import join
 
@@ -304,13 +303,3 @@ class TestInWReference:
         assert (rep.member, rep.witness and rep.witness.text(g.polytope)) == \
             reference_in_w(g, t)
         assert rep.member == member
-
-
-class TestDot:
-    def test_dot_labels_follow_order(self):
-        P = SimplePolytope(1, 2, [[1], [2]])
-        vo = validate_order(P, [1, 0])
-        g = GkmGraph(P, [[1], [-1]])
-        text = dot_export(g, vo)
-        assert 'v1 -- v2 [label="(1)"];' in text
-        assert text.startswith("graph gkm {")

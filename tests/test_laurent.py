@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from quasik.lattice import NotPrimitive, _xgcd, vec_gcd
 from quasik.laurent import (
     DimensionMismatch,
     LaurentPoly,
+    add_terms,
     MonomialMap,
     NotDivisible,
     ProfileMismatch,
@@ -59,6 +62,40 @@ class TestConstruction:
         assert merged == {(1,): 5}
         assert [type(e) for exp in merged for e in exp] == [int]
 
+    @pytest.mark.parametrize("terms, bad", [
+        ({(1,): 0.4}, "0.4"),
+        ({(1,): 2.5}, "2.5"),
+        ({(1,): Fraction(7, 2)}, "Fraction(7, 2)"),
+        ({(1.5,): 1}, "(1.5,)"),
+    ], ids=["coeff-0.4", "coeff-2.5", "coeff-fraction", "exponent-1.5"])
+    def test_non_integers_are_refused(self, terms, bad):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            LaurentPoly(char_profile(1), terms)
+
+    def test_monomial_refuses_a_fractional_coefficient(self):
+        with pytest.raises(ValueError, match="2.9"):
+            LaurentPoly.monomial(char_profile(1), (1,), 2.9)
+        assert LaurentPoly.monomial(char_profile(1), (1,), 3.0).terms == {(1,): 3}
+
+
+class TestAddTerms:
+    def test_sum_cancels_to_empty(self):
+        acc = {(1,): 2, (0,): -1}
+        assert add_terms(acc, [((1,), -2), ((0,), 1)]) == {}
+
+    def test_sign_minus_one(self):
+        acc = {(1,): 2}
+        assert add_terms(acc, [((1,), 2), ((2,), 3)], -1) == {(2,): -3}
+
+    def test_zero_on_a_missing_key_leaves_acc_unchanged(self):
+        acc = {(1,): 2}
+        assert add_terms(acc, [((5,), 0)]) == {(1,): 2}
+
+    def test_returns_acc_itself(self):
+        acc = {}
+        assert add_terms(acc, [((1,), 4)]) is acc
+        assert acc == {(1,): 4}
+
 
 class TestArithmetic:
     def test_difference_of_squares(self):
@@ -76,6 +113,8 @@ class TestArithmetic:
     def test_profile_mismatch(self):
         with pytest.raises(ProfileMismatch):
             LaurentPoly.one(P2) + LaurentPoly.one(char_profile(3))
+        with pytest.raises(ProfileMismatch):
+            LaurentPoly.one(P2) - LaurentPoly.one(char_profile(3))
 
     def test_pow_negative_non_monomial(self):
         t1 = LaurentPoly.variable(P2, 0)
@@ -93,6 +132,28 @@ class TestArithmetic:
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys(P2Z, max_terms=5, bound=2, coeff=3), polys(P2Z, max_terms=5, bound=2, coeff=3))
+    def test_operations_match_a_dict_of_sums(self, f, g):
+        """+, - and * against sums built in a plain dict, zeros dropped at the end."""
+        def reference(pairs):
+            sums = {}
+            for e, c in pairs:
+                sums[e] = sums.get(e, 0) + c
+            return {e: c for e, c in sums.items() if c}
+        F, G = list(f.terms.items()), list(g.terms.items())
+        expected = {
+            "+": reference(F + G),
+            "-": reference(F + [(e, -c) for e, c in G]),
+            "*": reference([(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                            for e1, c1 in F for e2, c2 in G]),
+        }
+        got = {"+": f + g, "-": f - g, "*": f * g}
+        for op, p in got.items():
+            assert p.terms == expected[op], op
+            assert all(p.terms.values()), op
+        assert (f - f).terms == {}
 
 
 class TestRendering:
