@@ -8,16 +8,17 @@ Usage, from the root of a checkout:
 
 Each --src is the src directory of one quasik tree.  The two are imported
 as separate packages (quasik_a and quasik_b), so both run in this process.
-Each repetition takes one cycle of the workload's seeded ops from
-perfbench/workloads.py and runs every op through both trees' cli.main, one
-tree right after the other; which tree goes first alternates from one
-repetition to the next.  Every answer is checked with the op's own verify.
-Timing both trees op by op in one process keeps host drift, which two
-separate benchmark runs minutes apart read as a code effect, out of the
-comparison.  The script prints each tree's ops/s per repetition (ops over
-the summed time of its cli.main calls), the median and quartiles over the
-repetitions, and how many repetitions each tree won; it exits 1 if any
-answer is wrong or any call raises.
+Each repetition takes consecutive cycles of the workload's seeded ops from
+perfbench/workloads.py, whole cycles until each tree has spent at least
+MIN_SECONDS inside cli.main, and runs every op through both trees'
+cli.main, one tree right after the other; which tree goes first alternates
+from one repetition to the next.  Every answer is checked with the op's
+own verify.  Timing both trees op by op in one process keeps host drift,
+which two separate benchmark runs minutes apart read as a code effect, out
+of the comparison.  The script prints each tree's ops/s per repetition
+(ops over the summed time of its cli.main calls) with the cycles it took,
+the median and quartiles over the repetitions, and how many repetitions
+each tree won; it exits 1 if any answer is wrong or any call raises.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+
+MIN_SECONDS = 1.0   # least time each tree spends in cli.main per repetition
 
 
 def load_cli(src: str, name: str):
@@ -53,7 +56,8 @@ def main(argv=None) -> int:
                     help="src directory of a quasik tree; give exactly two")
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--reps", type=int, default=10, help="repetitions, one cycle each")
+    ap.add_argument("--reps", type=int, default=10,
+                    help=f"repetitions, each at least {MIN_SECONDS:g} s per tree")
     args = ap.parse_args(argv)
     if len(args.src) != 2:
         ap.error("give --src exactly twice")
@@ -64,25 +68,36 @@ def main(argv=None) -> int:
     runners = [workloads.Runner(load_cli(src, f"quasik_{label.lower()}"))
                for src, label in zip(args.src, labels)]
     rates = ([], [])
+    cycles = []
+    c = 0
     with tempfile.TemporaryDirectory() as tmp:
         wl = workloads.workload(args.workload, args.seed, Path(tmp))
         warm = wl.warmup()
         for r in runners:
             r.run(warm)
         for rep in range(args.reps):
-            ops = wl.cycle(rep)
             first = [r.attempted for r in runners]
             turn = (0, 1) if rep % 2 == 0 else (1, 0)
-            for op in ops:
-                for k in turn:
-                    runners[k].run(op)
-            for k, r in enumerate(runners):
-                rates[k].append(len(ops) / sum(r.latencies[first[k]:]))
-            print(f"rep {rep} ({labels[turn[0]]} first): "
+            spent = [0.0, 0.0]
+            ops = 0
+            start = c
+            while min(spent) < MIN_SECONDS:
+                cycle = wl.cycle(c)
+                c += 1
+                for op in cycle:
+                    for k in turn:
+                        runners[k].run(op)
+                ops += len(cycle)
+                spent = [sum(r.latencies[first[k]:]) for k, r in enumerate(runners)]
+            cycles.append(c - start)
+            for k in (0, 1):
+                rates[k].append(ops / spent[k])
+            print(f"rep {rep} ({labels[turn[0]]} first, {c - start} cycles, {ops} ops): "
                   + "  ".join(f"{labels[k]} {rates[k][-1]:.1f}" for k in (0, 1)) + " ops/s")
 
-    print(f"workload {args.workload} seed {args.seed}: {args.reps} repetitions "
-          f"of {len(ops)} ops per tree")
+    print(f"workload {args.workload} seed {args.seed}: {args.reps} repetitions, "
+          f"each at least {MIN_SECONDS:g} s per tree, "
+          f"{min(cycles)}-{max(cycles)} cycles (median {statistics.median(cycles):g})")
     wins = [sum(x > y for x, y in zip(rates[k], rates[1 - k])) for k in (0, 1)]
     for k, (src, label) in enumerate(zip(args.src, labels)):
         q = statistics.quantiles(rates[k], n=4) if args.reps > 1 else [rates[k][0]] * 3

@@ -8,19 +8,9 @@ vertex is off the facet).  phi is injective modulo the non-face products,
 so ring identities are always verified through it.
 
 interpolate() inverts phi constructively: walking the vertices in a height
-order, it reads each entry once, at its vertex's step.  The step
-polynomials of the earlier vertices u whose face F_u holds v are owed to
-v as one face-ring sum.  The step at v rewrites the entry through the
-dual basis at v and subtracts the owed sum kept at v's facets, which
-gives the step polynomial of the entry less phi of the owed sum without
-forming that difference.  Three checks certify each step: phi at v
-undoes the rewrite, omega_v divides the step polynomial (so its image is
-zero off F_v), and v comes first in F_v (so no earlier entry moves);
-together they give phi(P) = t.  They also decide membership: the image
-of phi is the GKM ring, and under a valid order a tuple outside it fails
-the divisibility check at some step, so no separate membership test runs
-first.  It and basis_certificate() take the order as an argument;
-nothing else here depends on one.
+order, it reads each entry once, at its vertex's step, and three checks
+certify each step and decide membership.  It and basis_certificate() read
+the faces F_v of the order they are given; nothing else here needs one.
 
 The non-face products, the basis elements omega_v = prod(1 - y_k) over
 S and their Euler-class values prod(1 - e^{mu_k(u)}) at a vertex u on
@@ -142,7 +132,7 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
     Only the tuple's shape is checked up front (ValueError for the wrong
     length, ProfileMismatch for the wrong profile); the steps decide
     membership.  owed[v] is the sum of the step polynomials p_u of the
-    earlier u whose face F_u = face_of(order.extra[u]) holds v.  Step v
+    earlier u whose face F_u = order.face[u] holds v.  Step v
     takes s = step_v(t[v]) and p_v = s - pi_v(owed[v]), where pi_v keeps the
     exponents that phi_v reads (v's facets and z) and zeroes the rest; then
     it adds p_v to owed[j] for the other vertices j of F_v.  This is the
@@ -158,9 +148,10 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
     Together they give phi(P) == t: by the second and third, phi_v(P) is
     phi_v(owed[v]) + phi_v(p_v), and phi_v(pi_v(q)) = phi_v(q) makes that
     phi_v(s), which the first check compares with t[v].  So a successful
-    return is a certified preimage.  Under a valid order a non-member fails
-    the divisibility check: the first check holds for every tuple, since
-    phi_v undoes step_v, and the third too.
+    return is a certified preimage.  On an order from validate_order only
+    a non-member (the second check) or a bug in the maps (the first) fails;
+    the third is validate_order's own check, reached only by orders that
+    skip it.
     """
     _check_tuple(g, t)
     nvars = g.face_profile.nvars
@@ -178,7 +169,7 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
             facets = g.polytope.vertices[v]
             if any(project_terms(terms, g.face_pick(facets - {i})) for i in order.extra[v]):
                 raise ResidualNonzero(pos, "step polynomial not divisible by omega_v")
-            face = g.polytope.face_of(order.extra[v])
+            face = order.face[v]
             if any(order.position[j] < pos for j in face.vertices):
                 raise ResidualNonzero(pos, "face above v has an earlier vertex")
             for j in face.vertices:
@@ -232,24 +223,22 @@ def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry
     classes.  At a vertex u, phi(omega_t) is prod(1 - e^{mu_i(u)}) over S_t
     when u lies on every facet of S_t and 0 otherwise (y_i -> 1 off facet
     i); each mu_i(u) is a nonzero character and Z[M] is a domain, so it
-    vanishes exactly off the face of S_t.  The earlier vertices are checked
-    by their facet sets, and omega_t is mapped at v_t alone.  The mu_i(v_t)
+    vanishes exactly off order.face[v_t]: the earlier check reads its
+    vertices' positions, and omega_t is mapped at v_t alone.  The mu_i(v_t)
     are independent, so the expected value has 2^|S_t| terms, never zero.
+    Only this check can fail on a validated order, through a bug in the maps.
     """
-    P = g.polytope
     entries = []
     for pos, v in enumerate(order.order):
-        S = order.extra[v]
-        extra = tuple(sorted(S))
+        extra = tuple(sorted(order.extra[v]))
         if len(extra) != order.ind[v]:
             raise CertificateFailure(
-                f"vertex {fmt_facets(P.vertices[v])}: {len(extra)} extra facets "
+                f"vertex {fmt_facets(g.polytope.vertices[v])}: {len(extra)} extra facets "
                 f"for index {order.ind[v]}", pos)
-        for s in range(pos):
-            if S <= P.vertices[order.order[s]]:
-                raise CertificateFailure(
-                    f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}",
-                    pos, s)
+        s = min(order.position[u] for u in order.face[v].vertices)
+        if s < pos:
+            raise CertificateFailure(
+                f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}", pos, s)
         omega = _nonface_product(g.face_profile, extra)
         diagonal = substitute_monomial_map(omega, g.phi_maps[v], g.char_profile)
         expected = _one_minus_product(g.char_profile, (g.mu[v][i] + (0,) * g.bott for i in extra))

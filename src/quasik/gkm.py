@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .lattice import normalize_sign
@@ -107,15 +108,20 @@ class FixedPointTuple:
     def __hash__(self):
         return hash((self.profile, self.entries))
 
+    def _entrywise(self, op, other):
+        if len(other) != len(self):
+            raise ValueError(f"tuples of {len(self)} and {len(other)} entries")
+        return FixedPointTuple(self.profile, tuple(map(op, self.entries, other.entries)))
+
     def __add__(self, other):
-        return FixedPointTuple(self.profile, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        return FixedPointTuple(self.profile, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(sub, other)
 
     def __mul__(self, other):
         if isinstance(other, FixedPointTuple):
-            return FixedPointTuple(self.profile, tuple(a * b for a, b in zip(self.entries, other.entries)))
+            return self._entrywise(mul, other)
         return FixedPointTuple(self.profile, tuple(a * other for a in self.entries))
 
     __rmul__ = __mul__

@@ -81,12 +81,15 @@ def fmt_facets(s) -> str:
 
 @dataclass(frozen=True)
 class VertexOrder:
-    """A validated total vertex order with per-vertex edge orientation data."""
+    """A validated total vertex order with per-vertex edge orientation data.
+    No check downstream that v comes first in face[v] or that |extra[v]| is
+    ind[v] fails on it; the others catch non-members and bugs in the maps."""
 
     order: tuple[int, ...]      # vertex ids, source first
     position: tuple[int, ...]   # position[v] = rank of vertex v
     ind: tuple[int, ...]        # ind[v] = number of neighbours earlier in the order
     extra: tuple[frozenset[int], ...]      # extra[v] = facets of v off its incoming edges
+    face: tuple[Face, ...]      # face[v] = F_v, the face of extra[v]
 
 
 class SimplePolytope:
@@ -295,7 +298,7 @@ def _order_data(P: SimplePolytope, order):
     ind = tuple(len(inc) for inc in incoming)
     extra = tuple(frozenset().union(*(P.vertices[v] - P.vertices[w] for w in inc))
                   for v, inc in enumerate(incoming))
-    return VertexOrder(tuple(order), tuple(position), ind, extra)
+    return VertexOrder(tuple(order), tuple(position), ind, extra, tuple(map(P.face_of, extra)))
 
 
 def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:
@@ -305,7 +308,9 @@ def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:
     neighbour inside the face) and the whole orientation must have a unique
     source and a unique sink.  This is the combinatorial shadow of a generic
     height function; orders that pass it are usable downstream, which is
-    checked again by the interpolation residuals.
+    checked again by the interpolation residuals.  The face checked for v
+    is kept as face[v], and the checks downstream that v comes first there
+    or that |extra[v]| = ind[v] (a ridge holds 2 vertices) cannot fail.
 
     A vertex w is locally minimal in a face F exactly when F lies in every
     facet of extra[w], the facets of w off its incoming edges.  So v is
@@ -323,7 +328,7 @@ def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:
     if sorted(order) != list(range(P.m)):
         raise InvalidOrder(f"not a permutation of 0..{P.m - 1}: {order}")
     vo = _order_data(P, order)
-    failing = [face for v, face in enumerate(map(P.face_of, vo.extra))
+    failing = [face for v, face in enumerate(vo.face)
                if min(face.vertices, key=vo.position.__getitem__) != v]
     if failing:
         face = min(failing, key=lambda f: (len(f.facets), sorted(f.facets)))

@@ -10,6 +10,7 @@ from quasik.documents import build_polytope, document_from_dict, load_document, 
 from quasik.gkm import GkmGraph, _check_tuple
 from quasik.lattice import SparseMat, snf_diagonal
 from quasik.laurent import LaurentPoly, face_profile, project_terms, substitute_monomial_map
+from quasik.polytope import SimplePolytope
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -168,6 +169,20 @@ def generated(perfbench_gen):
     return generated_graphs(gen, {"cube4": lambda: gen.cube(4),
                                   "bott4": lambda: gen.bott(4, random.Random(4)),
                                   "polygon9": lambda: gen.polygon(9, random.Random(9))})
+
+
+@pytest.fixture
+def face_of_calls(monkeypatch):
+    """The facet sets of each SimplePolytope.face_of call."""
+    calls = []
+    real = SimplePolytope.face_of
+
+    def counted(P, facets):
+        calls.append(facets)
+        return real(P, facets)
+
+    monkeypatch.setattr(SimplePolytope, "face_of", counted)
+    return calls
 
 
 @pytest.fixture

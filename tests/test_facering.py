@@ -374,12 +374,14 @@ class TestInterpolatePushForm:
             assert len(substitutions) <= 2 * g.m, (name, len(substitutions))
 
 
-def with_extra(order, changes):
-    """order with extra[v] replaced for each v in changes, nothing rechecked."""
-    extra = list(order.extra)
+def with_extra(P, order, changes):
+    """order with extra[v], and with it face[v], replaced for each v in
+    changes, nothing rechecked."""
+    extra, face = list(order.extra), list(order.face)
     for v, facets in changes.items():
         extra[v] = frozenset(facets)
-    return replace(order, extra=tuple(extra))
+        face[v] = P.face_of(facets)
+    return replace(order, extra=tuple(extra), face=tuple(face))
 
 
 def omega_sum_image(g, order):
@@ -398,7 +400,7 @@ class TestInterpolateCertificate:
     def test_swapped_extra_sets(self, g):
         order, t = ORDER[g], omega_sum_image(g, ORDER[g])
         for v, w in combinations(range(g.m), 2):
-            bad = with_extra(order, {v: order.extra[w], w: order.extra[v]})
+            bad = with_extra(g.polytope, order, {v: order.extra[w], w: order.extra[v]})
             with pytest.raises(ResidualNonzero) as exc:
                 interpolate(g, bad, t)
             assert exc.value.check in ("step polynomial not divisible by omega_v",
@@ -409,7 +411,7 @@ class TestInterpolateCertificate:
         for v in range(g.m):
             for i in order.extra[v]:
                 with pytest.raises(ResidualNonzero) as exc:
-                    interpolate(g, with_extra(order, {v: order.extra[v] - {i}}), t)
+                    interpolate(g, with_extra(g.polytope, order, {v: order.extra[v] - {i}}), t)
                 assert exc.value.check == "face above v has an earlier vertex"
                 assert exc.value.step == order.position[v]
 
@@ -418,7 +420,7 @@ class TestInterpolateCertificate:
         for v in range(g.m):
             for i in g.polytope.vertices[v] - order.extra[v]:
                 with pytest.raises(ResidualNonzero) as exc:
-                    interpolate(g, with_extra(order, {v: order.extra[v] | {i}}), t)
+                    interpolate(g, with_extra(g.polytope, order, {v: order.extra[v] | {i}}), t)
                 assert str(exc.value) == (f"step {order.position[v] + 1}: "
                                           "step polynomial not divisible by omega_v")
 
@@ -722,26 +724,29 @@ def oracle_graphs(documents, orders, generated, perfbench_gen):
 
 
 def certificate_mutations(g, order):
-    """Orders whose order, extra or ind is changed with nothing rechecked."""
-    m = len(order.order)
-    first = g.polytope.vertices[order.order[0]]
+    """Orders whose order (and position), extra (and face) or ind is
+    changed with nothing rechecked."""
+    P, m = g.polytope, len(order.order)
+    first = P.vertices[order.order[0]]
     for v in order.order[1:]:
         # extra[v] is all of the first vertex's facets
         ind = list(order.ind)
         ind[v] = len(first)
-        yield replace(with_extra(order, {v: first}), ind=tuple(ind))
+        yield replace(with_extra(P, order, {v: first}), ind=tuple(ind))
     for a in range(m - 1):
-        swapped = list(order.order)
-        swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
-        yield replace(order, order=tuple(swapped))
+        swapped, position = list(order.order), list(order.position)
+        v, w = swapped[a], swapped[a + 1]
+        swapped[a], swapped[a + 1] = w, v
+        position[v], position[w] = a + 1, a
+        yield replace(order, order=tuple(swapped), position=tuple(position))
     for v in range(m):
         for i in order.extra[v]:
-            yield with_extra(order, {v: order.extra[v] - {i}})
+            yield with_extra(P, order, {v: order.extra[v] - {i}})
             ind = list(order.ind)
             ind[v] -= 1
-            yield replace(with_extra(order, {v: order.extra[v] - {i}}), ind=tuple(ind))
+            yield replace(with_extra(P, order, {v: order.extra[v] - {i}}), ind=tuple(ind))
     for v, w in combinations(range(m), 2):
-        yield with_extra(order, {v: order.extra[w], w: order.extra[v]})
+        yield with_extra(P, order, {v: order.extra[w], w: order.extra[v]})
 
 
 class TestCertificateOracle:
@@ -774,6 +779,14 @@ class TestCertificateOracle:
             assert got == (CertificateFailure,
                            "diagonal value at position 2 is not the Euler-class product",
                            1, 1), name
+
+    def test_no_face_of_calls(self, oracle_graphs, face_of_calls):
+        """interpolate and the certificate read the order's stored faces."""
+        for name, (g, order) in oracle_graphs.items():
+            t = phi(g, random_face_element(random.Random(name), g))
+            basis_certificate(g, order)
+            interpolate(g, order, t)
+        assert face_of_calls == []
 
     def test_phi_substitutions_are_one_per_vertex(self, oracle_graphs, substitutions):
         for name, (g, order) in oracle_graphs.items():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasik.gkm import (
@@ -14,7 +15,7 @@ from quasik.gkm import (
 from quasik.documents import build_polytope
 from quasik.harness import perturb_one_entry, random_member_tuple
 from quasik.lattice import normalize_sign, vec_gcd
-from quasik.laurent import LaurentPoly, char_profile
+from quasik.laurent import LaurentPoly, ProfileMismatch, char_profile
 from quasik.polytope import SimplePolytope, fmt_facets
 
 from conftest import join
@@ -169,6 +170,34 @@ class TestRestriction:
         target = char_profile(len(facets), g.bott)
         assert g.restrict_to_face(mono(g, a, 3), face) == \
             LaurentPoly.char_monomial(target, exps, 3)
+
+
+class TestTupleArithmetic:
+    """Entrywise +, - and * need tuples of one length and one profile."""
+
+    def test_length_mismatch_raises(self):
+        a, b = r_like(CP2, 1), r_like(CP2, 2)
+        short = FixedPointTuple(CP2.char_profile, a.entries[:1])
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            assert len(op(a, b)) == 3
+            for x, y in ((a, short), (short, a)):
+                with pytest.raises(ValueError, match="tuples of"):
+                    op(x, y)
+
+    def test_profile_mismatch_raises(self):
+        a = r_like(CP2, 1)
+        other = FixedPointTuple.constant(CP2_BOTT.char_profile, 3,
+                                         LaurentPoly.one(CP2_BOTT.char_profile))
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(ProfileMismatch):
+                op(a, other)
+
+    def test_scalar_product(self):
+        t = r_like(CP2, 1)
+        c = mono(CP2, (1, -1), 2)
+        for got, scale in ((2 * t, 2), (t * 2, 2), (t * c, c)):
+            assert len(got) == 3
+            assert got.entries == tuple(a * scale for a in t.entries)
 
 
 class TestInGamma:

@@ -311,6 +311,28 @@ def order_by_definition(P, order):
     return None
 
 
+def assert_stored_faces(P, vo):
+    """Each face[v] of a validated order is the face of extra[v], and v is
+    its earliest vertex."""
+    assert len(vo.face) == P.m
+    for v in range(P.m):
+        assert vo.face[v] == P.face_of(vo.extra[v]), v
+        assert min(vo.face[v].vertices, key=vo.position.__getitem__) == v, v
+
+
+def random_height_orders(P, coords, rng, count):
+    """Validated orders of up to count random height vectors; ties and
+    rejected orders are skipped."""
+    out = []
+    for _ in range(count):
+        w = [rng.randint(-9, 9) for _ in range(len(coords[0]))]
+        try:
+            out.append(vertex_order_from_heights(P, coords, w))
+        except (NonGenericHeight, InvalidOrder):
+            pass
+    return out
+
+
 def truncated_cube():
     """The 3-cube with the vertex (0,0,0) cut off by the new facet 7."""
     C, coords = cube()
@@ -338,6 +360,7 @@ class TestOrderOracle:
             return False
         assert expected is None, order
         assert vo.order == tuple(order)
+        assert_stored_faces(P, vo)
         return True
 
     def test_every_permutation(self):
@@ -365,3 +388,41 @@ class TestOrderOracle:
                     order[k], order[k + 1] = order[k + 1], order[k]
                 verdicts.append(self.agree(P, order))
             assert 0 < sum(verdicts) < len(verdicts)
+
+
+class TestStoredFace:
+    """VertexOrder.face[v] is F_v, the face of extra[v], with v first in it."""
+
+    def test_bundled_inputs(self, documents, orders):
+        for name, doc in documents.items():
+            P = build_polytope(doc)
+            assert_stored_faces(P, orders[name])
+            if doc.vertex_coords is not None:
+                for vo in random_height_orders(P, doc.vertex_coords, random.Random(name), 20):
+                    assert_stored_faces(P, vo)
+
+    def test_generated(self, generated):
+        for name, (doc, g, order) in generated.items():
+            assert_stored_faces(g.polytope, order)
+            orders = random_height_orders(g.polytope, doc.vertex_coords, random.Random(name), 20)
+            assert orders, name
+            for vo in orders:
+                assert_stored_faces(g.polytope, vo)
+
+    def test_random_height_orders(self):
+        rng = random.Random(7)
+        for P, coords in (cube(), truncated_cube()):
+            orders = random_height_orders(P, coords, rng, 100)
+            assert len({vo.order for vo in orders}) > 1
+            for vo in orders:
+                assert_stored_faces(P, vo)
+
+    def test_face_of_once_per_vertex(self, face_of_calls):
+        """validate_order calls face_of once per vertex, valid order or not."""
+        P, coords = truncated_cube()
+        validate_order(P, vertex_order_from_heights(P, coords, (1, 2, 4)).order)
+        assert len(face_of_calls) == 2 * P.m
+        face_of_calls.clear()
+        with pytest.raises(InvalidOrder):
+            validate_order(SQUARE, [0, 2, 1, 3])
+        assert len(face_of_calls) == SQUARE.m
