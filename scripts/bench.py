@@ -25,6 +25,12 @@ since the larger proptests take seconds.  The file, written to the root of
 this checkout, holds the medians, every sample, a digest of each command's
 output and the machine facts.
 
+Each sample writes the document to a new path first.  cli.main keeps
+the parsed, checked document of an input whose path and text it has seen
+(at most 16), so a second run on one path would skip that work; with a
+new path every sample, each command on each rung is timed as a first
+sight of its document, as in the files of earlier commits.
+
 --src points at the src directory of the quasik to measure (default:
 this checkout's), so one copy of this script can time another commit.
 The parent's and the change's files are separate runs minutes apart, so
@@ -39,6 +45,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -194,23 +201,29 @@ def bench(cli, rungs, runs, workdir: Path):
     for name, make in rungs.items():
         M = gen.with_height(make(), random.Random(1))
         gen.check(M)
-        doc = workdir / f"{name}.json"
-        doc.write_text(json.dumps(M.document()))
+        text = json.dumps(M.document())
+        paths = (workdir / f"{name}-{k}.json" for k in itertools.count())
         P = check.random_face_element(M, random.Random(f"bench:{name}"))
         tup = workdir / f"{name}-tuple.json"
         tup.write_text(json.dumps(check.tuple_json(check.phi(M, check.dual_bases(M), P))))
+
+        def first_sight(argv_of):
+            """argv_of's arguments, with the document written to a path
+            that no earlier run read."""
+            doc = next(paths)
+            doc.write_text(text)
+            return [str(a) for a in argv_of(doc, tup)]
         for label, argv_of in COMMANDS.items():
-            argv = [str(a) for a in argv_of(doc, tup)]
             walls, codes, digests = [], set(), set()
             for _ in range(runs):
-                spent, code, out = run_once(cli, argv)
+                spent, code, out = run_once(cli, first_sight(argv_of))
                 walls.append(spent)
                 codes.add(code)
                 digests.add(hashlib.sha256(out.encode()).hexdigest())
             layer_runs = []
             for _ in range(runs):
                 clock = LayerClock()
-                run_once(cli, argv, clock)
+                run_once(cli, first_sight(argv_of), clock)
                 layer_runs.append(clock)
             layers = {
                 layer: {"calls": statistics.median(c.calls[layer] for c in layer_runs),

@@ -14,29 +14,46 @@ polynomial.  A text report is built only when it is printed, without
 its report.  The argument parser is built once per process, when this module
 is imported; each main() call parses into a new namespace.
 
-Every command is a function of (doc, args) that returns a Report, and
-builds what it needs with two helpers.  _graph checks the polytope is
-simple and the characteristic matrix is unimodular at every vertex (the
-one check sequence, _checks, which validate reports step by step) and
-returns the GkmGraph.  _order resolves the vertex order, for the DOT and
-edge labels, the basis certificate and interpolation: gkm, facering and
-interpolate call it, and without an order source they exit 2.  proptest
-uses the order when it is valid and otherwise hands its two order suites
-the reason; membership never resolves it.  A failing check or an invalid
-order raises Failed with the failure report (exit 1), which main prints
-like any other.
+Every command is a function of (prep, args) that returns a Report, where
+prep is the input's Prepared document.  Its graph() checks the polytope
+is simple and the characteristic matrix is unimodular at every vertex
+(checks(), the one check sequence, which validate reports step by step)
+and returns the GkmGraph.  Its order() resolves the vertex order, for the
+DOT and edge labels, the basis certificate and interpolation: gkm,
+facering and interpolate call it, and without an order source they exit
+2.  proptest uses the order when it is valid and otherwise hands its two
+order suites the reason (order_or_error()); membership never resolves
+it.  A failing check or an invalid order raises Failed with the failure
+report (exit 1), which main prints like any other.
+
+Repeated main() calls in one process reuse the parsed document, the
+validated graph with its maps and the order of an input whose path and
+full text are unchanged: CACHE keeps the Prepared documents of the last
+CACHE_SIZE = 16 inputs, least recently used out.  The file is read on
+every call, and a document is parsed and checked in full the first time
+that (path, text) is seen, so a changed file is a new entry; reports are
+byte-identical to a first call's.  Tuple files and all per-tuple work are
+read and done anew on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import facering
-from .documents import InputError, build_polytope, load_document, load_tuple, resolve_order
+from .documents import (
+    InputError,
+    build_polytope,
+    load_document,
+    load_tuple,
+    read_text,
+    resolve_order,
+)
 from .facering import OrdinaryRankFailure, ResidualNonzero
 from .gkm import GkmGraph, euler_coprimality_check, in_gamma, in_w
 from .harness import run_all
@@ -125,46 +142,89 @@ def _render(command: str, input_name: str, report: Report, as_json: bool) -> str
     return text if text.endswith("\n") else text + "\n"
 
 
-def _checks(doc):
-    """(polytope, simple report, characteristic report); the characteristic
-    matrix is checked only on a simple polytope, else its report is None."""
-    P = build_polytope(doc)
-    simple = validate_simple(P)
-    return P, simple, validate_characteristic(P, doc.lam) if simple.ok else None
+# the most documents main() keeps prepared between calls, least recently used out
+CACHE_SIZE = 16
+# (path, full text of the file) -> Prepared, least recently used first
+CACHE: OrderedDict = OrderedDict()
 
 
-def _graph(doc) -> GkmGraph:
-    """The document's GkmGraph; the first failing check raises Failed."""
-    P, simple, char = _checks(doc)
-    failures = list(simple.failures or char.failures)
-    if failures:
-        raise Failed(Report("fail", {"failures": failures}, lambda: (
-            "input fails validation:\n" + "\n".join("  " + f for f in failures))))
-    return GkmGraph(P, doc.lam, bott=doc.use_bott, mu=char.mu)
+class Prepared:
+    """A parsed document and what the commands derive from it, each built
+    on first use and kept: the checks, the graph outcome (the GkmGraph, or
+    the report of the first failing check) and the (order, error) pair.
+    Nothing here is changed once filled (a GkmGraph, SimplePolytope or
+    VertexOrder fills only its own lazy fields), so main() calls on the
+    same (path, text) share them."""
+
+    __slots__ = ("doc", "_checks", "_graph", "_order")
+
+    def __init__(self, doc):
+        self.doc = doc
+        self._checks = self._graph = self._order = None
+
+    def checks(self):
+        """(polytope, simple report, characteristic report); the characteristic
+        matrix is checked only on a simple polytope, else its report is None."""
+        if self._checks is None:
+            P = build_polytope(self.doc)
+            simple = validate_simple(P)
+            char = validate_characteristic(P, self.doc.lam) if simple.ok else None
+            self._checks = P, simple, char
+        return self._checks
+
+    def graph(self) -> GkmGraph:
+        """The document's GkmGraph; the first failing check raises Failed."""
+        if self._graph is None:
+            P, simple, char = self.checks()
+            failures = list(simple.failures or char.failures)
+            if failures:
+                self._graph = Report("fail", {"failures": failures}, lambda: (
+                    "input fails validation:\n" + "\n".join("  " + f for f in failures)))
+            else:
+                self._graph = GkmGraph(P, self.doc.lam, bott=self.doc.use_bott, mu=char.mu)
+        if isinstance(self._graph, Report):
+            raise Failed(self._graph)
+        return self._graph
+
+    def order_or_error(self):
+        """(order, None) or (None, message) on the checked polytope;
+        InputError passes through."""
+        if self._order is None:
+            try:
+                self._order = resolve_order(self.doc, self.checks()[0]), None
+            except (InvalidOrder, NonGenericHeight) as exc:
+                self._order = None, str(exc)
+        return self._order
+
+    def order(self):
+        """The document's valid vertex order; an invalid one raises Failed, and
+        a missing order source is an input error."""
+        order, err = self.order_or_error()
+        if err:
+            raise Failed(Report("fail", {"error": err}, lambda: f"vertex order: FAIL ({err})"))
+        return order
 
 
-def _order_or_error(doc, P):
-    """(order, None) or (None, message); InputError passes through."""
-    try:
-        return resolve_order(doc, P), None
-    except (InvalidOrder, NonGenericHeight) as exc:
-        return None, str(exc)
+def prepare(path) -> Prepared:
+    """The Prepared document at path: the kept one if the file's full text
+    is what it was when that was parsed, else a new one.  A file that cannot
+    be read or parsed raises InputError and leaves the cache as it was."""
+    text = read_text(path)
+    key = (str(path), text)
+    prep = CACHE.pop(key, None)
+    if prep is None:
+        prep = Prepared(load_document(path, text))
+    CACHE[key] = prep
+    if len(CACHE) > CACHE_SIZE:
+        CACHE.popitem(last=False)
+    return prep
 
 
-def _order(doc, P):
-    """The document's valid vertex order; an invalid one raises Failed, and
-    a missing order source is an input error."""
-    order, err = _order_or_error(doc, P)
-    if err:
-        raise Failed(Report("fail", {"error": err}, lambda: f"vertex order: FAIL ({err})"))
-    return order
-
-
-def cmd_validate(doc, args) -> Report:
-    P, simple, char = _checks(doc)
+def cmd_validate(prep, args) -> Report:
+    P, simple, char = prep.checks()
     steps = [("simple", "simple polytope", simple.failures)]
     if char is not None:
-        err = _order_or_error(doc, P)[1]
+        err = prep.order_or_error()[1]
         steps += [("characteristic", "characteristic matrix", char.failures),
                   ("order", "vertex order", [err] if err else [])]
     payload = {key: {"ok": not failures, "failures": list(failures)}
@@ -180,9 +240,9 @@ def cmd_validate(doc, args) -> Report:
     return Report("pass" if ok else "fail", payload, human)
 
 
-def cmd_gkm(doc, args) -> Report:
-    g = _graph(doc)
-    order = _order(doc, g.polytope)
+def cmd_gkm(prep, args) -> Report:
+    g = prep.graph()
+    order = prep.order()
     rep = euler_coprimality_check(g)
     pos = order.position
     edges = sorted(({"a": min(pos[e.v], pos[e.w]) + 1,
@@ -217,10 +277,10 @@ def cmd_gkm(doc, args) -> Report:
     return Report("pass" if rep.ok else "fail", payload, human)
 
 
-def cmd_facering(doc, args) -> Report:
-    g = _graph(doc)
+def cmd_facering(prep, args) -> Report:
+    g = prep.graph()
     P = g.polytope
-    order = _order(doc, P)
+    order = prep.order()
     nonfaces = [sorted(S) for S in P.minimal_nonfaces()]
     gens = facering.kernel_generators(g)
     rvecs = [facering.r_vector(g, i) for i in range(1, g.d + 1)]
@@ -281,8 +341,8 @@ def cmd_facering(doc, args) -> Report:
     return Report("pass" if status_ok else "fail", payload, human)
 
 
-def cmd_membership(doc, args) -> Report:
-    g = _graph(doc)
+def cmd_membership(prep, args) -> Report:
+    g = prep.graph()
     P = g.polytope
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     grep = in_gamma(g, t)
@@ -308,10 +368,10 @@ def cmd_membership(doc, args) -> Report:
     return Report("member" if ok else "non-member", payload, human)
 
 
-def cmd_interpolate(doc, args) -> Report:
-    g = _graph(doc)
+def cmd_interpolate(prep, args) -> Report:
+    g = prep.graph()
     P = g.polytope
-    order = _order(doc, P)
+    order = prep.order()
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     try:
         res = facering.interpolate(g, order, t)
@@ -333,13 +393,13 @@ def cmd_interpolate(doc, args) -> Report:
     return Report("pass", payload, human)
 
 
-def cmd_proptest(doc, args) -> Report:
+def cmd_proptest(prep, args) -> Report:
     if args.cases < 0:
         raise InputError(f"--cases {args.cases} is negative")
-    g = _graph(doc)
-    order, why = (_order_or_error(doc, g.polytope) if doc.has_order_source
+    g = prep.graph()
+    order, why = (prep.order_or_error() if prep.doc.has_order_source
                   else (None, "no order source in the input document"))
-    results = run_all(g, order, why, args.seed, args.cases, coords=doc.vertex_coords)
+    results = run_all(g, order, why, args.seed, args.cases, coords=prep.doc.vertex_coords)
     ok = all(r.passed for r in results)
     payload = {"seed": args.seed, "cases": args.cases,
                "suites": [{"name": r.name, "cases": r.cases,
@@ -398,10 +458,10 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     name = str(args.input)
     try:
-        doc = load_document(args.input)
-        name = doc.name
+        prep = prepare(args.input)
+        name = prep.doc.name
         try:
-            report = COMMANDS[args.command](doc, args)
+            report = COMMANDS[args.command](prep, args)
         except Failed as exc:
             report = exc.report
         text = _render(args.command, name, report, args.json)

@@ -143,14 +143,21 @@ def document_from_dict(obj, where="input") -> InputDocument:
                          vertex_order, vertex_coords, height_vector, use_bott)
 
 
-def load_json(path):
+def read_text(path) -> str:
+    """The file's full text, decoded as UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def parse_json(text: str, path):
+    """The JSON value of text read from path (which names it in errors)."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from None
@@ -161,8 +168,12 @@ def load_json(path):
                          f"{str(exc).split(';')[0]}") from None
 
 
-def load_document(path) -> InputDocument:
-    return document_from_dict(load_json(path), where=str(path))
+def load_document(path, text=None) -> InputDocument:
+    """The document at path; text, when given, is its content as read_text
+    returned it, so the file is not read again."""
+    if text is None:
+        text = read_text(path)
+    return document_from_dict(parse_json(text, path), where=str(path))
 
 
 def build_polytope(doc: InputDocument) -> SimplePolytope:
@@ -180,7 +191,7 @@ def resolve_order(doc: InputDocument, P: SimplePolytope) -> VertexOrder:
 
 
 def load_tuple(path, profile: Profile, m: int) -> FixedPointTuple:
-    obj = load_json(path)
+    obj = parse_json(read_text(path), path)
     _expect(isinstance(obj, dict) and "entries" in obj,
             f"{path}: expected an object with an 'entries' field")
     entries = obj["entries"]

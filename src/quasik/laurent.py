@@ -150,9 +150,13 @@ class LaurentPoly:
         return hash((self.profile, frozenset(self.terms.items())))
 
     # -- ring operations ----------------------------------------------
+    # an operand that is neither an int nor a LaurentPoly gets NotImplemented,
+    # so Python tries its reflected method (FixedPointTuple.__rmul__ for c * t)
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.constant(self.profile, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         return _raw(self.profile, add_terms(dict(self.terms), other.terms.items()))
 
@@ -164,6 +168,8 @@ class LaurentPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.constant(self.profile, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         return _raw(self.profile, add_terms(dict(self.terms), other.terms.items(), -1))
 
@@ -175,6 +181,8 @@ class LaurentPoly:
             if other == 0:
                 return LaurentPoly.zero(self.profile)
             return _raw(self.profile, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():

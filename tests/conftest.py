@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from quasik import facering
+from quasik import cli, facering
 from quasik.documents import build_polytope, document_from_dict, load_document, resolve_order
 from quasik.gkm import GkmGraph, _check_tuple
 from quasik.lattice import SparseMat, snf_diagonal
@@ -115,6 +115,13 @@ def json_terms(p):
     """Reference --json shape of a polynomial: its sorted terms, each a
     {"coeff": c, "exps": [...]} dict."""
     return [{"coeff": c, "exps": list(e)} for e, c in p.sorted_terms()]
+
+
+@pytest.fixture(autouse=True)
+def cold_cli_cache():
+    """Every test starts with no documents kept by cli.main, so a document
+    that an earlier test prepared cannot skip a layer this test patches."""
+    cli.CACHE.clear()
 
 
 def input_path(name: str) -> Path:

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from quasik import facering
+from quasik import cli, facering
 from quasik.cli import _json_text, main
 from quasik.documents import build_polytope, load_document, load_tuple, resolve_order
 from quasik.gkm import FixedPointTuple, GkmGraph, in_w
@@ -821,3 +821,142 @@ def test_high_dimensional_projective_space(capsys, tmp_path):
         elapsed = time.perf_counter() - start
         assert (code, err) == (0, ""), out
         assert elapsed < 5.0, f"{command} took {elapsed:.1f}s"
+
+
+def tuple_for(name, graphs):
+    """A fixed-point tuple file's entries for a bundled input: phi(y1 y_d)
+    on the good inputs, x^(1, 0, ...) at the first vertex and 1 elsewhere on
+    bad_char and bad_order."""
+    if name in graphs:
+        g = graphs[name]
+        t = facering.r_vector(g, 1) * facering.r_vector(g, g.d)
+        return [json_terms(a) for a in t]
+    doc = json.loads(input_path(name).read_text())
+    n, m = doc["dim"], len(doc["vertices"])
+    return [[{"coeff": 1, "exps": [int(v == 0)] + [0] * (n - 1)}] for v in range(m)]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of calls to the document layers that main() keeps the results
+    of, each patched wherever quasik binds it."""
+    homes = {"load_document": "documents", "validate_characteristic": "polytope",
+             "vertex_order_from_heights": "polytope"}
+    counts = dict.fromkeys([*homes, "GkmGraph.__init__"], 0)
+    for key, home in homes.items():
+        real = getattr(sys.modules[f"quasik.{home}"], key)
+
+        def counted(*args, real=real, key=key, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "quasik" or mod_name.startswith("quasik."):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, counted)
+    init = GkmGraph.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["GkmGraph.__init__"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(GkmGraph, "__init__", counted_init)
+    return counts
+
+
+class TestInputCache:
+    """main() keeps the prepared document of an input whose path and full
+    text are unchanged: a repeat reads the kept graph and order and prints
+    the same bytes, and any change to the file is a new document."""
+
+    COMMANDS = {
+        "validate": [],
+        "gkm": [],
+        "facering": ["--ordinary"],
+        "membership": ["TUPLE"],
+        "interpolate": ["TUPLE"],
+        "proptest": ["--seed", "2", "--cases", "5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("name", sorted(p.stem for p in INPUTS.glob("*.json")))
+    def test_repeat_is_byte_identical(self, capsys, tmp_path, graphs, name, command):
+        t = write_tuple(tmp_path, "t.json", tuple_for(name, graphs))
+        argv = [command, input_path(name)] + [t if a == "TUPLE" else a
+                                              for a in self.COMMANDS[command]]
+        for flags in ([], ["--json"]):
+            first = run(capsys, *argv, *flags)
+            assert run(capsys, *argv, *flags) == first
+
+    def test_checks_run_once(self, capsys, tmp_path, graphs, calls):
+        t = write_tuple(tmp_path, "t.json", tuple_for("cp2", graphs))
+        first = run(capsys, "interpolate", input_path("cp2"), t)
+        assert first[0] == 0
+        assert run(capsys, "interpolate", input_path("cp2"), t) == first
+        once = dict.fromkeys(calls, 1)
+        assert calls == once
+        for argv in (["validate"], ["gkm"], ["facering"], ["membership", t]):
+            assert run(capsys, argv[0], input_path("cp2"), *argv[1:])[0] == 0
+        assert calls == once
+
+    def test_same_length_rewrite_is_new_document(self, capsys, tmp_path):
+        h0, h1 = (input_path(n).read_bytes() for n in ("square_h0", "square_h1"))
+        assert len(h0) == len(h1) and h0 != h1
+        path = tmp_path / "square.json"
+        path.write_bytes(h0)
+        before = run(capsys, "gkm", path, "--json")
+        path.write_bytes(h1)
+        after = run(capsys, "gkm", path, "--json")
+        assert after != before
+        cli.CACHE.clear()
+        assert run(capsys, "gkm", path, "--json") == after
+
+    def test_same_text_at_another_path_is_new_document(self, capsys, tmp_path, calls):
+        for k in range(2):
+            path = tmp_path / f"cp2-{k}.json"
+            path.write_bytes(input_path("cp2").read_bytes())
+            assert run(capsys, "gkm", path)[0] == 0
+        assert calls["load_document"] == calls["GkmGraph.__init__"] == 2
+        assert len(cli.CACHE) == 2
+
+    def test_invalid_json_after_load(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(input_path("cp2").read_bytes())
+        assert run(capsys, "gkm", path)[0] == 0
+        path.write_text('{"name": "cp2", "dim": ')
+        got = run(capsys, "gkm", path)
+        assert got[:2] == (2, "")
+        assert got[2].startswith(f"input error: {path}: invalid JSON at line 1, column ")
+        assert len(cli.CACHE) == 1
+        cli.CACHE.clear()
+        assert run(capsys, "gkm", path) == got
+        assert len(cli.CACHE) == 0
+
+    @pytest.mark.parametrize("name, command", [
+        ("bad_char", "validate"), ("bad_char", "gkm"),
+        ("bad_order", "validate"), ("bad_order", "facering"), ("bad_order", "proptest"),
+    ])
+    def test_failure_repeats(self, capsys, name, command, calls):
+        argv = [command, input_path(name)] + (["--cases", "3"] if command == "proptest" else [])
+        for flags in ([], ["--json"]):
+            first = run(capsys, *argv, *flags)
+            assert first[0] == 1
+            assert run(capsys, *argv, *flags) == first
+        assert calls["load_document"] == calls["validate_characteristic"] == 1
+
+    def test_least_recently_used_out(self, capsys, tmp_path, calls):
+        text = input_path("cp1").read_text()
+        paths = [tmp_path / f"doc{k}.json" for k in range(cli.CACHE_SIZE + 3)]
+
+        def validations(path):
+            """validate_characteristic calls so far, after validating path."""
+            path.write_text(text)
+            assert run(capsys, "validate", path)[0] == 0
+            return calls["validate_characteristic"]
+        assert [validations(p) for p in paths] == list(range(1, cli.CACHE_SIZE + 4))
+        assert len(cli.CACHE) == cli.CACHE_SIZE == 16
+        # paths[3] is now the least recently used; a hit makes it the most
+        assert validations(paths[-1]) == validations(paths[3]) == cli.CACHE_SIZE + 3
+        assert validations(paths[0]) == cli.CACHE_SIZE + 4        # paths[4] out
+        assert validations(paths[3]) == cli.CACHE_SIZE + 4
+        assert validations(paths[4]) == cli.CACHE_SIZE + 5
+        assert len(cli.CACHE) == cli.CACHE_SIZE

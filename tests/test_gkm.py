@@ -195,9 +195,21 @@ class TestTupleArithmetic:
     def test_scalar_product(self):
         t = r_like(CP2, 1)
         c = mono(CP2, (1, -1), 2)
-        for got, scale in ((2 * t, 2), (t * 2, 2), (t * c, c)):
+        for got, scale in ((2 * t, 2), (t * 2, 2), (t * c, c), (c * t, c)):
             assert len(got) == 3
             assert got.entries == tuple(a * scale for a in t.entries)
+        assert c * t == t * c
+
+    def test_polynomial_plus_tuple_raises(self):
+        """LaurentPoly + and - give NotImplemented for a tuple operand, and a
+        tuple has no reflected + or -, so Python raises TypeError."""
+        t = r_like(CP2, 1)
+        c = mono(CP2, (1, -1), 2)
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(TypeError):
+                op(c, t)
+        for op in (c.__add__, c.__sub__, c.__mul__):
+            assert op(t) is NotImplemented
 
 
 class TestInGamma:
