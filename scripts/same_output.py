@@ -21,7 +21,15 @@ Each --src is the src directory of one quasik tree.  The runs are:
 * on each document: validate, gkm (plain and with --dot), facering (plain
   and --ordinary), membership and interpolate of a member tuple and of a
   non-member, and proptest --cases 4, each in text and in --json;
-* a few usage errors and help texts.
+* a few usage errors and help texts;
+* malformed inputs, each run through validate and membership in text and
+  in --json: documents with a bool, float, null or string in a vertex
+  row, a lambda row or vertex_order, or with a bool, float, null, "x" or
+  "1/0" in a vertex_coords row or the height vector; and square_h0's
+  membership of tuple files with such a value as a coefficient or an
+  exponent, with too few or too many exponents, or with a term that lacks
+  a key or has an extra one.  These end in an input error whose text
+  names the field and the first value that fails.
 
 Member tuples are phi(P) of a seeded random face element P, computed by
 perfbench/check.py rather than by quasik; a non-member adds one monomial
@@ -153,8 +161,55 @@ def documents() -> dict[str, dict]:
     return docs
 
 
+BAD_INTS = [True, 1.5, None, "2"]
+BAD_RATIONALS = [True, 1.5, None, "x", "1/0"]
+# (input, keys of the field, its malformed values)
+BAD_FIELDS = [
+    ("square_h0", ("vertices", 2, 1), BAD_INTS),
+    ("square_h0", ("lambda", 3, 1), BAD_INTS),
+    ("bad_order", ("vertex_order", 2), BAD_INTS),
+    ("square_h0", ("vertex_coords", 2, 1), BAD_RATIONALS),
+    ("square_h0", ("height_vector", 1), BAD_RATIONALS),
+]
+ONE = {"coeff": 1, "exps": [0, 0]}
+BAD_TERMS = ([{"coeff": v, "exps": [0, 0]} for v in BAD_INTS]
+             + [{"coeff": 1, "exps": [0, v]} for v in BAD_INTS]
+             + [{"coeff": 1, "exps": [0]}, {"coeff": 1, "exps": [0, 0, 0]},
+                {"coeff": 1, "exps": [0, 0], "x": 0}, {"coeff": 1}])
+
+
+def malformed() -> tuple[list[dict], list[dict]]:
+    """(documents, square_h0 tuple files) that each hold one malformed value."""
+    docs = []
+    for name, keys, values in BAD_FIELDS:
+        for k, value in enumerate(values):
+            doc = json.loads((ROOT / "inputs" / f"{name}.json").read_text())
+            doc["name"] = f"{name}-{keys[0]}-{k}"
+            field = doc
+            for key in keys[:-1]:
+                field = field[key]
+            field[keys[-1]] = value
+            docs.append(doc)
+    tuples = [{"entries": [[ONE], [ONE, term], [ONE], [ONE]]} for term in BAD_TERMS]
+    return docs, tuples
+
+
 def runs(workdir: Path) -> list[list[str]]:
     out = [list(argv) for argv in USAGE]
+    docs, tuples = malformed()
+    good_tuple = workdir / "malformed-good-tuple.json"
+    good_tuple.write_text(json.dumps({"entries": [[ONE]] * 4}))
+    for k, doc in enumerate(docs):
+        path = workdir / f"malformed-doc{k}.json"
+        path.write_text(json.dumps(doc))
+        out += [argv + extra for argv in (["validate", str(path)],
+                                          ["membership", str(path), str(good_tuple)])
+                for extra in ([], ["--json"])]
+    for k, t in enumerate(tuples):
+        path = workdir / f"malformed-tuple{k}.json"
+        path.write_text(json.dumps(t))
+        out += [["membership", str(ROOT / "inputs" / "square_h0.json"), str(path)] + extra
+                for extra in ([], ["--json"])]
     for name, doc in documents().items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(doc))

@@ -9,7 +9,8 @@ Output is deterministic for fixed (input, flags, seed).  The --json report
 is ASCII only and byte for byte what json.dumps(report, sort_keys=True,
 indent=2) writes, each polynomial in it the sorted list of its
 {"coeff", "exps"} terms, which _json_text writes straight from the
-polynomial.  A text report is built only when it is printed, without
+polynomial, each term with one % on a template cached per (indentation,
+variable count).  A text report is built only when it is printed, without
 --json.  gkm --dot writes its DOT file from the same sorted edge rows as
 its report.  The argument parser is built once per process, when this module
 is imported; each main() call parses into a new namespace.
@@ -42,12 +43,14 @@ import argparse
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import facering
 from .documents import (
     InputError,
+    _all_ints,
     build_polytope,
     load_document,
     load_tuple,
@@ -96,10 +99,11 @@ def _json_text(obj, indent="\n") -> str:
     Reports hold only str-keyed dicts, lists, tuples, str, int, bool, None
     and LaurentPoly; anything else (a float, a non-str key) raises
     TypeError.  A polynomial is written as its sorted terms, each
-    {"coeff": c, "exps": [...]}, with no dicts built (its profile has at
-    least one variable).  An int past the 4300-digit conversion limit
-    raises int.__repr__'s ValueError, as json.dumps does.  indent is the
-    newline and indentation before obj.
+    {"coeff": c, "exps": [...]} filled into _term_template with no dicts
+    built (its profile has at least one variable), and a list that holds
+    only ints is joined directly.  An int past the 4300-digit conversion
+    limit raises the ValueError of int.__repr__ and %d, as json.dumps
+    does.  indent is the newline and indentation before obj.
     """
     if obj is None:
         return "null"
@@ -113,16 +117,16 @@ def _json_text(obj, indent="\n") -> str:
         return encode_basestring_ascii(obj)
     inner = indent + "  "
     if isinstance(obj, LaurentPoly):
-        i2 = inner + "  "
-        term = "{" + i2 + '"coeff": %s,' + i2 + '"exps": [' + i2 + "  %s" + i2 + "]" + inner + "}"
-        sep = "," + i2 + "  "
-        body = ("," + inner).join([term % (int.__repr__(c), sep.join(map(int.__repr__, e)))
-                                   for e, c in obj.sorted_terms()])
+        term = _term_template(indent, obj.profile.nvars)
+        body = ("," + inner).join([term % (c, *e) for e, c in obj.sorted_terms()])
         return "[" + inner + body + indent + "]" if body else "[]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = ("," + inner).join([_json_text(x, inner) for x in obj])
+        if _all_ints(obj):
+            body = ("," + inner).join(map(int.__repr__, obj))
+        else:
+            body = ("," + inner).join([_json_text(x, inner) for x in obj])
         return "[" + inner + body + indent + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -131,6 +135,16 @@ def _json_text(obj, indent="\n") -> str:
                                    for k, v in sorted(obj.items())])
         return "{" + inner + body + indent + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=64)
+def _term_template(indent: str, nvars: int) -> str:
+    """The %-template of one term of a polynomial written after indent:
+    {"coeff": c, "exps": [e_1, ..., e_nvars]}, with a %d for each value."""
+    inner = indent + "  "
+    i2 = inner + "  "
+    exps = ("," + i2 + "  ").join(["%d"] * nvars)
+    return "{" + i2 + '"coeff": %d,' + i2 + '"exps": [' + i2 + "  " + exps + i2 + "]" + inner + "}"
 
 
 def _render(command: str, input_name: str, report: Report, as_json: bool) -> str:

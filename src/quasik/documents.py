@@ -4,7 +4,11 @@ A document carries the combinatorial polytope, the characteristic matrix,
 exactly one source of a vertex order (an explicit permutation, or vertex
 coordinates plus a height vector), and an optional Bott-variable flag.
 Schema problems raise InputError with a field path; mathematical failures
-are left to the validators.
+are left to the validators.  A row is checked in one pass that every entry
+is an int; only a row that fails it goes through the entry-by-entry check,
+so the field path is built only for the value that fails.  Integer
+coordinates stay ints (only 'p/q' strings become Fractions), so heights
+of integer coordinates are integer sums.
 """
 
 from __future__ import annotations
@@ -34,11 +38,20 @@ def _int(value, where):
     return value
 
 
-def _rational(value, where) -> Fraction:
+def _all_ints(row) -> bool:
+    """Whether every entry of row is an int (a bool is not)."""
+    for x in row:
+        if type(x) is not int:
+            return False
+    return True
+
+
+def _rational(value, where):
+    """value as an int, or as a Fraction when it is a 'p/q' string."""
     if isinstance(value, bool):
         raise InputError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -56,7 +69,8 @@ def _int_matrix(value, where, rows=None, cols=None):
         _expect(isinstance(row, list), f"{where}[{i}]: expected a list")
         if cols is not None:
             _expect(len(row) == cols, f"{where}[{i}]: {len(row)} entries, expected {cols}")
-        out.append(tuple(_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)))
+        out.append(tuple(row) if _all_ints(row) else
+                   tuple(_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)))
     return tuple(out)
 
 
@@ -68,8 +82,8 @@ class InputDocument:
     vertices: tuple[tuple[int, ...], ...]
     lam: tuple[tuple[int, ...], ...]
     vertex_order: Optional[tuple[int, ...]]          # 0-based
-    vertex_coords: Optional[tuple[tuple[Fraction, ...], ...]]
-    height_vector: Optional[tuple[Fraction, ...]]
+    vertex_coords: Optional[tuple[tuple[int | Fraction, ...], ...]]
+    height_vector: Optional[tuple[int | Fraction, ...]]
     use_bott: bool
 
     @property
@@ -94,9 +108,11 @@ def document_from_dict(obj, where="input") -> InputDocument:
     vertices = []
     for i, row in enumerate(obj["vertices"]):
         _expect(isinstance(row, list), f"field 'vertices[{i}]': expected a list")
-        facets = tuple(_int(x, f"field 'vertices[{i}][{j}]'") for j, x in enumerate(row))
-        for j, x in enumerate(facets):
-            _expect(x not in facets[:j], f"field 'vertices[{i}]': facet {x} listed twice")
+        facets = (tuple(row) if _all_ints(row) else
+                  tuple(_int(x, f"field 'vertices[{i}][{j}]'") for j, x in enumerate(row)))
+        if len(set(facets)) < len(facets):
+            for j, x in enumerate(facets):
+                _expect(x not in facets[:j], f"field 'vertices[{i}]': facet {x} listed twice")
         vertices.append(facets)
     lam = _int_matrix(obj["lambda"], "field 'lambda'", rows=d, cols=n)
     m = len(vertices)
@@ -106,7 +122,8 @@ def document_from_dict(obj, where="input") -> InputDocument:
         vo = obj["vertex_order"]
         _expect(isinstance(vo, list), "field 'vertex_order': expected a list")
         _expect(len(vo) == m, f"field 'vertex_order': {len(vo)} entries for {m} vertices")
-        raw = [_int(x, f"field 'vertex_order[{i}]'") for i, x in enumerate(vo)]
+        raw = vo if _all_ints(vo) else [_int(x, f"field 'vertex_order[{i}]'")
+                                        for i, x in enumerate(vo)]
         _expect(sorted(raw) == list(range(1, m + 1)),
                 "field 'vertex_order': not a permutation of 1..m")
         vertex_order = tuple(x - 1 for x in raw)
@@ -121,13 +138,15 @@ def document_from_dict(obj, where="input") -> InputDocument:
         coords = []
         for i, row in enumerate(vc):
             _expect(isinstance(row, list), f"field 'vertex_coords[{i}]': expected a list")
-            coords.append(tuple(_rational(x, f"field 'vertex_coords[{i}][{j}]'")
+            coords.append(tuple(row) if _all_ints(row) else
+                          tuple(_rational(x, f"field 'vertex_coords[{i}][{j}]'")
                                 for j, x in enumerate(row)))
         vertex_coords = tuple(coords)
         hv = obj["height_vector"]
         _expect(isinstance(hv, list), "field 'height_vector': expected a list")
-        height_vector = tuple(_rational(x, f"field 'height_vector[{i}]'")
-                              for i, x in enumerate(hv))
+        height_vector = (tuple(hv) if _all_ints(hv) else
+                         tuple(_rational(x, f"field 'height_vector[{i}]'")
+                               for i, x in enumerate(hv)))
         for i, row in enumerate(vertex_coords):
             _expect(len(row) == len(height_vector),
                     f"field 'vertex_coords[{i}]': {len(row)} entries, expected "
@@ -197,18 +216,25 @@ def load_tuple(path, profile: Profile, m: int) -> FixedPointTuple:
     entries = obj["entries"]
     _expect(isinstance(entries, list), f"{path}: 'entries' must be a list")
     _expect(len(entries) == m, f"{path}: {len(entries)} entries for {m} fixed points")
+    nvars = profile.nvars
     polys = []
     for i, termlist in enumerate(entries):
         _expect(isinstance(termlist, list), f"{path}: entries[{i}] must be a list of terms")
         terms = []
         for j, term in enumerate(termlist):
+            if type(term) is dict and len(term) == 2:
+                c, exps = term.get("coeff"), term.get("exps")
+                if (type(c) is int and type(exps) is list and len(exps) == nvars
+                        and _all_ints(exps)):
+                    terms.append((tuple(exps), c))
+                    continue
             where = f"{path}: entries[{i}][{j}]"
             _expect(isinstance(term, dict) and set(term) == {"coeff", "exps"},
                     f"{where}: expected {{'coeff': .., 'exps': [..]}}")
             c = _int(term["coeff"], f"{where}.coeff")
             exps = term["exps"]
-            _expect(isinstance(exps, list) and len(exps) == profile.nvars,
-                    f"{where}.exps: expected {profile.nvars} exponents")
+            _expect(isinstance(exps, list) and len(exps) == nvars,
+                    f"{where}.exps: expected {nvars} exponents")
             key = tuple(_int(x, f"{where}.exps[{k}]") for k, x in enumerate(exps))
             terms.append((key, c))
         polys.append(_raw(profile, add_terms({}, terms)))

@@ -103,11 +103,13 @@ def phi(g: GkmGraph, P: LaurentPoly) -> FixedPointTuple:
 
 def r_vector(g: GkmGraph, i: int) -> FixedPointTuple:
     """Fixed-point restriction tuple of the facet-i generator, phi(y_i):
-    e^{mu_i(v)} at each vertex v on facet i, 1 elsewhere."""
-    one = LaurentPoly.one(g.char_profile)
-    return FixedPointTuple(g.char_profile, tuple(
-        LaurentPoly.char_monomial(g.char_profile, mu[i]) if i in mu else one
-        for mu in g.mu))
+    e^{mu_i(v)} at each vertex v on facet i, 1 elsewhere.  The mu rows are
+    int tuples of the validated graph, so the monomials are built raw."""
+    prof = g.char_profile
+    z = (0,) if prof.bott else ()
+    one = _raw(prof, {(0,) * prof.nvars: 1})
+    return FixedPointTuple(prof, tuple(
+        _raw(prof, {mu[i] + z: 1}) if i in mu else one for mu in g.mu))
 
 
 # -- interpolation ----------------------------------------------------------

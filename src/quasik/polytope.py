@@ -7,8 +7,11 @@ positions into the input list.
 
 Two facts are built once, lazily.  The ridge map (each (n-1)-subset of a
 vertex's facets -> the vertices holding it) gives validation's ridge
-checks and the edges; the face set (every subset of a vertex's facet
-set) gives the faces and the minimal non-faces.
+checks and the edges.  The subset table (the facet bit mask of every
+subset S of a vertex's facet set -> L(S), the OR of the masks of the
+vertices on S) gives the faces and the minimal non-faces; face_of and
+validate_order never build it, since a simplex has 2^n subsets at each
+of its n + 1 vertices.
 
 Only incidence combinatorics is modelled.  Geometric realizability is not
 decided: validation checks the necessary local conditions (simplicity,
@@ -102,7 +105,7 @@ class SimplePolytope:
         self._ridges = None
         self._edges = None
         self._adjacency = None
-        self._face_sets = None
+        self._links = None
         self._nonfaces = None
         self._faces = None
 
@@ -148,20 +151,30 @@ class SimplePolytope:
         sat = frozenset.intersection(*(self.vertices[v] for v in verts))
         return Face(sat, verts)
 
-    def _face_set(self):
-        """The facet set of every face: every subset of a vertex's facet set."""
-        if self._face_sets is None:
-            self._face_sets = {frozenset(sub) for fs in self.vertices
-                               for k in range(len(fs) + 1)
-                               for sub in combinations(fs, k)}
-        return self._face_sets
+    def _link_table(self):
+        """{facet mask of S: L(S)} over every subset S of a vertex's facet
+        set, the empty set included; facet i is bit 1 << i, and L(S) is the
+        OR of the masks of the vertices on S, so S | {j} is a face exactly
+        when j is in L(S)."""
+        if self._links is None:
+            links = {}
+            for fs in self.vertices:
+                vmask = sum(1 << i for i in fs)
+                sub = vmask
+                while True:
+                    links[sub] = links.get(sub, 0) | vmask
+                    if not sub:
+                        break
+                    sub = (sub - 1) & vmask
+            self._links = links
+        return self._links
 
     def all_faces(self):
         """Every face, each once with its saturated facet set."""
         if self._faces is None:
             seen = {}
-            for S in self._face_set():
-                face = self.face_of(S)
+            for S in self._link_table():
+                face = self.face_of(_facets_of(S))
                 seen.setdefault(face.facets, face)
             self._faces = tuple(sorted(
                 seen.values(), key=lambda f: (len(f.facets), sorted(f.facets))))
@@ -170,21 +183,35 @@ class SimplePolytope:
     def minimal_nonfaces(self):
         """Inclusion-minimal facet sets with empty intersection.
 
-        A minimal non-face T minus any one facet j is a face S, so T is
-        S | {j} for a face S and a facet j off it: the union is not a face
-        and each of its other subsets S | {j} - {i} is.
+        A minimal non-face T minus its largest facet j is a face S, so T is
+        found once, from S and a facet j above every facet of S.  S | {j} is
+        not a face exactly when j is off L(S), and each of its other subsets
+        S - {i} | {j} is a face exactly when j is in L(S - {i}), where S - {i}
+        is a face too.  So the j that make T minimal are the bits above S,
+        off L(S) and in every L(S - {i}): integer ANDs over the table.
         """
         if self._nonfaces is None:
-            faces = self._face_set()
-            found = set()
-            for S in faces:
-                for j in range(1, self.facet_count + 1):
-                    if j not in S:
-                        T = S | {j}
-                        if T not in faces and all(T - {i} in faces for i in S):
-                            found.add(T)
+            links = self._link_table()
+            facets = (1 << (self.facet_count + 1)) - 2      # bits 1..d
+            found = []
+            for S, L in links.items():
+                js = facets & (-1 << S.bit_length()) & ~L   # above S, off L(S)
+                rest = S
+                while rest and js:
+                    low = rest & -rest
+                    js &= links[S ^ low]
+                    rest ^= low
+                while js:
+                    low = js & -js
+                    found.append(_facets_of(S | low))
+                    js ^= low
             self._nonfaces = tuple(sorted(found, key=sorted))
         return self._nonfaces
+
+
+def _facets_of(mask: int) -> frozenset:
+    """The facets whose bits are set in mask."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def validate_simple(P: SimplePolytope) -> ValidationReport:

@@ -398,6 +398,13 @@ class TestJsonText:
     @example({"a": [[], {}, ()], "b": {"c": {}}, "": [[[]]]})
     @example({"p": [LaurentPoly.zero(face_profile(2)),
                     (LaurentPoly(char_profile(2, bott=True), {(-1, 0, 4): -2 ** 200}),)]})
+    # a list of ints with a bool among them is not written as a list of ints
+    @example([1, True, 2])
+    @example([[3, -1, 2 ** 70], (0,), [False], [None, 1]])
+    # one exponent per term, and a polynomial four containers deep
+    @example(LaurentPoly(char_profile(1), {(2,): -3, (-1,): 1}))
+    @example({"a": [{"b": [LaurentPoly(face_profile(3), {(1, 0, -2): 5, (0, 0, 0): 1})]}],
+              "c": LaurentPoly(char_profile(1), {(0,): 1})})
     def test_matches_json_dumps(self, value):
         assert _json_text(value) == json.dumps(reference(value), sort_keys=True, indent=2)
 
@@ -597,6 +604,126 @@ class TestMalformedOrders:
         code, out, _ = run(capsys, "gkm", bad)
         assert code == 1
         assert "vertex order: FAIL (height ties on the edge" in out
+
+
+# the end of each expected-an-integer message, for each malformed value
+GOT = {True: "got True", 1.5: "got 1.5", None: "got None", "2": "got '2'"}
+# the end of each rational-field message, for each malformed value
+GOT_RATIONAL = {
+    True: "expected an integer or 'p/q' string, got True",
+    1.5: "expected an integer or 'p/q' string, got 1.5",
+    None: "expected an integer or 'p/q' string, got None",
+    "x": "bad rational 'x' (Invalid literal for Fraction: 'x')",
+    "1/0": "bad rational '1/0' (Fraction(1, 0))",
+}
+SQUARE_ONE = {"coeff": 1, "exps": [0, 0]}
+
+
+def put(obj, keys, value):
+    """obj with obj[k1][k2]... set to value (obj is changed in place)."""
+    for k in keys[:-1]:
+        obj = obj[k]
+    obj[keys[-1]] = value
+
+
+class TestInputErrorTexts:
+    """Each malformed value that the one-pass row check turns away is
+    reported with the text of the entry-by-entry check: its field path,
+    the first entry that fails, and the value."""
+
+    @staticmethod
+    def assert_error(capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"input error: {message}\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (2, f"input error: {message}\n")
+        assert json.loads(out)["payload"] == {"error": message}
+
+    @pytest.mark.parametrize("command", ["validate", "membership"])
+    @pytest.mark.parametrize("name, keys, field, value, tail", [
+        *[("square_h0", ["vertices", 2, 1], "field 'vertices[2][1]'", v,
+           f"expected an integer, {t}") for v, t in GOT.items()],
+        *[("square_h0", ["lambda", 3, 1], "field 'lambda'[3][1]", v,
+           f"expected an integer, {t}") for v, t in GOT.items()],
+        *[("bad_order", ["vertex_order", 2], "field 'vertex_order[2]'", v,
+           f"expected an integer, {t}") for v, t in GOT.items()],
+        *[("square_h0", ["vertex_coords", 2, 1], "field 'vertex_coords[2][1]'", v, t)
+          for v, t in GOT_RATIONAL.items()],
+        *[("square_h0", ["height_vector", 1], "field 'height_vector[1]'", v, t)
+          for v, t in GOT_RATIONAL.items()],
+    ])
+    def test_document(self, capsys, tmp_path, command, name, keys, field, value, tail):
+        doc = json.loads(input_path(name).read_text())
+        put(doc, keys, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        t = write_tuple(tmp_path, "t.json", [[SQUARE_ONE]] * 4)
+        argv = [command, bad] + ([t] if command == "membership" else [])
+        self.assert_error(capsys, argv, f"{field}: {tail}")
+
+    def test_first_failing_entry(self, capsys, tmp_path):
+        doc = json.loads(input_path("square_h0").read_text())
+        doc["vertices"][1] = [2, 1.5, True]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_error(capsys, ["validate", bad],
+                          "field 'vertices[1][1]': expected an integer, got 1.5")
+
+    @pytest.mark.parametrize("term, tail", [
+        *[({"coeff": v, "exps": [0, 0]}, f".coeff: expected an integer, {t}")
+          for v, t in GOT.items()],
+        *[({"coeff": 1, "exps": [0, v]}, f".exps[1]: expected an integer, {t}")
+          for v, t in GOT.items()],
+        ({"coeff": 1, "exps": [0]}, ".exps: expected 2 exponents"),
+        ({"coeff": 1, "exps": [0, 0, 0]}, ".exps: expected 2 exponents"),
+        ({"coeff": 1, "exps": [0, 0], "x": 0}, ": expected {'coeff': .., 'exps': [..]}"),
+        ({"coeff": 1}, ": expected {'coeff': .., 'exps': [..]}"),
+    ])
+    def test_tuple(self, capsys, tmp_path, term, tail):
+        t = write_tuple(tmp_path, "t.json", [[SQUARE_ONE], [SQUARE_ONE, term],
+                                             [SQUARE_ONE], [SQUARE_ONE]])
+        self.assert_error(capsys, ["membership", input_path("square_h0"), t],
+                          f"{t}: entries[1][1]{tail}")
+
+
+def spelled_as_fractions(doc):
+    """doc with each integer coordinate and height written as a 'k/1' string."""
+    def spell(row):
+        return [f"{x}/1" if isinstance(x, int) else x for x in row]
+    return doc | {"vertex_coords": [spell(row) for row in doc["vertex_coords"]],
+                  "height_vector": spell(doc["height_vector"])}
+
+
+class TestRationalSpelling:
+    """Integer coordinates and the same values written as 'k/1' strings give
+    the same bytes from every command."""
+
+    DOCS = {
+        "square_h1": json.loads(input_path("square_h1").read_text()),
+        "half_heights": json.loads(input_path("square_h1").read_text())
+        | {"height_vector": ["1/2", 1]},
+        # the edge {1,2} -- {2,3} ties at height 1/2
+        "half_tie": json.loads(input_path("square_h0").read_text())
+        | {"vertex_coords": [[1, 0], [1, 1], [2, 1], [2, 0]], "height_vector": ["1/2", 0]},
+    }
+
+    @pytest.mark.parametrize("name", sorted(DOCS))
+    def test_same_bytes(self, capsys, tmp_path, name):
+        doc = self.DOCS[name]
+        ints, fracs = tmp_path / "ints.json", tmp_path / "fracs.json"
+        ints.write_text(json.dumps(doc))
+        fracs.write_text(json.dumps(spelled_as_fractions(doc)))
+        t = write_tuple(tmp_path, "t.json", [[SQUARE_ONE]] * 4)
+        for argv in (["validate"], ["gkm"], ["facering"], ["facering", "--ordinary"],
+                     ["membership", "TUPLE"], ["interpolate", "TUPLE"],
+                     ["proptest", "--cases", "4"]):
+            for extra in ([], ["--json"]):
+                args = [t if a == "TUPLE" else a for a in argv[1:]] + extra
+                assert run(capsys, argv[0], ints, *args) == run(capsys, argv[0], fracs, *args)
+        if name == "half_tie":
+            code, out, _ = run(capsys, "gkm", fracs)
+            assert code == 1
+            assert out == ("vertex order: FAIL (height ties on the edge {1,2} -- {2,3} "
+                           "(value 1/2))\n")
 
 
 def cut_polygon(cuts):

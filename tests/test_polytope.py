@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -5,8 +6,10 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasik import cli, facering
 from quasik.documents import build_polytope, load_document
 from quasik.polytope import (
+    Face,
     InvalidOrder,
     NonGenericHeight,
     NotAFace,
@@ -147,12 +150,28 @@ class TestFaces:
 
 
 def brute_force_minimal_nonfaces(P):
+    """Facet sets on no vertex with no such set inside them.  Such sets are
+    closed under adding facets, so it is enough to look one facet down; and
+    as every face has at most dim facets, a minimal one has at most dim + 1."""
     facets = range(1, P.facet_count + 1)
-    nonfaces = [frozenset(S) for k in range(1, P.facet_count + 1)
+    nonfaces = {frozenset(S) for k in range(1, min(P.dim + 1, P.facet_count) + 1)
                 for S in combinations(facets, k)
-                if not any(set(S) <= fs for fs in P.vertices)]
+                if not any(set(S) <= fs for fs in P.vertices)}
     return sorted((S for S in nonfaces
-                   if not any(T < S for T in nonfaces)), key=sorted)
+                   if not any(S - {i} in nonfaces for i in S)), key=sorted)
+
+
+def faces_by_definition(P):
+    """Every face in all_faces' order: the vertices on each facet set of at
+    most dim facets, when there are any, with every facet they all lie on."""
+    faces = {}
+    for k in range(P.dim + 1):
+        for S in combinations(range(1, P.facet_count + 1), k):
+            verts = tuple(v for v, fs in enumerate(P.vertices) if set(S) <= fs)
+            if verts:
+                sat = frozenset.intersection(*(P.vertices[v] for v in verts))
+                faces[sat] = Face(sat, verts)
+    return sorted(faces.values(), key=lambda f: (len(f.facets), sorted(f.facets)))
 
 
 def edges_by_definition(P):
@@ -203,6 +222,60 @@ class TestOracles:
         for P in polytopes:
             assert validate_simple(P).ok
             assert_oracles(P)
+
+
+def shuffled_facets(P, rng):
+    """P with its facets numbered by a random permutation."""
+    perm = list(range(1, P.facet_count + 1))
+    rng.shuffle(perm)
+    return SimplePolytope(P.dim, P.facet_count,
+                          [[perm[i - 1] for i in fs] for fs in P.vertices])
+
+
+class TestSubsetTable:
+    """The subset table gives all_faces and minimal_nonfaces, and only they
+    build it."""
+
+    FAMILIES = {
+        "bott5": lambda gen: gen.bott(5, random.Random(5)),
+        "cube3-t3": lambda gen: gen.truncate(gen.truncate(gen.truncate(
+            gen.cube(3), 2), 5), 0),
+        "cp6": lambda gen: gen.cp(6),
+        "polygon11": lambda gen: gen.polygon(11, random.Random(11)),
+        "polygon16": lambda gen: gen.polygon(16, random.Random(16)),
+        "cp1xcp1xcp1": lambda gen: gen.product(gen.product(gen.cp(1), gen.cp(1)), gen.cp(1)),
+        "polygon5xcp1": lambda gen: gen.product(gen.polygon(5, random.Random(5)), gen.cp(1)),
+        "cube6": lambda gen: gen.cube(6),
+        "bott6": lambda gen: gen.bott(6, random.Random(6)),
+    }
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_oracles(self, perfbench_gen, name):
+        M = self.FAMILIES[name](perfbench_gen)
+        P = SimplePolytope(M.dim, M.facets, M.vertices)
+        for Q in (P, shuffled_facets(P, random.Random(name))):
+            assert validate_simple(Q).ok
+            assert list(Q.minimal_nonfaces()) == brute_force_minimal_nonfaces(Q)
+            assert list(Q.all_faces()) == faces_by_definition(Q)
+
+    def test_unbuilt_by_order_work(self, perfbench_gen, tmp_path):
+        """Orders, interpolation and membership leave the table unbuilt (a
+        simplex has 2^n subsets at each vertex); facering builds it."""
+        M = perfbench_gen.with_height(perfbench_gen.cp(8), random.Random(1))
+        doc = tmp_path / "cp8.json"
+        doc.write_text(json.dumps(M.document()))
+        prep = cli.prepare(doc)
+        g, order = prep.graph(), prep.order()
+        t = facering.r_vector(g, 1)
+        assert facering.interpolate(g, order, t).poly is not None
+        tup = tmp_path / "t.json"
+        tup.write_text(cli._json_text({"entries": t.entries}))
+        for argv in (["interpolate", doc, tup], ["membership", doc, tup]):
+            assert cli.main([str(a) for a in argv]) == 0
+        assert cli.prepare(doc) is prep
+        assert g.polytope._links is None
+        assert cli.main(["facering", str(doc)]) == 0
+        assert g.polytope._links is not None
 
 
 CP2_LAMBDA = [[1, 0], [0, 1], [-1, -1]]
