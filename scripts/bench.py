@@ -12,13 +12,14 @@ commands run in process through quasik.cli.main: `proptest --cases 10`,
 the report shows), and `interpolate` and `membership` of one phi(P), with
 P a seeded random face element and phi(P) computed by perfbench/check.py,
 not by quasik.  Every command runs 3 times plain, for the end-to-end wall
-time, and 3 times with ten layers wrapped, for their call counts and
+time, and 3 times with eleven layers wrapped, for their call counts and
 their self and total times: substitute_monomial_map, divides_one_minus,
 phi, in_w, interpolate, snf_diagonal, the dense snf it runs on the block
 its unit pivots leave, OrdinaryKModel.__init__, cli._render, which
 writes the --json report or, without --json, builds and returns the text
-report, and SimplePolytope.minimal_nonfaces, the non-face search that
-facering runs once per polytope.
+report, SimplePolytope.minimal_nonfaces, the non-face search that
+facering runs once per polytope, and validate_characteristic, which
+finds every vertex's dual basis once per document.
 cube7, bott7, poly40 (the densest ordinary-model rows), a cube3 cut at
 three vertices by gen.truncate and polygon6xcp2 (a gen.product of a
 hexagon and CP^2) follow, each command run once (marked as a single run),
@@ -100,6 +101,7 @@ LAYERS = {
     "OrdinaryKModel": ("facering", "OrdinaryKModel.__init__"),
     "render": ("cli", "_render"),
     "minimal_nonfaces": ("polytope", "SimplePolytope.minimal_nonfaces"),
+    "validate_characteristic": ("polytope", "validate_characteristic"),
 }
 
 

@@ -22,6 +22,11 @@ Each --src is the src directory of one quasik tree.  The runs are:
   and --ordinary), membership and interpolate of a member tuple and of a
   non-member, and proptest --cases 4, each in text and in --json;
 * a few usage errors and help texts;
+* documents whose vertex blocks are not all unimodular: square_h1 with
+  |det| = 2 at two vertices, with vertex 0 failing, and with {3,4}
+  unimodular between two failing neighbours, and the cube with six
+  failing vertices of |det| 2, 3 and 5; each run through validate and
+  membership (of the constant tuple 1) in text and in --json;
 * malformed inputs, each run through validate and membership in text and
   in --json: documents with a bool, float, null or string in a vertex
   row, a lambda row or vertex_order, or with a bool, float, null, "x" or
@@ -172,6 +177,13 @@ BAD_FIELDS = [
     ("square_h0", ("height_vector", 1), BAD_RATIONALS),
 ]
 ONE = {"coeff": 1, "exps": [0, 0]}
+# (input, name, lambda) with some vertex blocks not unimodular
+NON_UNIMODULAR = [
+    ("square_h1", "square_det2", [[1, 0], [0, 1], [-2, 1], [0, -1]]),
+    ("square_h1", "square_first_fails", [[1, 0], [1, 2], [-1, -1], [0, -1]]),
+    ("square_h1", "square_island", [[1, 0], [0, 1], [2, 1], [3, 2]]),
+    ("cube", "cube_dets", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [3, 1, 1], [0, -1, 0], [1, 1, 2]]),
+]
 BAD_TERMS = ([{"coeff": v, "exps": [0, 0]} for v in BAD_INTS]
              + [{"coeff": 1, "exps": [0, v]} for v in BAD_INTS]
              + [{"coeff": 1, "exps": [0]}, {"coeff": 1, "exps": [0, 0, 0]},
@@ -204,6 +216,16 @@ def runs(workdir: Path) -> list[list[str]]:
         path.write_text(json.dumps(doc))
         out += [argv + extra for argv in (["validate", str(path)],
                                           ["membership", str(path), str(good_tuple)])
+                for extra in ([], ["--json"])]
+    for base, name, lam in NON_UNIMODULAR:
+        doc = json.loads((ROOT / "inputs" / f"{base}.json").read_text())
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc | {"name": name, "lambda": lam}))
+        one = workdir / f"{name}-one.json"
+        one.write_text(json.dumps({"entries": [[{"coeff": 1, "exps": [0] * doc["dim"]}]]
+                                   * len(doc["vertices"])}))
+        out += [argv + extra for argv in (["validate", str(path)],
+                                          ["membership", str(path), str(one)])
                 for extra in ([], ["--json"])]
     for k, t in enumerate(tuples):
         path = workdir / f"malformed-tuple{k}.json"

@@ -1,21 +1,23 @@
 """Fixed-point side of the equivariant K-ring of a quasitoric manifold.
 
 Vertices of the polytope are the torus fixed points.  Every vertex v
-carries the basis mu(v) dual to its facet cocharacters lambda_i, found by
-inverting the unimodular matrix of those rows (validate_characteristic
-does it once and hands the bases to the graph).  Every edge carries the
-primitive character orthogonal to the cocharacters of the n-1 facets
-containing it: mu_i(v) for the one facet i of an endpoint v off the edge,
-up to sign.  A character restricts to a face by pairing it with lambda_i
-for each facet i of the face.  Elements of the big product ring are
+carries the basis mu(v) dual to its facet cocharacters lambda_i
+(polytope.dual_bases finds them all, walking the edges from one
+inversion; validate_characteristic hands them to the graph).  Every edge
+carries the primitive character orthogonal to the cocharacters of the
+n-1 facets containing it: mu_i(v) for the one facet i of an endpoint v
+off the edge, up to sign.  Elements of the big product ring are
 FixedPointTuples: one Laurent polynomial in the character variables per
 fixed point.
 
 Every exponent map here is a sparse MonomialMap.  phi at v reads only
 the exponents at v's n facets, since y_i -> 1 off them; the step map at v
-writes only those n exponents, <u, lambda_i> for each facet i of v, so
-restriction to a face through v projects that image onto the face's
-facets, and no face keeps a map of its own.
+writes only those n exponents, <u, lambda_i> for each facet i of v.  A
+character restricts to a face by pairing it with lambda_i for each facet
+i of the face, so one restriction map, e^u -> prod over all d facets of
+y_i^{<u, lambda_i>} (its block is Lambda), serves every face: restriction
+projects its image onto the face's facets, and no face or vertex keeps a
+map of its own for it.
 
 Two membership predicates cut out the image of the K-ring:
 
@@ -41,7 +43,7 @@ from functools import cached_property
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
-from .lattice import normalize_sign
+from .lattice import NotUnimodular, normalize_sign
 from .laurent import (
     LaurentPoly,
     MonomialMap,
@@ -59,7 +61,7 @@ from .polytope import (
     SimplePolytope,
     ValidationReport,
     fmt_facets,
-    vertex_dual_basis,
+    validate_characteristic,
 )
 
 
@@ -162,15 +164,20 @@ class GkmGraph:
     """Vertex/edge character data attached to a validated (polytope, lambda) pair."""
 
     def __init__(self, polytope: SimplePolytope, lam, bott: bool = False, mu=None):
-        """mu, when given, is the per-vertex dual basis that
-        validate_characteristic found for this (polytope, lam)."""
+        """mu is the per-vertex dual basis that validate_characteristic found
+        for this (polytope, lam); without it the graph runs that check, and a
+        failing one raises NotUnimodular with its failures."""
         self.polytope = polytope
         self.lam = tuple(map(tuple, lam))
         self.bott = bott
         self.char_profile = char_profile(polytope.dim, bott)
         self.face_profile = face_profile(polytope.facet_count, bott)
-        self.mu = tuple(mu) if mu is not None else tuple(
-            vertex_dual_basis(self.lam, fs) for fs in polytope.vertices)
+        if mu is None:
+            report = validate_characteristic(polytope, self.lam)
+            if not report.ok:
+                raise NotUnimodular("; ".join(report.failures))
+            mu = report.mu
+        self.mu = tuple(mu)
         self.edges = tuple(
             GkmEdge(v, w, fs, self._edge_character(v, fs))
             for v, w, fs in polytope.edges())
@@ -203,10 +210,10 @@ class GkmGraph:
         e^u maps to the monomial with exponents <u, lambda_i> over the face's
         facets i in ascending order.  These lambda_i extend to a lattice basis
         at any vertex of the face, so the map is onto and its kernel is
-        exactly the characters orthogonal to them.  The step map at a vertex
-        of the face writes these exponents among its n; project its image.
+        exactly the characters orthogonal to them.  The restriction map
+        writes these exponents among its d; project its image.
         """
-        image = substitute_monomial_map(a, self.step_maps[face.vertices[0]], self.face_profile)
+        image = substitute_monomial_map(a, self.restriction_map, self.face_profile)
         return LaurentPoly(char_profile(len(face.facets), self.bott),
                            project_terms(image.terms, self.face_pick(face.facets)))
 
@@ -231,6 +238,13 @@ class GkmGraph:
             maps.append(MonomialMap(self.n, self.d, [i - 1 for i in facets],
                                     range(self.n), block))
         return tuple(maps)
+
+    @cached_property
+    def restriction_map(self) -> MonomialMap:
+        """e^u -> prod of y_i^{<u, lambda_i>} over all d facets: its block is
+        Lambda.  Projected onto the facets of a face it is the restriction to
+        that face; onto the facets of a vertex, that vertex's step map."""
+        return MonomialMap(self.d, self.n, range(self.n), range(self.d), self.lam)
 
     @cached_property
     def step_maps(self) -> tuple[MonomialMap, ...]:
@@ -284,11 +298,11 @@ def in_w(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
     """Face-agreement membership: restrictions agree at the join of every pair,
     the face of the facets S both share (a facet through all of that face
     passes through both), compared as projections onto S of each entry's
-    step-map image, which is made once per entry."""
+    image under the restriction map, which is made once per entry."""
     _check_tuple(g, t)
     P = g.polytope
-    images = [substitute_monomial_map(a, M, g.face_profile).terms
-              for a, M in zip(t, g.step_maps)]
+    R = g.restriction_map
+    images = [substitute_monomial_map(a, R, g.face_profile).terms for a in t]
     picks = {}
     for v in range(g.m):
         for w in range(v + 1, g.m):

@@ -395,6 +395,6 @@ def divides_one_minus(f: LaurentPoly, u) -> bool:
 
     def coset_key(exp):
         ap = exp[p]
-        return tuple(up * exp[k] - ap * u[k] for k in range(n)) + exp[n:]
+        return tuple([up * a - ap * b for a, b in zip(exp, u)]) + exp[n:]
 
     return not project_terms(f.terms, coset_key)

@@ -13,6 +13,12 @@ vertices on S) gives the faces and the minimal non-faces; face_of and
 validate_order never build it, since a simplex has 2^n subsets at each
 of its n + 1 vertices.
 
+The dual bases mu(v) of the characteristic matrix are found by walking
+the edge graph: across an edge, w's block is v's with one row exchanged,
+so w's basis follows from v's in O(n^2), and the coefficient c of that
+exchange is w's determinant up to sign (see dual_bases).  Elimination
+runs only at a root of the walk.
+
 Only incidence combinatorics is modelled.  Geometric realizability is not
 decided: validation checks the necessary local conditions (simplicity,
 edge counts, connectivity) and trusts the input beyond that.
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from .lattice import NotUnimodular, dual_basis, is_primitive
@@ -285,12 +292,82 @@ def vertex_dual_basis(lam: Sequence[Sequence[int]], facets) -> dict:
     return dict(zip(facets, dual_basis([lam[i - 1] for i in facets])))
 
 
+def dual_bases(P: SimplePolytope, lam: Sequence[Sequence[int]]):
+    """(mu, bad): mu[v] = vertex_dual_basis(lam, P.vertices[v]), or None where
+    v fails, and bad = {v: why v fails}.
+
+    Vertices are taken in index order; one not reached yet is a root, whose
+    basis comes from elimination, and the edge graph is walked from it.
+    Across an edge v -- w with shared facets S, i the facet of v off S and
+    j that of w, w's block is v's with row lambda_i replaced by lambda_j.
+    In the basis of v's rows lambda_j has coefficient c = <mu_i(v), lambda_j>
+    at lambda_i, and the rows at S are shared, so by multilinearity w's
+    determinant is +-c times v's, which is +-1.  If |c| = 1 the exchange
+    mu_j(w) = c mu_i(v), mu_k(w) = mu_k(v) - <mu_k(v), lambda_j> mu_j(w)
+    for k in S gives w's basis in O(n^2); otherwise w fails with |det| = |c|,
+    the elimination's determinant, and the walk goes on only through
+    vertices that have a basis, so one cut off by failing vertices becomes
+    a root of its own.
+
+    A vertex must list n facets in 1..d (validate_simple checks it); one
+    that does not fails with that reason and is neither a root nor walked.
+    """
+    n, d = P.dim, P.facet_count
+    verts = P.vertices
+    mu = [None] * P.m
+    bad = {}
+    for v, fs in enumerate(verts):
+        if len(fs) != n:
+            bad[v] = f"{len(fs)} facets, expected {n}"
+        elif any(i < 1 or i > d for i in fs):
+            bad[v] = f"facet index out of range 1..{d}"
+    adj = P.adjacency()
+    for root in range(P.m):
+        if mu[root] is not None or root in bad:
+            continue
+        try:
+            mu[root] = vertex_dual_basis(lam, verts[root])
+        except NotUnimodular as exc:
+            bad[root] = f"|det| = {abs(exc.det)} (expected 1)"
+            continue
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            fv, mv = verts[v], mu[v]
+            for w in adj[v]:
+                if mu[w] is not None or w in bad:
+                    continue
+                fw = verts[w]
+                if fw == fv:        # a repeated facet set: the same block
+                    mu[w] = mv
+                    continue
+                (i,) = fv - fw
+                (j,) = fw - fv
+                lj = lam[j - 1]
+                c = sum(map(mul, mv[i], lj))
+                if c != 1 and c != -1:
+                    bad[w] = f"|det| = {abs(c)} (expected 1)"
+                    continue
+                mj = mv[i] if c == 1 else tuple([-x for x in mv[i]])
+                new = {}
+                for k in sorted(fw):
+                    if k == j:
+                        new[k] = mj
+                        continue
+                    a = mv[k]
+                    t = sum(map(mul, a, lj))
+                    new[k] = tuple([x - t * y for x, y in zip(a, mj)]) if t else a
+                mu[w] = new
+                stack.append(w)
+    return mu, bad
+
+
 def validate_characteristic(P: SimplePolytope,
                             lam: Sequence[Sequence[int]]) -> CharacteristicReport:
     """Primitivity of every row and |det| = 1 at every vertex.
 
-    The dual basis at each vertex is the unimodularity check; a block that
-    fails it reports the determinant read off the same elimination.
+    The dual bases are the unimodularity check (see dual_bases); each
+    failing vertex is listed, in vertex order, with its determinant.
     """
     n, d = P.dim, P.facet_count
     fails = []
@@ -305,12 +382,8 @@ def validate_characteristic(P: SimplePolytope,
     for i, row in enumerate(lam):
         if not is_primitive(row):
             fails.append(f"row {i + 1} {tuple(row)}: not primitive")
-    mu = []
-    for fs in P.vertices:
-        try:
-            mu.append(vertex_dual_basis(lam, fs))
-        except NotUnimodular as exc:
-            fails.append(f"vertex {fmt_facets(fs)}: |det| = {abs(exc.det)} (expected 1)")
+    mu, bad = dual_bases(P, lam)
+    fails += [f"vertex {fmt_facets(P.vertices[v])}: {bad[v]}" for v in sorted(bad)]
     if fails:
         return CharacteristicReport(tuple(fails))
     return CharacteristicReport((), tuple(mu))

@@ -296,6 +296,43 @@ class TestInW:
         assert in_gamma(g, bad).member == in_w(g, bad).member == False
 
 
+class TestWitnessTexts:
+    """The first witness of a non-member: 1 + 3 e^(2,-1) at the last vertex,
+    times z on a Bott profile."""
+
+    TEXTS = {
+        ("H1", False): (
+            "pair {1,2} -- {1,4}: restrictions to face {1} differ: 1 vs 1 + 3*t1^2",
+            "edge {1,2} -- {1,4}: difference -3*t1^2*t2^-1 not divisible by 1 - e^-(0, 1)"),
+        ("CP2", False): (
+            "pair {1,2} -- {2,3}: restrictions to face {2} differ: 1 vs 3*t1^-1 + 1",
+            "edge {1,2} -- {2,3}: difference -3*t1^2*t2^-1 not divisible by 1 - e^-(1, 0)"),
+        ("H1", True): (
+            "pair {1,2} -- {1,4}: restrictions to face {1} differ: 1 vs 1 + 3*t1^2*z",
+            "edge {1,2} -- {1,4}: difference -3*t1^2*t2^-1*z not divisible by 1 - e^-(0, 1)"),
+        ("CP2", True): (
+            "pair {1,2} -- {2,3}: restrictions to face {2} differ: 1 vs 3*t1^-1*z + 1",
+            "edge {1,2} -- {2,3}: difference -3*t1^2*t2^-1*z not divisible by 1 - e^-(1, 0)"),
+    }
+
+    @pytest.mark.parametrize("name, bott", sorted(TEXTS))
+    def test_first_witness(self, name, bott):
+        P, lam = {"H1": (SQUARE, H1.lam), "CP2": (TRIANGLE, CP2.lam)}[name]
+        g = GkmGraph(P, lam, bott=bott)
+        z = (1,) if bott else ()
+        one = LaurentPoly.one(g.char_profile)
+        last = one + LaurentPoly(g.char_profile, {(2, -1) + z: 3})
+        t = FixedPointTuple(g.char_profile, [one] * (g.m - 1) + [last])
+        texts = tuple(check(g, t).witness.text(P) for check in (in_w, in_gamma))
+        assert texts == self.TEXTS[name, bott]
+
+    def test_in_w_reads_no_step_map(self):
+        g = GkmGraph(SQUARE, H1.lam)
+        one = LaurentPoly.one(g.char_profile)
+        assert in_w(g, FixedPointTuple.constant(g.char_profile, g.m, one)).member
+        assert "step_maps" not in vars(g)
+
+
 def reference_in_w(g, t):
     """All-pairs face agreement restricting through explicit lambda-row
     pairings, z carried: (member, witness text or None)."""

@@ -6,8 +6,10 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasik import cli, facering
+from quasik import cli, facering, polytope
 from quasik.documents import build_polytope, load_document
+from quasik.gkm import GkmGraph
+from quasik.lattice import NotUnimodular, is_primitive
 from quasik.polytope import (
     Face,
     InvalidOrder,
@@ -18,10 +20,11 @@ from quasik.polytope import (
     validate_characteristic,
     validate_order,
     validate_simple,
+    vertex_dual_basis,
     vertex_order_from_heights,
 )
 
-from conftest import INPUTS, join
+from conftest import GOOD_INPUTS, INPUTS, join
 
 TRIANGLE = SimplePolytope(2, 3, [[1, 2], [1, 3], [2, 3]])
 SQUARE = SimplePolytope(2, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -299,6 +302,151 @@ class TestValidateCharacteristic:
     @given(st.integers(-10, 10))
     def test_hirzebruch_any_k(self, k):
         assert validate_characteristic(SQUARE, [[1, 0], [0, 1], [-1, k], [0, -1]]).ok
+
+
+def eliminate_each(P, lam):
+    """Reference validate_characteristic that inverts every vertex block by
+    elimination: (failures, [mu(v)] or None)."""
+    fails = []
+    for i, row in enumerate(lam):
+        if not is_primitive(row):
+            fails.append(f"row {i + 1} {tuple(row)}: not primitive")
+    mu = []
+    for fs in P.vertices:
+        try:
+            mu.append(vertex_dual_basis(lam, fs))
+        except NotUnimodular as exc:
+            fails.append(f"vertex {fmt_facets(fs)}: |det| = {abs(exc.det)} (expected 1)")
+    return fails, (None if fails else mu)
+
+
+def renumbered(P, lam, rng):
+    """(P, lam) with the vertices permuted and the facets renumbered by rng."""
+    order = list(range(P.m))
+    rng.shuffle(order)
+    sigma = list(range(1, P.facet_count + 1))
+    rng.shuffle(sigma)
+    verts = [[sigma[i - 1] for i in P.vertices[v]] for v in order]
+    rows = [None] * P.facet_count
+    for i, row in enumerate(lam, 1):
+        rows[sigma[i - 1] - 1] = row
+    return SimplePolytope(P.dim, P.facet_count, verts), rows
+
+
+@pytest.fixture
+def dual_basis_calls(monkeypatch):
+    """The number of lattice.dual_basis calls made through polytope."""
+    calls = []
+    real = polytope.dual_basis
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(polytope, "dual_basis", counted)
+    return calls
+
+
+def families(gen):
+    """{name: (P, lam)} over the cp, cube, bott, polygon, truncation and
+    product families of perfbench/gen.py."""
+    makers = {
+        "cp3": lambda: gen.cp(3),
+        "cube4": lambda: gen.cube(4),
+        "bott4": lambda: gen.bott(4, random.Random(4)),
+        "polygon8": lambda: gen.polygon(8, random.Random(8)),
+        "cube3_cut": lambda: gen.truncate(gen.truncate(gen.cube(3), 0), 1),
+        "polygon5xcp2": lambda: gen.product(gen.polygon(5, random.Random(5)), gen.cp(2)),
+    }
+    out = {}
+    for name, make in makers.items():
+        M = make()
+        out[name] = SimplePolytope(M.dim, M.facets, M.vertices), M.lam
+    return out
+
+
+class TestDualBasisWalk:
+    """validate_characteristic walks the edge graph from one elimination."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_walk_equals_elimination(self, perfbench_gen, dual_basis_calls, seed):
+        for name, (P, lam) in families(perfbench_gen).items():
+            if seed is not None:
+                P, lam = renumbered(P, lam, random.Random(f"{name}:{seed}"))
+            rep = validate_characteristic(P, lam)
+            assert rep.ok, name
+            assert len(dual_basis_calls) == 1, name
+            dual_basis_calls.clear()
+            for bott in (False, True):
+                g = GkmGraph(P, lam, bott=bott)
+                for v, fs in enumerate(P.vertices):
+                    want = list(vertex_dual_basis(lam, fs).items())
+                    assert list(rep.mu[v].items()) == want, (name, v)
+                    assert list(g.mu[v].items()) == want, (name, v)
+            dual_basis_calls.clear()
+
+    @pytest.mark.parametrize("name", GOOD_INPUTS)
+    def test_one_elimination_per_connected_input(self, name, dual_basis_calls):
+        doc = load_document(INPUTS / f"{name}.json")
+        assert validate_characteristic(build_polytope(doc), doc.lam).ok
+        assert len(dual_basis_calls) == 1
+
+    # on SQUARE, with lambda_1 = (1, 0) and lambda_2 = (0, 1) at vertex {1,2}
+    @pytest.mark.parametrize("lam, fails, roots", [
+        # vertex 0 fails; the walk starts again at vertex 1
+        ([[1, 0], [1, 2], [-1, -1], [0, -1]],
+         ["vertex {1,2}: |det| = 2 (expected 1)"], 2),
+        # lambda_3 = lambda_2: c = 0 at {2,3}
+        ([[1, 0], [0, 1], [0, 1], [1, -1]],
+         ["vertex {2,3}: |det| = 0 (expected 1)"], 1),
+        # |c| = 2 at {2,3}, and at {3,4}
+        ([[1, 0], [0, 1], [-2, 1], [0, -1]],
+         ["vertex {2,3}: |det| = 2 (expected 1)", "vertex {3,4}: |det| = 2 (expected 1)"], 1),
+        # {3,4} is unimodular, but both its neighbours fail: a second root
+        ([[1, 0], [0, 1], [2, 1], [3, 2]],
+         ["vertex {2,3}: |det| = 2 (expected 1)", "vertex {1,4}: |det| = 2 (expected 1)"], 2),
+    ])
+    def test_failures_match_elimination(self, lam, fails, roots, dual_basis_calls):
+        rep = validate_characteristic(SQUARE, lam)
+        assert list(rep.failures) == fails
+        assert len(dual_basis_calls) == roots
+        assert eliminate_each(SQUARE, lam)[0] == fails
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_blocks_match_elimination(self, data):
+        """Random small characteristic matrices, unimodular or not, on
+        polytopes of dimension 1 to 3, vertices and facets renumbered."""
+        P = data.draw(st.sampled_from([INTERVAL, TRIANGLE, SQUARE, cube()[0], simplex3()]))
+        entry = st.integers(-2, 2)
+        lam = data.draw(st.lists(st.lists(entry, min_size=P.dim, max_size=P.dim),
+                                 min_size=P.facet_count, max_size=P.facet_count))
+        P, lam = renumbered(P, lam, random.Random(data.draw(st.integers(0, 2 ** 16))))
+        fails, mu = eliminate_each(P, lam)
+        rep = validate_characteristic(P, lam)
+        assert list(rep.failures) == fails
+        if mu is not None:
+            assert [list(d.items()) for d in rep.mu] == [list(d.items()) for d in mu]
+
+    def test_graph_without_mu_runs_the_check(self):
+        with pytest.raises(NotUnimodular, match=r"vertex \{2,3\}: \|det\| = 2"):
+            GkmGraph(SQUARE, [[1, 0], [0, 1], [-2, 1], [0, -1]])
+
+    @pytest.mark.parametrize("vertices, fail", [
+        ([[1, 2], [2, 3], [1, 3, 2]], "vertex {1,2,3}: 3 facets, expected 2"),
+        ([[1, 2], [2, 3], [3]], "vertex {3}: 1 facets, expected 2"),
+        ([[1, 2], [2, 3], [1, 4]], "vertex {1,4}: facet index out of range 1..3"),
+        ([[1, 2], [2, 3], [0, 3]], "vertex {0,3}: facet index out of range 1..3"),
+    ])
+    def test_malformed_vertex_is_a_failure(self, vertices, fail):
+        rep = validate_characteristic(SimplePolytope(2, 3, vertices), CP2_LAMBDA)
+        assert list(rep.failures) == [fail]
+
+    def test_repeated_facet_set_gets_the_same_basis(self):
+        P = SimplePolytope(2, 3, [[1, 2], [1, 2], [2, 3], [1, 3]])
+        rep = validate_characteristic(P, CP2_LAMBDA)
+        assert [list(d.items()) for d in rep.mu] == \
+            [list(vertex_dual_basis(CP2_LAMBDA, fs).items()) for fs in P.vertices]
 
 
 class TestHeights:
