@@ -29,19 +29,19 @@ report (exit 1), which main prints like any other.
 
 Repeated main() calls in one process reuse the parsed document, the
 validated graph with its maps and the order of an input whose path and
-full text are unchanged: CACHE keeps the Prepared documents of the last
-CACHE_SIZE = 16 inputs, least recently used out.  The file is read on
-every call, and a document is parsed and checked in full the first time
-that (path, text) is seen, so a changed file is a new entry; reports are
-byte-identical to a first call's.  Tuple files and all per-tuple work are
-read and done anew on every call.
+full text are unchanged: _prepared, an lru_cache keyed by (path, text),
+keeps the Prepared documents of the last CACHE_SIZE = 16 inputs, least
+recently used out.  The file is read on every call, and a document is
+parsed and checked in full the first time that (path, text) is seen, so
+a changed file is a new entry; reports are byte-identical to a first
+call's.  Tuple files and all per-tuple work are read and done anew on
+every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -158,8 +158,6 @@ def _render(command: str, input_name: str, report: Report, as_json: bool) -> str
 
 # the most documents main() keeps prepared between calls, least recently used out
 CACHE_SIZE = 16
-# (path, full text of the file) -> Prepared, least recently used first
-CACHE: OrderedDict = OrderedDict()
 
 
 class Prepared:
@@ -223,15 +221,12 @@ def prepare(path) -> Prepared:
     """The Prepared document at path: the kept one if the file's full text
     is what it was when that was parsed, else a new one.  A file that cannot
     be read or parsed raises InputError and leaves the cache as it was."""
-    text = read_text(path)
-    key = (str(path), text)
-    prep = CACHE.pop(key, None)
-    if prep is None:
-        prep = Prepared(load_document(path, text))
-    CACHE[key] = prep
-    if len(CACHE) > CACHE_SIZE:
-        CACHE.popitem(last=False)
-    return prep
+    return _prepared(str(path), read_text(path))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _prepared(path: str, text: str) -> Prepared:
+    return Prepared(load_document(path, text))
 
 
 def cmd_validate(prep, args) -> Report:
@@ -266,7 +261,7 @@ def cmd_gkm(prep, args) -> Report:
                    key=lambda e: (e["a"], e["b"]))
     payload = {"fixed_points": g.m, "edges": edges,
                "euler_check": {"ok": rep.ok, "failures": list(rep.failures)}}
-    if args.dot:
+    if args.dot is not None:
         dot = ["graph gkm {"] + [f"  v{k + 1};" for k in range(g.m)]
         dot += [f'  v{e["a"]} -- v{e["b"]} [label="({",".join(map(str, e["character"]))})"];'
                 for e in edges]
@@ -285,7 +280,7 @@ def cmd_gkm(prep, args) -> Report:
                          f"character ({','.join(str(x) for x in e['character'])})")
         lines.append("euler-class coprimality: " + ("pass" if rep.ok else "FAIL"))
         lines.extend("  " + f for f in rep.failures)
-        if args.dot:
+        if args.dot is not None:
             lines.append(f"DOT written to {args.dot}")
         return "\n".join(lines)
     return Report("pass" if rep.ok else "fail", payload, human)

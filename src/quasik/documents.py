@@ -187,11 +187,8 @@ def parse_json(text: str, path):
                          f"{str(exc).split(';')[0]}") from None
 
 
-def load_document(path, text=None) -> InputDocument:
-    """The document at path; text, when given, is its content as read_text
-    returned it, so the file is not read again."""
-    if text is None:
-        text = read_text(path)
+def load_document(path, text: str) -> InputDocument:
+    """The document at path, from its content text as read_text returned it."""
     return document_from_dict(parse_json(text, path), where=str(path))
 
 

@@ -46,7 +46,6 @@ from operator import add
 from .gkm import FixedPointTuple, GkmGraph, _check_tuple
 from .lattice import SparseMat, dot, snf_diagonal
 from .laurent import (
-    DimensionMismatch,
     LaurentPoly,
     _raw,
     add_terms,
@@ -79,13 +78,10 @@ class OrdinaryRankFailure(RuntimeError):
 
 
 def theta(g: GkmGraph, u) -> LaurentPoly:
-    """R-algebra structure map: e^u -> prod_i y_i^{<u, lambda_i>}."""
-    if len(u) != g.n:
-        raise DimensionMismatch(f"character length {len(u)} != {g.n}")
-    exps = [dot(tuple(u), g.lam_row(i)) for i in range(1, g.d + 1)]
-    if g.bott:
-        exps.append(0)
-    return LaurentPoly.monomial(g.face_profile, exps)
+    """R-algebra structure map: e^u -> prod_i y_i^{<u, lambda_i>}, the
+    graph's restriction map on e^u."""
+    return substitute_monomial_map(LaurentPoly.char_monomial(g.char_profile, u),
+                                   g.restriction_map)
 
 
 def constant_tuple(g: GkmGraph, value: LaurentPoly) -> FixedPointTuple:
@@ -95,10 +91,8 @@ def constant_tuple(g: GkmGraph, value: LaurentPoly) -> FixedPointTuple:
 
 def phi(g: GkmGraph, P: LaurentPoly) -> FixedPointTuple:
     """Evaluate a face-ring element on all fixed points at once."""
-    if P.profile != g.face_profile:
-        raise DimensionMismatch(f"{P.profile} != {g.face_profile}")
     return FixedPointTuple(g.char_profile, tuple(
-        substitute_monomial_map(P, M, g.char_profile) for M in g.phi_maps))
+        substitute_monomial_map(P, M) for M in g.phi_maps))
 
 
 def r_vector(g: GkmGraph, i: int) -> FixedPointTuple:
@@ -162,8 +156,8 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
     total = {}
     steps = []
     for pos, v in enumerate(order.order):
-        s = substitute_monomial_map(t.entries[v], g.step_maps[v], g.face_profile)
-        if substitute_monomial_map(s, g.phi_maps[v], g.char_profile) != t.entries[v]:
+        s = substitute_monomial_map(t.entries[v], g.step_maps[v])
+        if substitute_monomial_map(s, g.phi_maps[v]) != t.entries[v]:
             raise ResidualNonzero(pos, "residual at v nonzero")
         owed_v = keep_terms(owed.pop(v, {}), g.phi_maps[v].source + z, nvars)
         terms = add_terms(dict(s.terms), owed_v.items(), -1)
@@ -242,7 +236,7 @@ def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry
             raise CertificateFailure(
                 f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}", pos, s)
         omega = _nonface_product(g.face_profile, extra)
-        diagonal = substitute_monomial_map(omega, g.phi_maps[v], g.char_profile)
+        diagonal = substitute_monomial_map(omega, g.phi_maps[v])
         expected = _one_minus_product(g.char_profile, (g.mu[v][i] + (0,) * g.bott for i in extra))
         if diagonal != expected:
             raise CertificateFailure(

@@ -15,9 +15,9 @@ the exponents at v's n facets, since y_i -> 1 off them; the step map at v
 writes only those n exponents, <u, lambda_i> for each facet i of v.  A
 character restricts to a face by pairing it with lambda_i for each facet
 i of the face, so one restriction map, e^u -> prod over all d facets of
-y_i^{<u, lambda_i>} (its block is Lambda), serves every face: restriction
+y_i^{<u, lambda_i>} (its block is Lambda), serves every face: in_w
 projects its image onto the face's facets, and no face or vertex keeps a
-map of its own for it.
+map of its own for it.  On e^u the same map is facering.theta.
 
 Two membership predicates cut out the image of the K-ring:
 
@@ -57,7 +57,6 @@ from .laurent import (
     substitute_monomial_map,
 )
 from .polytope import (
-    Face,
     SimplePolytope,
     ValidationReport,
     fmt_facets,
@@ -204,19 +203,6 @@ class GkmGraph:
         (i,) = self.polytope.vertices[v] - facets
         return normalize_sign(self.mu[v][i])
 
-    def restrict_to_face(self, a: LaurentPoly, face: Face) -> LaurentPoly:
-        """Image of a character-profile element in the face's restriction ring.
-
-        e^u maps to the monomial with exponents <u, lambda_i> over the face's
-        facets i in ascending order.  These lambda_i extend to a lattice basis
-        at any vertex of the face, so the map is onto and its kernel is
-        exactly the characters orthogonal to them.  The restriction map
-        writes these exponents among its d; project its image.
-        """
-        image = substitute_monomial_map(a, self.restriction_map, self.face_profile)
-        return LaurentPoly(char_profile(len(face.facets), self.bott),
-                           project_terms(image.terms, self.face_pick(face.facets)))
-
     def face_pick(self, facets):
         """Face exponents -> those at facets, ascending, then z: y_i -> 1 off facets."""
         return coordinate_getter(tuple(i - 1 for i in sorted(facets))
@@ -235,16 +221,18 @@ class GkmGraph:
         for mu in self.mu:
             facets = sorted(mu)
             block = tuple(zip(*(mu[i] for i in facets)))
-            maps.append(MonomialMap(self.n, self.d, [i - 1 for i in facets],
-                                    range(self.n), block))
+            maps.append(MonomialMap(self.face_profile, self.char_profile,
+                                    [i - 1 for i in facets], range(self.n), block))
         return tuple(maps)
 
     @cached_property
     def restriction_map(self) -> MonomialMap:
         """e^u -> prod of y_i^{<u, lambda_i>} over all d facets: its block is
-        Lambda.  Projected onto the facets of a face it is the restriction to
-        that face; onto the facets of a vertex, that vertex's step map."""
-        return MonomialMap(self.d, self.n, range(self.n), range(self.d), self.lam)
+        Lambda.  On e^u it is theta; projected onto the facets of a face it
+        is the restriction to that face; onto the facets of a vertex, that
+        vertex's step map."""
+        return MonomialMap(self.char_profile, self.face_profile,
+                           range(self.n), range(self.d), self.lam)
 
     @cached_property
     def step_maps(self) -> tuple[MonomialMap, ...]:
@@ -254,8 +242,8 @@ class GkmGraph:
         maps = []
         for fs in self.polytope.vertices:
             facets = sorted(fs)
-            maps.append(MonomialMap(self.d, self.n, range(self.n), [i - 1 for i in facets],
-                                    [self.lam_row(i) for i in facets]))
+            maps.append(MonomialMap(self.char_profile, self.face_profile, range(self.n),
+                                    [i - 1 for i in facets], [self.lam_row(i) for i in facets]))
         return tuple(maps)
 
 
@@ -302,7 +290,7 @@ def in_w(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
     _check_tuple(g, t)
     P = g.polytope
     R = g.restriction_map
-    images = [substitute_monomial_map(a, R, g.face_profile).terms for a in t]
+    images = [substitute_monomial_map(a, R).terms for a in t]
     picks = {}
     for v in range(g.m):
         for w in range(v + 1, g.m):

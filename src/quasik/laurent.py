@@ -5,8 +5,8 @@ coordinates t1..tn or face-ring generators y1..yd, optionally extended by
 an invertible Bott variable z appended as the last coordinate.  Terms are
 stored as a map from exponent tuples (negative entries allowed) to nonzero
 integer coefficients; the zero polynomial is the empty map.  A monomial
-substitution is a MonomialMap, which stores only the coordinates it reads
-and writes.
+substitution is a MonomialMap, which carries its source and target
+profiles and stores only the coordinates it reads and writes.
 
 add_terms is the one in-place sum of sparse terms: the constructor, +, -
 and *, interpolation's face sums and the tuple loader all go through it.
@@ -260,36 +260,41 @@ def _raw(profile: Profile, terms: dict) -> LaurentPoly:
 
 
 class MonomialMap:
-    """The exponent map u -> A u of a monomial substitution, stored sparsely.
+    """The exponent map u -> A u of a monomial substitution from polynomials
+    in profile src to polynomials in profile dst, stored sparsely.
 
-    A is a rows x cols integer matrix that vanishes off the columns listed
-    in source and the rows listed in target; block holds the rest, with
-    block[r][c] = A[target[r]][source[c]].  So the image of a term depends
-    only on its exponents at source, and it is 0 off target.
+    A is a dst.count x src.count integer matrix that vanishes off the
+    columns listed in source and the rows listed in target; block holds the
+    rest, with block[r][c] = A[target[r]][source[c]].  So the image of a
+    term depends only on its exponents at source, and it is 0 off target.
+    A Bott exponent z is carried through, so src and dst agree on z.
     """
 
-    __slots__ = ("rows", "cols", "source", "target", "block", "_picks")
+    __slots__ = ("src", "dst", "source", "target", "block", "_pick")
 
-    def __init__(self, rows: int, cols: int, source, target, block):
+    def __init__(self, src: Profile, dst: Profile, source, target, block):
         source, target = tuple(source), tuple(target)
         block = tuple(map(tuple, block))
-        if not _index_set(source, cols):
-            raise DimensionMismatch(f"source {source} is not a set of columns below {cols}")
-        if not _index_set(target, rows):
-            raise DimensionMismatch(f"target {target} is not a set of rows below {rows}")
+        if src.bott != dst.bott:
+            raise DimensionMismatch(
+                f"Bott variable z in the {'source' if src.bott else 'target'} profile only")
+        if not _index_set(source, src.count):
+            raise DimensionMismatch(f"source {source} is not a set of columns below {src.count}")
+        if not _index_set(target, dst.count):
+            raise DimensionMismatch(f"target {target} is not a set of rows below {dst.count}")
         if len(block) != len(target) or any(len(r) != len(source) for r in block):
             raise DimensionMismatch(
                 f"block is not {len(target)} x {len(source)} (target x source)")
-        # projections onto source, without and with a trailing z
-        picks = coordinate_getter(source), coordinate_getter(source + (cols,))
-        for name, value in zip(self.__slots__, (rows, cols, source, target, block, picks)):
+        # the projection onto source, then z
+        pick = coordinate_getter(source + ((src.count,) if src.bott else ()))
+        for name, value in zip(self.__slots__, (src, dst, source, target, block, pick)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("MonomialMap is immutable")
 
     def __repr__(self):
-        return (f"MonomialMap({self.rows}, {self.cols}, source={self.source}, "
+        return (f"MonomialMap({self.src}, {self.dst}, source={self.source}, "
                 f"target={self.target}, block={self.block})")
 
 
@@ -308,29 +313,20 @@ def coordinate_getter(idx: tuple):
     return lambda exp: ()
 
 
-def substitute_monomial_map(f: LaurentPoly, A: MonomialMap, profile: Profile) -> LaurentPoly:
+def substitute_monomial_map(f: LaurentPoly, A: MonomialMap) -> LaurentPoly:
     """Apply the monomial substitution e^u -> e^{A u} to every term of f.
 
-    A acts on the t or y exponents; a Bott exponent is carried through
-    unchanged, so the source and target profiles must agree on z.  The
-    target profile, of either kind, must have A.rows variables.  Each
-    term is first projected onto A's source coordinates, merging the terms
-    that collide; only what is left goes through A's block.
+    f must live in A.src, and the result lives in A.dst; a Bott exponent is
+    carried through unchanged.  Each term is first projected onto A's
+    source coordinates (and z), merging the terms that collide; only what
+    is left goes through A's block.
     """
-    src = f.profile
-    if A.cols != src.count:
-        raise DimensionMismatch(
-            f"matrix has {A.cols} columns, polynomial has {src.count} variables")
-    if profile.count != A.rows:
-        raise DimensionMismatch(
-            f"matrix has {A.rows} rows, target profile needs {profile.count}")
-    if profile.bott != src.bott:
-        raise DimensionMismatch(
-            f"Bott variable z in the {'source' if src.bott else 'target'} profile only")
-    rows, target, block = A.rows, A.target, A.block
+    if f.profile is not A.src and f.profile != A.src:
+        raise DimensionMismatch(f"polynomial in {f.profile}, map reads {A.src}")
+    rows, target, block = A.dst.count, A.target, A.block
     k = len(A.source)
     out = {}
-    for x, c in project_terms(f.terms, A._picks[src.bott]).items():
+    for x, c in project_terms(f.terms, A._pick).items():
         ne = [0] * rows
         for i, r in zip(target, block):
             ne[i] = sum(map(mul, r, x))
@@ -340,7 +336,7 @@ def substitute_monomial_map(f: LaurentPoly, A: MonomialMap, profile: Profile) ->
             out[ne] = v
         else:
             del out[ne]
-    return _raw(profile, out)
+    return _raw(A.dst, out)
 
 
 def project_terms(terms: dict, pick) -> dict:

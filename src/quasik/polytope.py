@@ -9,7 +9,7 @@ Two facts are built once, lazily.  The ridge map (each (n-1)-subset of a
 vertex's facets -> the vertices holding it) gives validation's ridge
 checks and the edges.  The subset table (the facet bit mask of every
 subset S of a vertex's facet set -> L(S), the OR of the masks of the
-vertices on S) gives the faces and the minimal non-faces; face_of and
+vertices on S) gives only the minimal non-faces; face_of and
 validate_order never build it, since a simplex has 2^n subsets at each
 of its n + 1 vertices.
 
@@ -114,7 +114,6 @@ class SimplePolytope:
         self._adjacency = None
         self._links = None
         self._nonfaces = None
-        self._faces = None
 
     @property
     def m(self) -> int:
@@ -175,17 +174,6 @@ class SimplePolytope:
                     sub = (sub - 1) & vmask
             self._links = links
         return self._links
-
-    def all_faces(self):
-        """Every face, each once with its saturated facet set."""
-        if self._faces is None:
-            seen = {}
-            for S in self._link_table():
-                face = self.face_of(_facets_of(S))
-                seen.setdefault(face.facets, face)
-            self._faces = tuple(sorted(
-                seen.values(), key=lambda f: (len(f.facets), sorted(f.facets))))
-        return self._faces
 
     def minimal_nonfaces(self):
         """Inclusion-minimal facet sets with empty intersection.

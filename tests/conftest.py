@@ -1,16 +1,18 @@
 import importlib.util
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from quasik import cli, facering
-from quasik.documents import build_polytope, document_from_dict, load_document, resolve_order
+from quasik.documents import (
+    build_polytope, document_from_dict, load_document, read_text, resolve_order)
 from quasik.gkm import GkmGraph, _check_tuple
 from quasik.lattice import SparseMat, snf_diagonal
 from quasik.laurent import LaurentPoly, face_profile, project_terms, substitute_monomial_map
-from quasik.polytope import SimplePolytope
+from quasik.polytope import Face, SimplePolytope
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -29,6 +31,20 @@ def dense_substitute(f, rows, profile):
         ne = tuple(sum(row[j] * exp[j] for j in range(k)) for row in rows) + exp[k:]
         out[ne] = out.get(ne, 0) + c
     return LaurentPoly(profile, out)
+
+
+def faces_by_definition(P):
+    """Every face, ordered by (number of facets, sorted facets): the vertices
+    on each facet set of at most dim facets, when there are any, with every
+    facet they all lie on."""
+    faces = {}
+    for k in range(P.dim + 1):
+        for S in combinations(range(1, P.facet_count + 1), k):
+            verts = tuple(v for v, fs in enumerate(P.vertices) if set(S) <= fs)
+            if verts:
+                sat = frozenset.intersection(*(P.vertices[v] for v in verts))
+                faces[sat] = Face(sat, verts)
+    return sorted(faces.values(), key=lambda f: (len(f.facets), sorted(f.facets)))
 
 
 def join(P, v, w):
@@ -93,7 +109,7 @@ def push_interpolate(g, order, t):
     total = LaurentPoly.zero(g.face_profile)
     steps = []
     for pos, v in enumerate(order.order):
-        p = substitute_monomial_map(residual[v], g.step_maps[v], g.face_profile)
+        p = substitute_monomial_map(residual[v], g.step_maps[v])
         if not p.is_zero:
             facets = g.polytope.vertices[v]
             if any(project_terms(p.terms, g.face_pick(facets - {i})) for i in order.extra[v]):
@@ -102,8 +118,7 @@ def push_interpolate(g, order, t):
             if any(order.position[j] < pos for j in face.vertices):
                 raise facering.ResidualNonzero(pos, "face above v has an earlier vertex")
             for j in face.vertices:
-                residual[j] = residual[j] - substitute_monomial_map(
-                    p, g.phi_maps[j], g.char_profile)
+                residual[j] = residual[j] - substitute_monomial_map(p, g.phi_maps[j])
             total = total + p
         steps.append(facering.InterpolationStep(pos, v, p))
         if not residual[v].is_zero:
@@ -121,7 +136,7 @@ def json_terms(p):
 def cold_cli_cache():
     """Every test starts with no documents kept by cli.main, so a document
     that an earlier test prepared cannot skip a layer this test patches."""
-    cli.CACHE.clear()
+    cli._prepared.cache_clear()
 
 
 def input_path(name: str) -> Path:
@@ -130,7 +145,8 @@ def input_path(name: str) -> Path:
 
 @pytest.fixture(scope="session")
 def documents():
-    return {name: load_document(input_path(name)) for name in GOOD_INPUTS}
+    return {name: load_document(input_path(name), read_text(input_path(name)))
+            for name in GOOD_INPUTS}
 
 
 @pytest.fixture(scope="session")

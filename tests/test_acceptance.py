@@ -8,7 +8,7 @@ checks are exact; the only tolerances are the stated wall-clock limits.
 import time
 
 from quasik.cli import main
-from quasik.documents import build_polytope, load_document
+from quasik.documents import build_polytope, load_document, read_text
 from quasik.facering import (
     OrdinaryKModel,
     basis_certificate,
@@ -42,7 +42,7 @@ def _criterion(num, name, failures):
 def test_criterion_1_validation():
     failures = []
     for name in GOOD_INPUTS:
-        doc = load_document(input_path(name))
+        doc = load_document(input_path(name), read_text(input_path(name)))
         P = build_polytope(doc)
         start = time.perf_counter()
         if not validate_simple(P).ok:
@@ -52,7 +52,7 @@ def test_criterion_1_validation():
         elapsed = time.perf_counter() - start
         if elapsed >= 1.0:
             failures.append(f"{name}: validation took {elapsed:.2f}s (limit 1s)")
-    doc = load_document(input_path("bad_char"))
+    doc = load_document(input_path("bad_char"), read_text(input_path("bad_char")))
     rep = validate_characteristic(build_polytope(doc), doc.lam)
     if rep.ok:
         failures.append("bad_char: expected characteristic failure")

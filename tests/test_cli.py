@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from quasik import cli, facering
 from quasik.cli import _json_text, main
-from quasik.documents import build_polytope, load_document, load_tuple, resolve_order
+from quasik.documents import build_polytope, load_document, load_tuple, read_text, resolve_order
 from quasik.gkm import FixedPointTuple, GkmGraph, in_w
 from quasik.laurent import LaurentPoly, char_profile, face_profile
 
@@ -458,7 +458,7 @@ class TestRenderOnce:
             path = tmp_path / "bott3.json"
             M = gen.with_height(gen.bott(3, random.Random(3)), random.Random(1))
             path.write_text(json.dumps(M.document()))
-        doc = load_document(path)
+        doc = load_document(path, read_text(path))
         g = GkmGraph(build_polytope(doc), doc.lam, bott=doc.use_bott)
         y = [LaurentPoly.variable(g.face_profile, i) for i in range(g.d)]
         t = facering.phi(g, 2 - y[0] * y[1] ** -1 + 3 * y[2] ** 2)
@@ -874,6 +874,19 @@ def test_dot_to_unwritable_path(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_dot_to_empty_path(capsys):
+    """An empty --dot path is a path that cannot be written, not an absent
+    option."""
+    code, out, err = run(capsys, "gkm", input_path("cp2"), "--dot", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot write : [Errno 2] ")
+    code, out, _ = run(capsys, "gkm", input_path("cp2"), "--dot", "", "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert (report["status"], report["input"]) == ("input-error", "cp2")
+    assert report["payload"]["error"].startswith("cannot write : [Errno 2] ")
+
+
 def bott_document(tmp_path, name):
     """A bundled document with the Bott variable z switched on."""
     doc = json.loads(input_path(name).read_text())
@@ -1034,7 +1047,7 @@ class TestInputCache:
         path.write_bytes(h1)
         after = run(capsys, "gkm", path, "--json")
         assert after != before
-        cli.CACHE.clear()
+        cli._prepared.cache_clear()
         assert run(capsys, "gkm", path, "--json") == after
 
     def test_same_text_at_another_path_is_new_document(self, capsys, tmp_path, calls):
@@ -1043,7 +1056,7 @@ class TestInputCache:
             path.write_bytes(input_path("cp2").read_bytes())
             assert run(capsys, "gkm", path)[0] == 0
         assert calls["load_document"] == calls["GkmGraph.__init__"] == 2
-        assert len(cli.CACHE) == 2
+        assert cli._prepared.cache_info().currsize == 2
 
     def test_invalid_json_after_load(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
@@ -1053,10 +1066,10 @@ class TestInputCache:
         got = run(capsys, "gkm", path)
         assert got[:2] == (2, "")
         assert got[2].startswith(f"input error: {path}: invalid JSON at line 1, column ")
-        assert len(cli.CACHE) == 1
-        cli.CACHE.clear()
+        assert cli._prepared.cache_info().currsize == 1
+        cli._prepared.cache_clear()
         assert run(capsys, "gkm", path) == got
-        assert len(cli.CACHE) == 0
+        assert cli._prepared.cache_info().currsize == 0
 
     @pytest.mark.parametrize("name, command", [
         ("bad_char", "validate"), ("bad_char", "gkm"),
@@ -1080,10 +1093,10 @@ class TestInputCache:
             assert run(capsys, "validate", path)[0] == 0
             return calls["validate_characteristic"]
         assert [validations(p) for p in paths] == list(range(1, cli.CACHE_SIZE + 4))
-        assert len(cli.CACHE) == cli.CACHE_SIZE == 16
+        assert cli._prepared.cache_info().currsize == cli.CACHE_SIZE == 16
         # paths[3] is now the least recently used; a hit makes it the most
         assert validations(paths[-1]) == validations(paths[3]) == cli.CACHE_SIZE + 3
         assert validations(paths[0]) == cli.CACHE_SIZE + 4        # paths[4] out
         assert validations(paths[3]) == cli.CACHE_SIZE + 4
         assert validations(paths[4]) == cli.CACHE_SIZE + 5
-        assert len(cli.CACHE) == cli.CACHE_SIZE
+        assert cli._prepared.cache_info().currsize == cli.CACHE_SIZE

@@ -45,7 +45,9 @@ from quasik.harness import (
     random_face_element,
     random_member_tuple,
 )
-from quasik.laurent import LaurentPoly, ProfileMismatch, char_profile, face_profile
+from quasik.laurent import (
+    DimensionMismatch, LaurentPoly, ProfileMismatch, char_profile, face_profile,
+    substitute_monomial_map)
 from quasik.polytope import SimplePolytope, fmt_facets, vertex_order_from_heights
 
 
@@ -112,6 +114,10 @@ class TestTheta:
     def test_cp1(self):
         assert theta(CP1, (1,)) == ymono(CP1, (1, -1))
 
+    def test_character_length_checked(self):
+        with pytest.raises(DimensionMismatch, match="character length 3 != 2"):
+            theta(CP2, (1, 0, 0))
+
 
 class TestRVectors:
     def test_cp1(self):
@@ -138,6 +144,18 @@ class TestPhi:
     def test_nonface_product_vanishes(self):
         p = kernel_generators(CP1)[0]
         assert phi(CP1, p).is_zero
+
+    def test_character_profile_refused(self):
+        """A character-profile polynomial with d variables is not a face-ring
+        element, though it has as many exponents: phi and each phi map
+        refuse it."""
+        for g in (CP2, CUBE):
+            wrong = LaurentPoly.variable(char_profile(g.d), 0)
+            with pytest.raises(DimensionMismatch):
+                phi(g, wrong)
+            for M in g.phi_maps:
+                with pytest.raises(DimensionMismatch):
+                    substitute_monomial_map(wrong, M)
 
     def test_theta_goes_diagonal(self):
         for g in (CP1, CP2, H1, CUBE):
@@ -292,9 +310,9 @@ def substitutions(monkeypatch):
     calls = []
     real = facering.substitute_monomial_map
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(f, A):
+        calls.append((f, A))
+        return real(f, A)
 
     monkeypatch.setattr(facering, "substitute_monomial_map", counted)
     return calls

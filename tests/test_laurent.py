@@ -39,13 +39,15 @@ def polys(profile, max_terms=4, bound=3, coeff=5):
         lambda d: LaurentPoly(profile, d))
 
 
-def dense(rows):
-    """The map of a dense matrix with at least one row, reading every column."""
-    return MonomialMap(len(rows), len(rows[0]), range(len(rows[0])), range(len(rows)), rows)
+def dense(src, dst, rows):
+    """The map src -> dst of a dense matrix with at least one row, reading
+    every column."""
+    return MonomialMap(src, dst, range(len(rows[0])), range(len(rows)), rows)
 
 
-def identity(n):
-    return dense([[int(i == j) for j in range(n)] for i in range(n)])
+def identity(profile):
+    n = profile.count
+    return dense(profile, profile, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def primitive_chars(n, bound=3):
@@ -176,52 +178,65 @@ class TestRendering:
 class TestSubstitution:
     def test_identity(self):
         t1 = LaurentPoly.variable(P2, 0)
-        assert substitute_monomial_map(t1, identity(2), P2) == t1
+        assert substitute_monomial_map(t1, identity(P2)) == t1
 
     def test_projection(self):
         f = poly(P2, ((1, 0), 1), ((0, 1), -1))  # t1 - t2
-        A = dense([[1, 0]])
-        g = substitute_monomial_map(f, A, char_profile(1))
+        A = dense(P2, char_profile(1), [[1, 0]])
+        g = substitute_monomial_map(f, A)
         assert g == poly(char_profile(1), ((1,), 1), ((0,), -1))
 
     def test_shear(self):
         f = poly(P2, ((0, 0), 1), ((1, -1), -1))  # 1 - t1*t2^-1
-        A = dense([[1, 1], [0, 1]])
-        assert substitute_monomial_map(f, A, P2) == poly(P2, ((0, 0), 1), ((0, -1), -1))
+        A = dense(P2, P2, [[1, 1], [0, 1]])
+        assert substitute_monomial_map(f, A) == poly(P2, ((0, 0), 1), ((0, -1), -1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            substitute_monomial_map(LaurentPoly.one(P2), identity(3), char_profile(3))
+            substitute_monomial_map(LaurentPoly.one(P2), identity(char_profile(3)))
+
+    def test_profile_kind_mismatch(self):
+        """A map reads one profile: a polynomial of the other kind with as
+        many variables is refused, not substituted."""
+        A = identity(face_profile(2))
+        with pytest.raises(DimensionMismatch):
+            substitute_monomial_map(LaurentPoly.variable(P2, 0), A)
+        y1 = LaurentPoly.variable(face_profile(2), 0)
+        assert substitute_monomial_map(y1, A) == y1
 
     def test_bott_exponent_carried(self):
         f = poly(P2Z, ((1, 2, 3), 1), ((0, -1, -2), 5))  # t1*t2^2*z^3 + 5*t2^-1*z^-2
-        A = dense([[1, 1]])
+        A = dense(P2Z, char_profile(1, bott=True), [[1, 1]])
         expected = poly(char_profile(1, bott=True), ((3, 3), 1), ((-1, -2), 5))
-        assert substitute_monomial_map(f, A, char_profile(1, bott=True)) == expected
+        assert substitute_monomial_map(f, A) == expected
         y = face_profile(3, bott=True)
-        B = dense([[1, 0], [0, 1], [1, 1]])
-        assert substitute_monomial_map(f, B, y) == poly(y, ((1, 2, 3, 3), 1), ((0, -1, -1, -2), 5))
+        B = dense(P2Z, y, [[1, 0], [0, 1], [1, 1]])
+        assert substitute_monomial_map(f, B) == poly(y, ((1, 2, 3, 3), 1), ((0, -1, -1, -2), 5))
 
     def test_bott_mismatch(self):
-        A = identity(2)
         with pytest.raises(DimensionMismatch):
-            substitute_monomial_map(LaurentPoly.one(P2Z), A, P2)
+            substitute_monomial_map(LaurentPoly.one(P2Z), identity(P2))
         with pytest.raises(DimensionMismatch):
-            substitute_monomial_map(LaurentPoly.one(P2), A, P2Z)
+            substitute_monomial_map(LaurentPoly.one(P2), identity(P2Z))
+        # a map's own profiles agree on z
+        with pytest.raises(DimensionMismatch):
+            dense(P2, P2Z, [[1, 0], [0, 1]])
+        with pytest.raises(DimensionMismatch):
+            dense(P2Z, P2, [[1, 0], [0, 1]])
 
     @settings(max_examples=60, deadline=None)
     @given(polys(P2), polys(P2), st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
                                           min_size=2, max_size=2))
     def test_ring_homomorphism(self, f, g, rows):
-        A = dense(rows)
-        sub = lambda p: substitute_monomial_map(p, A, P2)
+        A = dense(P2, P2, rows)
+        sub = lambda p: substitute_monomial_map(p, A)
         assert sub(f * g) == sub(f) * sub(g)
         assert sub(f + g) == sub(f) + sub(g)
 
 
 def dense_rows(A):
-    """The full rows x cols matrix of a MonomialMap."""
-    rows = [[0] * A.cols for _ in range(A.rows)]
+    """The full dst.count x src.count matrix of a MonomialMap."""
+    rows = [[0] * A.src.count for _ in range(A.dst.count)]
     for i, r in zip(A.target, A.block):
         for j, x in zip(A.source, r):
             rows[i][j] = x
@@ -235,16 +250,17 @@ def sparse_maps(draw):
     source = draw(st.lists(st.integers(0, max(cols - 1, 0)), unique=True, max_size=cols))
     target = draw(st.lists(st.integers(0, max(rows - 1, 0)), unique=True, max_size=rows))
     block = [[draw(st.integers(-2, 2)) for _ in source] for _ in target]
-    return MonomialMap(rows, cols, source, target, block)
+    bott = draw(st.booleans())
+    return MonomialMap(face_profile(cols, bott), char_profile(rows, bott), source, target, block)
 
 
 class TestMonomialMap:
     @settings(max_examples=200, deadline=None)
-    @given(sparse_maps(), st.booleans(), st.data())
-    def test_matches_dense_reference(self, A, bott, data):
+    @given(sparse_maps(), st.data())
+    def test_matches_dense_reference(self, A, data):
         """Terms come in pairs that agree on the source coordinates, so they
         collide after the projection; with opposite coefficients they cancel."""
-        src = face_profile(A.cols, bott)
+        src = A.src
         exps = st.tuples(*[st.integers(-2, 2)] * src.nvars)
         terms = {}
         for e, c in data.draw(st.lists(st.tuples(exps, st.integers(-3, 3)), max_size=5)):
@@ -253,23 +269,21 @@ class TestMonomialMap:
                 shadow = list(data.draw(exps))
                 for j in A.source:
                     shadow[j] = e[j]
-                shadow[A.cols:] = e[A.cols:]
+                shadow[src.count:] = e[src.count:]
                 c2 = data.draw(st.sampled_from([-c, c, 1]))
                 terms[tuple(shadow)] = terms.get(tuple(shadow), 0) + c2
         f = LaurentPoly(src, terms)
-        target = char_profile(A.rows, bott)
-        assert substitute_monomial_map(f, A, target) == \
-            dense_substitute(f, dense_rows(A), target)
+        assert substitute_monomial_map(f, A) == dense_substitute(f, dense_rows(A), A.dst)
 
     def test_colliding_terms_cancel(self):
         y = face_profile(3)
         f = poly(y, ((1, 2, 0), 1), ((1, -1, 0), -1), ((0, 0, 1), 2), ((0, 3, 1), 5))
-        A = MonomialMap(2, 3, [0, 2], [0, 1], [[1, 0], [0, 1]])
         x = char_profile(2)
-        assert substitute_monomial_map(f, A, x) == poly(x, ((0, 1), 7))
-        B = MonomialMap(2, 3, [0], [1], [[2]])
-        assert substitute_monomial_map(f, B, x) == poly(x, ((0, 0), 7))
-        assert substitute_monomial_map(f * (1 - LaurentPoly.variable(y, 1)), B, x).is_zero
+        A = MonomialMap(y, x, [0, 2], [0, 1], [[1, 0], [0, 1]])
+        assert substitute_monomial_map(f, A) == poly(x, ((0, 1), 7))
+        B = MonomialMap(y, x, [0], [1], [[2]])
+        assert substitute_monomial_map(f, B) == poly(x, ((0, 0), 7))
+        assert substitute_monomial_map(f * (1 - LaurentPoly.variable(y, 1)), B).is_zero
 
     def test_projection_sets_left_out_coordinates_to_one(self):
         y = face_profile(3, bott=True)
@@ -286,33 +300,33 @@ class TestMonomialMap:
         assert keep_terms(f.terms, (2,), 4) == {(0, 0, 1, 0): 2}
         assert keep_terms(f.terms, (), 4) == {(0, 0, 0, 0): 2}
         # a map reads only its source, so it cannot tell f from f kept there
-        A = MonomialMap(2, 3, [2, 0], [1], [[3, 1]])
-        x = char_profile(2, bott=True)
+        A = MonomialMap(y, char_profile(2, bott=True), [2, 0], [1], [[3, 1]])
         kept = LaurentPoly(y, keep_terms(f.terms, A.source + (3,), 4))
-        assert substitute_monomial_map(kept, A, x) == substitute_monomial_map(f, A, x)
+        assert substitute_monomial_map(kept, A) == substitute_monomial_map(f, A)
 
     def test_empty_source(self):
         y = face_profile(2, bott=True)
         f = poly(y, ((1, 0, 0), 3), ((0, -1, 2), 2), ((5, 5, 2), -2))
-        A = MonomialMap(3, 2, [], [0, 2], [[], []])
         x3, x0 = char_profile(3, bott=True), char_profile(0, bott=True)
-        assert substitute_monomial_map(f, A, x3) == poly(x3, ((0, 0, 0, 0), 3))
-        assert substitute_monomial_map(f, MonomialMap(0, 2, [], [], []), x0) == poly(x0, ((0,), 3))
+        A = MonomialMap(y, x3, [], [0, 2], [[], []])
+        assert substitute_monomial_map(f, A) == poly(x3, ((0, 0, 0, 0), 3))
+        assert substitute_monomial_map(f, MonomialMap(y, x0, [], [], [])) == poly(x0, ((0,), 3))
 
     def test_bott_exponent_on_sparse_map(self):
         y = face_profile(3, bott=True)
         f = poly(y, ((1, 7, -1, 4), 2), ((1, 0, -1, 4), 1), ((0, 0, 0, -3), 1))
-        A = MonomialMap(2, 3, [2, 0], [1], [[3, 1]])     # t2 <- y3^3 * y1
         x = char_profile(2, bott=True)
-        assert substitute_monomial_map(f, A, x) == poly(x, ((0, -2, 4), 3), ((0, 0, -3), 1))
+        A = MonomialMap(y, x, [2, 0], [1], [[3, 1]])     # t2 <- y3^3 * y1
+        assert substitute_monomial_map(f, A) == poly(x, ((0, -2, 4), 3), ((0, 0, -3), 1))
 
     def test_bad_shapes(self):
+        y, x = face_profile(3), char_profile(2)
         with pytest.raises(DimensionMismatch):
-            MonomialMap(2, 3, [0, 0], [0], [[1, 1]])
+            MonomialMap(y, x, [0, 0], [0], [[1, 1]])
         with pytest.raises(DimensionMismatch):
-            MonomialMap(2, 3, [3], [0], [[1]])
+            MonomialMap(y, x, [3], [0], [[1]])
         with pytest.raises(DimensionMismatch):
-            MonomialMap(2, 3, [0], [0, 1], [[1]])
+            MonomialMap(y, x, [0], [0, 1], [[1]])
 
 
 def longdiv_oracle(f, u):
@@ -321,8 +335,8 @@ def longdiv_oracle(f, u):
     with x*u1 + y*u2 = 1, which is unimodular and sends u to e_1; the
     quotient is computed from the top degree down."""
     _, x, y = _xgcd(*u)
-    W = dense([[x, y], [-u[1], u[0]]])
-    g = substitute_monomial_map(f, W, f.profile)
+    W = dense(f.profile, f.profile, [[x, y], [-u[1], u[0]]])
+    g = substitute_monomial_map(f, W)
     if g.is_zero:
         return True
     shift = min(e[0] for e in g.terms)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasik import cli, facering, polytope
-from quasik.documents import build_polytope, load_document
+from quasik.documents import build_polytope, load_document, read_text
 from quasik.gkm import GkmGraph
 from quasik.lattice import NotUnimodular, is_primitive
 from quasik.polytope import (
-    Face,
     InvalidOrder,
     NonGenericHeight,
     NotAFace,
@@ -24,7 +23,7 @@ from quasik.polytope import (
     vertex_order_from_heights,
 )
 
-from conftest import GOOD_INPUTS, INPUTS, join
+from conftest import GOOD_INPUTS, INPUTS, faces_by_definition, join
 
 TRIANGLE = SimplePolytope(2, 3, [[1, 2], [1, 3], [2, 3]])
 SQUARE = SimplePolytope(2, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -147,7 +146,7 @@ class TestFaces:
             for v in range(P.m):
                 for w in range(v, P.m):
                     j = join(P, v, w)
-                    for face in P.all_faces():
+                    for face in faces_by_definition(P):
                         if v in face.vertices and w in face.vertices:
                             assert face.facets <= j.facets
 
@@ -162,19 +161,6 @@ def brute_force_minimal_nonfaces(P):
                 if not any(set(S) <= fs for fs in P.vertices)}
     return sorted((S for S in nonfaces
                    if not any(S - {i} in nonfaces for i in S)), key=sorted)
-
-
-def faces_by_definition(P):
-    """Every face in all_faces' order: the vertices on each facet set of at
-    most dim facets, when there are any, with every facet they all lie on."""
-    faces = {}
-    for k in range(P.dim + 1):
-        for S in combinations(range(1, P.facet_count + 1), k):
-            verts = tuple(v for v, fs in enumerate(P.vertices) if set(S) <= fs)
-            if verts:
-                sat = frozenset.intersection(*(P.vertices[v] for v in verts))
-                faces[sat] = Face(sat, verts)
-    return sorted(faces.values(), key=lambda f: (len(f.facets), sorted(f.facets)))
 
 
 def edges_by_definition(P):
@@ -212,7 +198,7 @@ class TestOracles:
 
     def test_bundled_inputs(self):
         for path in sorted(INPUTS.glob("*.json")):
-            P = build_polytope(load_document(path))
+            P = build_polytope(load_document(path, read_text(path)))
             assert validate_simple(P).ok, path.name
             assert_oracles(P)
 
@@ -236,8 +222,7 @@ def shuffled_facets(P, rng):
 
 
 class TestSubsetTable:
-    """The subset table gives all_faces and minimal_nonfaces, and only they
-    build it."""
+    """The subset table gives minimal_nonfaces, and only it builds the table."""
 
     FAMILIES = {
         "bott5": lambda gen: gen.bott(5, random.Random(5)),
@@ -259,7 +244,6 @@ class TestSubsetTable:
         for Q in (P, shuffled_facets(P, random.Random(name))):
             assert validate_simple(Q).ok
             assert list(Q.minimal_nonfaces()) == brute_force_minimal_nonfaces(Q)
-            assert list(Q.all_faces()) == faces_by_definition(Q)
 
     def test_unbuilt_by_order_work(self, perfbench_gen, tmp_path):
         """Orders, interpolation and membership leave the table unbuilt (a
@@ -387,7 +371,8 @@ class TestDualBasisWalk:
 
     @pytest.mark.parametrize("name", GOOD_INPUTS)
     def test_one_elimination_per_connected_input(self, name, dual_basis_calls):
-        doc = load_document(INPUTS / f"{name}.json")
+        path = INPUTS / f"{name}.json"
+        doc = load_document(path, read_text(path))
         assert validate_characteristic(build_polytope(doc), doc.lam).ok
         assert len(dual_basis_calls) == 1
 
@@ -517,7 +502,7 @@ def order_by_definition(P, order):
     orientation has one sink and one source.  None, or (message, witness)."""
     position = {v: k for k, v in enumerate(order)}
     adj = P.adjacency()
-    for face in P.all_faces():
+    for face in faces_by_definition(P):
         if len(face.vertices) < 2:
             continue
         minima = [v for v in face.vertices
