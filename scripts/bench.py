@@ -23,9 +23,12 @@ finds every vertex's dual basis once per document.
 cube7, bott7, poly40 (the densest ordinary-model rows), a cube3 cut at
 three vertices by gen.truncate and polygon6xcp2 (a gen.product of a
 hexagon and CP^2) follow, each command run once (marked as a single run),
-since the larger proptests take seconds.  The file, written to the root of
-this checkout, holds the medians, every sample, a digest of each command's
-output and the machine facts.
+since the larger proptests take seconds.  cube9 (m = 512) and bott9, the
+scaling wall of the ordinary model, close the ladder with one single run of
+`facering --ordinary --json` each; the other commands would take minutes
+there.  The file, written to the root of this checkout, holds the medians,
+every sample, a digest and the byte size of each command's output and the
+machine facts.
 
 Each sample writes the document to a new path first.  cli.main keeps
 the parsed, checked document of an input whose path and text it has seen
@@ -79,6 +82,10 @@ TAIL = {
     "cube3_cut3": lambda: gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2),
     "polygon6xcp2": lambda: gen.product(gen.polygon(6, random.Random(6)), gen.cp(2)),
 }
+WALL = {
+    "cube9": lambda: gen.cube(9),
+    "bott9": lambda: gen.bott(9, random.Random(9)),
+}
 RUNS = 3
 
 COMMANDS = {
@@ -88,6 +95,7 @@ COMMANDS = {
     "interpolate": lambda doc, tup: ["interpolate", doc, tup],
     "membership": lambda doc, tup: ["membership", doc, tup],
 }
+WALL_COMMANDS = {label: COMMANDS[label] for label in ["facering --ordinary --json"]}
 
 # (module, attribute path) of each timed layer
 LAYERS = {
@@ -200,7 +208,7 @@ def median_ms(samples):
     return round(statistics.median(samples) * 1e3, 3)
 
 
-def bench(cli, rungs, runs, workdir: Path):
+def bench(cli, rungs, runs, workdir: Path, commands=COMMANDS):
     results = []
     for name, make in rungs.items():
         M = gen.with_height(make(), random.Random(1))
@@ -217,13 +225,14 @@ def bench(cli, rungs, runs, workdir: Path):
             doc = next(paths)
             doc.write_text(text)
             return [str(a) for a in argv_of(doc, tup)]
-        for label, argv_of in COMMANDS.items():
-            walls, codes, digests = [], set(), set()
+        for label, argv_of in commands.items():
+            walls, codes, digests, sizes = [], set(), set(), set()
             for _ in range(runs):
                 spent, code, out = run_once(cli, first_sight(argv_of))
                 walls.append(spent)
                 codes.add(code)
                 digests.add(hashlib.sha256(out.encode()).hexdigest())
+                sizes.add(len(out.encode()))
             layer_runs = []
             for _ in range(runs):
                 clock = LayerClock()
@@ -239,9 +248,10 @@ def bench(cli, rungs, runs, workdir: Path):
                    "wall_ms": median_ms(walls),
                    "wall_ms_samples": [round(s * 1e3, 3) for s in walls],
                    "exit_codes": sorted(codes), "stdout_sha256": sorted(digests),
-                   "layers": layers}
+                   "stdout_bytes": sorted(sizes), "layers": layers}
             results.append(row)
-            print(f"{name:8} {label:26} {row['wall_ms']:12.1f} ms  (k={runs})", flush=True)
+            print(f"{name:8} {label:26} {row['wall_ms']:12.1f} ms  "
+                  f"{max(sizes):11d} B  (k={runs})", flush=True)
     return results
 
 
@@ -256,12 +266,14 @@ def main(argv=None) -> int:
     if Path(cli.__file__).resolve().parent != src / "quasik":
         ap.error(f"quasik was imported from {cli.__file__}, not from {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        results = bench(cli, LADDER, RUNS, Path(tmp)) + bench(cli, TAIL, 1, Path(tmp))
+        results = (bench(cli, LADDER, RUNS, Path(tmp)) + bench(cli, TAIL, 1, Path(tmp))
+                   + bench(cli, WALL, 1, Path(tmp), WALL_COMMANDS))
     report = {"label": args.label, "commit": commit_of(src), "machine": machine_facts(),
               "ladder": "perfbench/gen.py; with_height(M, Random(1)); "
                         "bott(6, Random(6)), bott(7, Random(7)), polygon(20, Random(20)), "
                         "polygon(40, Random(40)), cube3_cut3 = truncate(truncate("
-                        "truncate(cube(3), 0), 1), 2)",
+                        "truncate(cube(3), 0), 1), 2); cube9 and bott(9, Random(9)) "
+                        "run facering --ordinary --json only",
               "layers": "calls and self/total ms of each wrapped layer, median of the "
                         "wrapped runs; wall_ms is the median of the plain runs",
               "results": results}

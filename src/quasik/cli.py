@@ -12,8 +12,12 @@ indent=2) writes, each polynomial in it the sorted list of its
 polynomial, each term with one % on a template cached per (indentation,
 variable count).  A text report is built only when it is printed, without
 --json.  gkm --dot writes its DOT file from the same sorted edge rows as
-its report.  The argument parser is built once per process, when this module
-is imported; each main() call parses into a new namespace.
+its report.  facering names each non-face product prod(1 - y_i), i in S,
+by its facet set S (minimal_nonfaces) and each certificate omega_v by its
+extra_facets, never writing their 2^|S| terms: the text report prints
+each once, factored, as (1 - y1)(1 - y2), and omega_v = 1 for no facets.
+The argument parser is built once per process, when this module is
+imported; each main() call parses into a new namespace.
 
 Every command is a function of (prep, args) that returns a Report, where
 prep is the input's Prepared document.  Its graph() checks the polytope
@@ -286,16 +290,19 @@ def cmd_gkm(prep, args) -> Report:
     return Report("pass" if rep.ok else "fail", payload, human)
 
 
+def _factored(facets) -> str:
+    """prod(1 - y_k) over the facets, factored: (1 - y1)(1 - y2); 1 for none."""
+    return "".join(f"(1 - y{k})" for k in facets) or "1"
+
+
 def cmd_facering(prep, args) -> Report:
     g = prep.graph()
     P = g.polytope
     order = prep.order()
     nonfaces = [sorted(S) for S in P.minimal_nonfaces()]
-    gens = facering.kernel_generators(g)
     rvecs = [facering.r_vector(g, i) for i in range(1, g.d + 1)]
     payload = {
         "minimal_nonfaces": nonfaces,
-        "j_generators": gens,
         "r_vectors": {f"y{i}": r.entries for i, r in enumerate(rvecs, 1)},
     }
     status_ok = True
@@ -303,8 +310,8 @@ def cmd_facering(prep, args) -> Report:
         payload["certificate"] = [
             {"position": e.position + 1,
              "vertex": sorted(P.vertices[e.vertex]),
-             "extra_facets": list(e.extra_facets),
-             "omega": e.omega} for e in facering.basis_certificate(g, order)]
+             "extra_facets": list(e.extra_facets)}
+            for e in facering.basis_certificate(g, order)]
     except facering.CertificateFailure as exc:
         status_ok = False
         payload["certificate"] = {"error": str(exc)}
@@ -328,7 +335,7 @@ def cmd_facering(prep, args) -> Report:
     def human():
         lines = ["minimal non-faces: " + ", ".join(fmt_facets(S) for S in nonfaces),
                  "ideal generators:"]
-        lines.extend(f"  {p.text()}" for p in gens)
+        lines.extend(f"  {_factored(S)}" for S in nonfaces)
         lines.append("restriction tuples:")
         lines.extend(f"  y{i} -> {r.text()}" for i, r in enumerate(rvecs, 1))
         cert = payload["certificate"]
@@ -338,10 +345,10 @@ def cmd_facering(prep, args) -> Report:
             lines.append("basis certificate:")
             lines.extend(f"  position {e['position']}: vertex {fmt_facets(e['vertex'])}, "
                          f"extra facets {fmt_facets(e['extra_facets'])}, "
-                         f"omega = {e['omega'].text()}" for e in cert)
+                         f"omega = {_factored(e['extra_facets'])}" for e in cert)
         if args.ordinary:
             lines.append("ordinary presentation relations:")
-            lines.extend(f"  {p.text()}" for p in gens + relations)
+            lines.extend(f"  {p.text()}" for p in relations)
             rank = payload["ordinary_rank"]
             lines.append(f"ordinary rank: FAIL ({rank['error']})" if "error" in rank else
                          f"ordinary rank: {rank['rank']} "

@@ -17,7 +17,7 @@ S and their Euler-class values prod(1 - e^{mu_k(u)}) at a vertex u on
 every facet of S (0 at any other u) are products of 1 - x^a over
 independent exponents a, all written down term by term by one routine,
 so basis_certificate() decides vanishing from the facet sets and maps
-omega_v at v alone.
+omega_v at v alone.  The CLI reports each product by its facet set only.
 
 ordinary_rank() returns the certified Z-module model of the ordinary
 quotient: kill the lattice relations by eliminating vertex 0's facet
@@ -28,7 +28,10 @@ so it is expanded only to degree n - |S| + 1 and the truncated factors
 are multiplied.  Any vertex would do as well: its lambda rows are a
 lattice basis, and after its elimination a non-face product still starts
 in degree |S|, so the model has the same d - n variables, monomials and
-nonzero rows r * x^beta (those with |S| + |beta| <= n).
+nonzero rows r * x^beta (those with |S| + |beta| <= n).  Each monomial
+is keyed by one int, sum of e_j * (n + 1)^j: every exponent is >= 0 and
+no kept product passes degree n, so each e_j is one digit and shifting
+by beta adds codes without a carry.
 Degree n is exact, because every x_i lies in the augmentation ideal of a
 2n-dimensional complex with only even cells, so by the Atiyah-Hirzebruch
 filtration any product of n+1 of them vanishes.
@@ -39,7 +42,7 @@ checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import add
 
@@ -274,25 +277,22 @@ def _binomial_series(e: int, cap: int):
     return [(-1) ** k * comb(-e + k - 1, k) for k in range(cap + 1)]
 
 
-def _shift(exp, cap: int) -> dict:
+def _shift(exp, cap: int, base: int) -> list:
     """y^exp with y = 1 + x in each variable, truncated at total degree cap,
-    as {exponents: coeff}.  Only nonzero exponents expand, as ((variable,
-    power), ...) with degree and coefficient; each choice of powers is a
-    distinct term with a nonzero coefficient, so nothing merges."""
-    partial = [((), 0, 1)]
-    for j, e in enumerate(exp):
+    as (code, degree, coeff), the x-exponents e coded as sum of e_j * base^j.
+    Only nonzero exponents expand; each choice of powers is a distinct term
+    with a nonzero coefficient, so nothing merges.  Each power is at most
+    cap, so the code is carry-free when cap < base."""
+    partial = [(0, 0, 1)]
+    unit = 1
+    for e in exp:
         if e:
             series = _binomial_series(e, cap)
-            partial = [(pre + ((j, k),) if k else pre, deg + k, c * series[k])
-                       for pre, deg, c in partial
+            partial = [(code + k * unit, deg + k, c * series[k])
+                       for code, deg, c in partial
                        for k in range(min(len(series) - 1, cap - deg) + 1)]
-    out = {}
-    for pre, _, c in partial:
-        e = [0] * len(exp)
-        for j, k in pre:
-            e[j] = k
-        out[tuple(e)] = c
-    return out
+        unit *= base
+    return partial
 
 
 class OrdinaryKModel:
@@ -307,26 +307,32 @@ class OrdinaryKModel:
     r with a monomial beta, and one column per monomial; its Smith form
     yields rank and torsion.  The non-faces are the polytope's own, and
     each r is multiplied out of its truncated factors (_nonface_terms).
+
+    Every monomial is keyed by one int, its code sum of e_j * base^j over
+    the survivors j, with base = degree + 1.  Every exponent in the model
+    is >= 0 and no term kept has total degree above degree, so each e_j is
+    a base-(degree + 1) digit: the code is injective, and the product of
+    two kept monomials is the sum of their codes, with no carry.
     """
 
     def __init__(self, g: GkmGraph, degree: int):
         self.graph = g
         self.degree = degree
+        self.base = degree + 1
         survivors, self._image = _elimination(g)
         self.survivors = tuple(survivors)
-        self.monomials = self._monomials(len(survivors), degree)
+        layers = self._monomials(len(survivors), degree)
+        self.monomials = tuple(chain.from_iterable(layers))
         self._factors = {}      # (k, cap) -> _factor(k, cap); facets recur across non-faces
         rows = []
         for S in g.polytope.minimal_nonfaces():
-            terms = [(e, sum(e), c) for e, c in self._nonface_terms(S).items()]
-            low = min((deg for _, deg, _ in terms), default=degree + 1)
-            for beta in self.monomials:
-                room = degree - sum(beta)
-                if room < low:
-                    break       # monomials come lowest degree first
+            terms = self._nonface_terms(S)
+            for room, betas in zip(range(degree, -1, -1), layers):
+                kept = [(e, c) for e, deg, c in terms if deg <= room]
+                if not kept:
+                    break       # room only shrinks from one layer to the next
                 # distinct terms of r stay distinct after the shift by beta
-                rows.append({tuple(map(add, e, beta)): c
-                             for e, deg, c in terms if deg <= room})
+                rows.extend({e + beta: c for e, c in kept} for beta in betas)
         self.rows = tuple(rows)
         diag = snf_diagonal(SparseMat(len(self.monomials), self.rows))
         factors = sorted(d for d in diag if d != 0)
@@ -339,52 +345,46 @@ class OrdinaryKModel:
 
     @staticmethod
     def _monomials(nvars: int, degree: int) -> list:
-        """Exponent tuples of total degree <= degree, lowest degree first."""
-        out = []
-        for d in range(degree + 1):
-            for combo in combinations_with_replacement(range(nvars), d):
-                e = [0] * nvars
-                for j in combo:
-                    e[j] += 1
-                out.append(tuple(e))
-        return out
+        """Codes of the monomials of total degree <= degree, one list per
+        degree, lowest first, each in combinations_with_replacement order."""
+        unit = [(degree + 1) ** j for j in range(nvars)]
+        return [[sum([unit[j] for j in combo])
+                 for combo in combinations_with_replacement(range(nvars), d)]
+                for d in range(degree + 1)]
 
     def _factor(self, k: int, cap: int) -> list:
         """1 - y_k in the shifted survivor variables, truncated at degree cap,
-        as (exponents, degree, coeff).
+        as (code, degree, coeff).
 
         The elimination sends y_k to a monomial in the survivors; shifted,
-        its constant term is 1, which cancels, so every term left has
-        degree >= 1."""
+        its constant term (code 0) is 1, which cancels, so every term left
+        has degree >= 1."""
         if (k, cap) not in self._factors:
-            self._factors[k, cap] = [(e, sum(e), -c)
-                                     for e, c in _shift(self._image[k], cap).items() if any(e)]
+            self._factors[k, cap] = [(e, deg, -c) for e, deg, c
+                                     in _shift(self._image[k], cap, self.base) if e]
         return self._factors[k, cap]
 
-    def _nonface_terms(self, S) -> dict:
+    def _nonface_terms(self, S) -> list:
         """prod(1 - y_k) over S in the shifted survivor variables, truncated
-        at the model's degree.  Every factor starts in degree 1, so each is
-        needed only to degree degree - |S| + 1, and after j factors the
-        partial product only to degree - (|S| - j)."""
+        at the model's degree, as (code, degree, coeff) with coeff != 0.
+        Every factor starts in degree 1, so each is needed only to degree
+        degree - |S| + 1, and after j factors the partial product only to
+        degree - (|S| - j)."""
         cap = self.degree - len(S) + 1
         if cap < 1:
-            return {}
-        acc = {(0,) * len(self.survivors): 1}
+            return []
+        acc = [(0, 0, 1)]
         for j, k in enumerate(sorted(S)):
             room = cap + j
             factor = self._factor(k, cap)
-            prod = {}
-            for e, c in acc.items():
-                deg = sum(e)
+            prod, degs = {}, {}
+            for e, deg, c in acc:
                 for f, fdeg, fc in factor:
                     if deg + fdeg <= room:
-                        key = tuple(map(add, e, f))
-                        v = prod.get(key, 0) + c * fc
-                        if v:
-                            prod[key] = v
-                        else:
-                            del prod[key]
-            acc = prod
+                        key = e + f
+                        prod[key] = prod.get(key, 0) + c * fc
+                        degs[key] = deg + fdeg
+            acc = [(e, degs[e], c) for e, c in prod.items() if c]
         return acc
 
 

@@ -177,6 +177,7 @@ class GkmGraph:
                 raise NotUnimodular("; ".join(report.failures))
             mu = report.mu
         self.mu = tuple(mu)
+        self.picks = {}     # facet set -> its face_pick, built on first use
         self.edges = tuple(
             GkmEdge(v, w, fs, self._edge_character(v, fs))
             for v, w, fs in polytope.edges())
@@ -203,10 +204,14 @@ class GkmGraph:
         (i,) = self.polytope.vertices[v] - facets
         return normalize_sign(self.mu[v][i])
 
-    def face_pick(self, facets):
-        """Face exponents -> those at facets, ascending, then z: y_i -> 1 off facets."""
-        return coordinate_getter(tuple(i - 1 for i in sorted(facets))
-                                 + ((self.d,) if self.bott else ()))
+    def face_pick(self, facets: frozenset):
+        """Face exponents -> those at facets, ascending, then z: y_i -> 1 off
+        facets.  Built once per facet set and kept in picks."""
+        pick = self.picks.get(facets)
+        if pick is None:
+            pick = self.picks[facets] = coordinate_getter(
+                tuple(i - 1 for i in sorted(facets)) + ((self.d,) if self.bott else ()))
+        return pick
 
     # -- per-vertex exponent maps (z passes through), built on first use
     @cached_property
@@ -286,16 +291,16 @@ def in_w(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
     """Face-agreement membership: restrictions agree at the join of every pair,
     the face of the facets S both share (a facet through all of that face
     passes through both), compared as projections onto S of each entry's
-    image under the restriction map, which is made once per entry."""
+    image under the restriction map, which is made once per entry; the
+    projection is the graph's face_pick, made once per facet set."""
     _check_tuple(g, t)
     P = g.polytope
     R = g.restriction_map
     images = [substitute_monomial_map(a, R).terms for a in t]
-    picks = {}
     for v in range(g.m):
         for w in range(v + 1, g.m):
             S = P.vertices[v] & P.vertices[w]
-            pick = picks.get(S) or picks.setdefault(S, g.face_pick(S))
+            pick = g.face_pick(S)
             a = project_terms(images[v], pick)
             b = project_terms(images[w], pick)
             if a != b:

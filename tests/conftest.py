@@ -2,6 +2,7 @@ import importlib.util
 import random
 import sys
 from itertools import combinations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -62,19 +63,66 @@ def eliminate(g, elem):
     return dense_substitute(elem, rows, face_profile(len(survivors)))
 
 
+def truncated_product(a, b, cap):
+    """Product of two {exponents: coeff} polynomials, terms above degree cap dropped."""
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            g = tuple(x + y for x, y in zip(e, f))
+            if sum(g) <= cap:
+                out[g] = out.get(g, 0) + c * d
+    return {g: c for g, c in out.items() if c}
+
+
+def binomial(e, k):
+    """e(e - 1)...(e - k + 1) / k!, the coefficient of x^k in (1 + x)^e, e of
+    either sign."""
+    return prod(range(e - k + 1, e + 1)) // factorial(k)
+
+
 def shift_terms(terms, cap):
-    """facering._shift extended linearly to {exponents: coeff}, zeros dropped."""
+    """y = 1 + x in each variable, extended linearly to {exponents: coeff},
+    truncated above total degree cap, zeros dropped.  Each monomial is the
+    truncated product of its one-variable binomial series; nothing here
+    goes through facering._shift or the model's integer codes."""
     out = {}
     for exp, c in terms.items():
-        for e, v in facering._shift(exp, cap).items():
-            out[e] = out.get(e, 0) + c * v
+        n = len(exp)
+        part = {(0,) * n: c}
+        for j, e in enumerate(exp):
+            series = {tuple(k if i == j else 0 for i in range(n)): binomial(e, k)
+                      for k in range(cap + 1)}
+            part = truncated_product(part, series, cap)
+        for e, v in part.items():
+            out[e] = out.get(e, 0) + v
     return {e: c for e, c in out.items() if c}
+
+
+def decode(model, code):
+    """The exponent tuple of an OrdinaryKModel monomial code: its digits in
+    base degree + 1, one per survivor, lowest first."""
+    out = []
+    for _ in model.survivors:
+        code, e = divmod(code, model.degree + 1)
+        out.append(e)
+    return tuple(out)
+
+
+def encode(model, exp):
+    """The OrdinaryKModel code of an exponent tuple of degree <= its degree."""
+    return sum(e * (model.degree + 1) ** j for j, e in enumerate(exp))
+
+
+def decoded_rows(model):
+    """The model's rows keyed by exponent tuples."""
+    return [{decode(model, e): c for e, c in row.items()} for row in model.rows]
 
 
 def model_terms(model, elem):
     """Reference expansion of a face-ring element in an OrdinaryKModel's
-    shifted survivor variables, truncated at its degree: drop a zero z
-    exponent (the model is Bott-free), eliminate, then shift."""
+    shifted survivor variables, truncated at its degree, keyed by exponent
+    tuples: drop a zero z exponent (the model is Bott-free), eliminate,
+    then shift."""
     g = model.graph
     if elem.profile.bott:
         assert not any(e[-1] for e in elem.terms), "ordinary model is Bott-free"
@@ -85,18 +133,19 @@ def model_terms(model, elem):
 def model_reduce(model, elem):
     """Coefficient vector of a face-ring element over the model's monomials."""
     terms = model_terms(model, elem)
-    return tuple(terms.get(e, 0) for e in model.monomials)
+    return tuple(terms.get(decode(model, e), 0) for e in model.monomials)
 
 
 def model_vanishes(model, elem) -> bool:
     """Does the element vanish in the model's truncated quotient?  Adding
-    its row leaves the nonzero Smith invariants as they are."""
-    terms = model_terms(model, elem)
+    its row, coded like the model's, leaves the nonzero Smith invariants as
+    they are."""
+    row = {encode(model, e): c for e, c in model_terms(model, elem).items()}
 
     def invariants(rows):
         return sorted(d for d in snf_diagonal(SparseMat(len(model.monomials), rows)) if d)
 
-    return not terms or invariants(model.rows + (terms,)) == invariants(model.rows)
+    return not row or invariants(model.rows + (row,)) == invariants(model.rows)
 
 
 def push_interpolate(g, order, t):

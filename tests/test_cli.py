@@ -178,6 +178,19 @@ class TestGkm:
             {"a": 1, "b": 2, "facets": [], "character": [1]}]
 
 
+def facering_input(tmp_path, gen, name, bott):
+    """The path of a bundled input, or of perfbench/gen.py's cube3 cut at
+    three vertices, as a use_bott document when bott is set."""
+    if name == "cube3_cut3":
+        M = gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2)
+        doc = gen.with_height(M, random.Random(1)).document()
+    else:
+        doc = json.loads(input_path(name).read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(doc, use_bott=bott)))
+    return path
+
+
 class TestFacering:
     def test_cp2(self, capsys):
         code, out, _ = run(capsys, "facering", input_path("cp2"), "--ordinary", "--json")
@@ -188,8 +201,8 @@ class TestFacering:
                                             "stats": {"monomials": 3, "rows": 0}}
         pres = payload["ordinary_presentation"]
         assert pres["generators"] == ["y1", "y2", "y3"]
-        # J is reported once, at the top level
-        assert "j_generators" not in pres and len(payload["j_generators"]) == 1
+        # J is named by minimal_nonfaces alone
+        assert "j_generators" not in pres and "j_generators" not in payload
         assert len(pres["lattice_relations"]) == 2
 
     def test_failed_rank_certificate(self, capsys, short_rank):
@@ -207,7 +220,63 @@ class TestFacering:
         code, out, _ = run(capsys, "facering", input_path("square_h1"), "--json")
         payload = json.loads(out)["payload"]
         assert payload["minimal_nonfaces"] == [[1, 3], [2, 4]]
-        assert len(payload["j_generators"]) == 2
+        assert "j_generators" not in payload
+
+    @pytest.mark.parametrize("name, bott", [("cube", False), ("square_h1", False),
+                                            ("cp2", True), ("cube3_cut3", False)])
+    def test_json_determines_the_products(self, capsys, tmp_path, perfbench_gen, name, bott):
+        """No j_generators and no omega: the non-face products are the
+        _nonface_product of each listed S, in kernel_generators' order, and
+        each omega is prod(1 - y_k), multiplied out, over its extra_facets."""
+        path = facering_input(tmp_path, perfbench_gen, name, bott)
+        doc = load_document(path, read_text(path))
+        g = GkmGraph(build_polytope(doc), doc.lam, bott=doc.use_bott)
+        code, out, _ = run(capsys, "facering", path, "--ordinary", "--json")
+        assert code == 0
+        assert '"j_generators"' not in out and '"omega"' not in out
+        payload = json.loads(out)["payload"]
+        assert set(payload) == {"minimal_nonfaces", "r_vectors", "certificate",
+                                "ordinary_presentation", "ordinary_rank"}
+        gens = facering.kernel_generators(g)
+        assert len(payload["minimal_nonfaces"]) == len(gens)
+        for S, gen in zip(payload["minimal_nonfaces"], gens):
+            assert facering._nonface_product(g.face_profile, S) == gen, S
+        cert = facering.basis_certificate(g, resolve_order(doc, g.polytope))
+        assert [set(e) for e in payload["certificate"]] == \
+            [{"position", "vertex", "extra_facets"}] * len(cert)
+        one = LaurentPoly.one(g.face_profile)
+        for entry, e in zip(payload["certificate"], cert):
+            omega = one
+            for k in entry["extra_facets"]:
+                omega = omega * (one - LaurentPoly.variable(g.face_profile, k - 1))
+            assert omega == e.omega, entry
+
+    @pytest.mark.parametrize("name, bott", [("cube", False), ("square_h1", False),
+                                            ("cp2", True), ("cube3_cut3", False)])
+    def test_text_prints_each_generator_once_factored(self, capsys, tmp_path, perfbench_gen,
+                                                      name, bott):
+        """One factored line per minimal non-face under "ideal generators:",
+        each printed once in the whole report, and no expanded product."""
+        path = facering_input(tmp_path, perfbench_gen, name, bott)
+        doc = load_document(path, read_text(path))
+        g = GkmGraph(build_polytope(doc), doc.lam, bott=doc.use_bott)
+        code, out, _ = run(capsys, "facering", path, "--ordinary")
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("ideal generators:") + 1
+        nonfaces = [sorted(S) for S in g.polytope.minimal_nonfaces()]
+        factored = ["".join(f"(1 - y{k})" for k in S) for S in nonfaces]
+        assert lines[at:at + len(nonfaces) + 1] == [f"  {f}" for f in factored] + [
+            "restriction tuples:"]
+        for f, gen in zip(factored, facering.kernel_generators(g)):
+            assert out.count(f) == 1, f
+            assert gen.text() not in out, gen.text()
+        cert = facering.basis_certificate(g, resolve_order(doc, g.polytope))
+        omegas = [line.rsplit("omega = ", 1)[1] for line in lines if "omega = " in line]
+        assert omegas == ["".join(f"(1 - y{k})" for k in e.extra_facets) or "1"
+                          for e in cert]
+        relations = lines[lines.index("ordinary presentation relations:") + 1:-1]
+        assert relations == [f"  {p.text()}" for p in facering.lattice_relations(g)]
 
     @pytest.mark.parametrize("name", ["cube", "square_h1", "cp3"])
     def test_ordinary_rank_ignores_vertex_listing(self, capsys, tmp_path, name):
@@ -478,24 +547,31 @@ class TestRenderOnce:
         assert [run(capsys, *argv) for argv in runs] == before
 
     def test_text_prints_every_polynomial(self, capsys, manifold):
+        """facering prints each non-face product and omega factored, then the
+        restriction tuples' and lattice relations' polynomials; interpolate
+        prints every polynomial of its result."""
         path, g, order, member = manifold
         t = load_tuple(member, g.char_profile, g.m)
         res = facering.interpolate(g, order, t)
-        for argv, polynomials in [
+
+        def factored(facets):
+            return "".join(f"(1 - y{k})" for k in sorted(facets)) or "1"
+        for argv, texts in [
             (("facering", path, "--ordinary"),
-             [*facering.kernel_generators(g),
-              *(a for i in range(1, g.d + 1) for a in facering.r_vector(g, i).entries),
-              *(e.omega for e in facering.basis_certificate(g, order)),
-              *facering.kernel_generators(g), *facering.lattice_relations(g)]),
-            (("interpolate", path, member), [res.poly, *(s.poly for s in res.steps)]),
+             [*map(factored, g.polytope.minimal_nonfaces()),
+              *(a.text() for i in range(1, g.d + 1) for a in facering.r_vector(g, i).entries),
+              *(factored(e.extra_facets) for e in facering.basis_certificate(g, order)),
+              *(p.text() for p in facering.lattice_relations(g))]),
+            (("interpolate", path, member),
+             [p.text() for p in [res.poly, *(s.poly for s in res.steps)]]),
         ]:
             code, out, _ = run(capsys, *argv)
             assert code == 0
             at = 0
-            for p in polynomials:
-                at = out.find(p.text(), at)
-                assert at >= 0, f"{argv[0]}: {p.text()} not printed in order"
-                at += len(p.text())
+            for text in texts:
+                at = out.find(text, at)
+                assert at >= 0, f"{argv[0]}: {text} not printed in order"
+                at += len(text)
 
 
 class TestSharedParser:

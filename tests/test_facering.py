@@ -1,7 +1,9 @@
 import random
 from dataclasses import replace
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from quasik.facering import (
     ResidualNonzero,
     _nonface_product,
     _one_minus_product,
+    _shift,
     basis_certificate,
     constant_tuple,
     interpolate,
@@ -27,14 +30,18 @@ from quasik.facering import (
     theta,
 )
 from conftest import (
+    decode,
+    decoded_rows,
     dense_substitute,
     eliminate,
+    encode,
     generated_graphs,
     model_reduce,
     model_terms,
     model_vanishes,
     push_interpolate,
     shift_terms,
+    truncated_product,
 )
 from quasik.documents import build_polytope
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
@@ -548,20 +555,23 @@ class TestOrdinaryRank:
             assert model_vanishes(res, gen)
 
 
-def truncated_product(a, b, cap):
-    """Product of two {exponents: coeff} polynomials, terms above degree cap dropped."""
+def coded_shift(model, terms):
+    """facering._shift at the model's degree and base, extended linearly to
+    {exponents: coeff}: each code decoded (and its degree checked against
+    the decoded exponents), zeros dropped."""
     out = {}
-    for e, c in a.items():
-        for f, d in b.items():
-            g = tuple(x + y for x, y in zip(e, f))
-            if sum(g) <= cap:
-                out[g] = out.get(g, 0) + c * d
-    return {g: c for g, c in out.items() if c}
+    for exp, c in terms.items():
+        for code, deg, v in _shift(exp, model.degree, model.base):
+            e = decode(model, code)
+            assert sum(e) == deg and encode(model, e) == code
+            out[e] = out.get(e, 0) + c * v
+    return {e: c for e, c in out.items() if c}
 
 
 class TestShift:
     """y = 1 + x, truncated above the model's degree and extended linearly
-    from _shift of one monomial, is a ring map."""
+    from the coded _shift of one monomial, is a ring map and equals the
+    tuple expansion shift_terms."""
 
     MODEL = OrdinaryKModel(CUBE, CUBE.n)
     PROFILE = face_profile(len(MODEL.survivors))
@@ -572,13 +582,14 @@ class TestShift:
             lambda d: LaurentPoly(self.PROFILE, d))
 
     def shift(self, p):
-        return shift_terms(p.terms, self.MODEL.degree)
+        return coded_shift(self.MODEL, p.terms)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_ring_map(self, data):
         p, q = data.draw(self.polys()), data.draw(self.polys())
         shift, cap = self.shift, self.MODEL.degree
+        assert shift(p) == shift_terms(p.terms, cap)
         assert shift(p * q) == truncated_product(shift(p), shift(q), cap)
         total = dict(shift(p))
         for e, c in shift(q).items():
@@ -600,13 +611,17 @@ class TestShift:
 
     @pytest.mark.parametrize("nvars, degree", [(0, 0), (0, 3), (1, 4), (2, 0), (3, 3), (4, 5)])
     def test_monomials(self, nvars, degree):
-        monos = OrdinaryKModel._monomials(nvars, degree)
-        assert len(monos) == len(set(monos)) == comb(nvars + degree, degree)
-        assert all(len(e) == nvars and sum(e) <= degree for e in monos)
-        assert [sum(e) for e in monos] == sorted(sum(e) for e in monos)
-        assert monos == [tuple(combo.count(j) for j in range(nvars))
-                         for d in range(degree + 1)
-                         for combo in combinations_with_replacement(range(nvars), d)]
+        """One layer of codes per degree, decoding to the exponent tuples of
+        that degree in combinations_with_replacement order."""
+        layers = OrdinaryKModel._monomials(nvars, degree)
+        shape = SimpleNamespace(survivors=range(nvars), degree=degree)
+        assert len(layers) == degree + 1
+        for d, layer in enumerate(layers):
+            assert [decode(shape, c) for c in layer] == [
+                tuple(combo.count(j) for j in range(nvars))
+                for combo in combinations_with_replacement(range(nvars), d)]
+        codes = [c for layer in layers for c in layer]
+        assert len(codes) == len(set(codes)) == comb(nvars + degree, degree)
 
 
 class TestBottVariable:
@@ -705,12 +720,12 @@ def outcome(certify, g, order):
 
 def reference_rows(model):
     """The model's rows built from the generic expansion of each multiplied
-    non-face product, every monomial beta tried."""
+    non-face product, every monomial beta tried, keyed by exponent tuples."""
     g = model.graph
     rows = []
     for S in g.polytope.minimal_nonfaces():
         r = model_terms(model, multiplied_product(g.face_profile, S))
-        for beta in model.monomials:
+        for beta in map(partial(decode, model), model.monomials):
             room = model.degree - sum(beta)
             row = {tuple(a + b for a, b in zip(e, beta)): c
                    for e, c in r.items() if sum(e) <= room}
@@ -856,12 +871,15 @@ class TestClosedForms:
     def test_factored_terms_match_generic_expansion(self, oracle_graphs):
         """At degree n - 1, n and n + 1, each non-face product multiplied out
         of truncated factors equals the reference expansion (model_terms)
-        of the multiplied product."""
+        of the multiplied product, each term's degree that of its code."""
         for name, (g, _) in oracle_graphs.items():
             for degree in (g.n - 1, g.n, g.n + 1):
                 model = OrdinaryKModel(g, degree)
                 for S in g.polytope.minimal_nonfaces():
-                    assert model._nonface_terms(S) == \
+                    terms = model._nonface_terms(S)
+                    assert len({e for e, _, _ in terms}) == len(terms), (name, degree, S)
+                    assert all(c and deg == sum(decode(model, e)) for e, deg, c in terms)
+                    assert {decode(model, e): c for e, _, c in terms} == \
                         model_terms(model, multiplied_product(g.face_profile, S)), \
                         (name, degree, S)
 
@@ -869,5 +887,56 @@ class TestClosedForms:
         for name, (g, _) in oracle_graphs.items():
             for degree in (g.n, g.n + 1):
                 model = OrdinaryKModel(g, degree)
-                assert row_multiset(model.rows) == row_multiset(reference_rows(model)), \
-                    (name, degree)
+                assert row_multiset(decoded_rows(model)) == \
+                    row_multiset(reference_rows(model)), (name, degree)
+
+
+class TestIntegerCodes:
+    """The ordinary model keys each monomial by sum of e_j * (degree + 1)^j."""
+
+    def test_monomial_codes_decode(self, oracle_graphs):
+        """Distinct, and decoding to the exponent tuples of degree <= degree,
+        lowest degree first, each degree in combinations_with_replacement
+        order."""
+        for name, (g, _) in oracle_graphs.items():
+            for degree in (g.n, g.n + 1):
+                model = OrdinaryKModel(g, degree)
+                nvars = len(model.survivors)
+                assert len(set(model.monomials)) == len(model.monomials), (name, degree)
+                assert [decode(model, c) for c in model.monomials] == [
+                    tuple(combo.count(j) for j in range(nvars))
+                    for d in range(degree + 1)
+                    for combo in combinations_with_replacement(range(nvars), d)], (name, degree)
+                assert all(encode(model, decode(model, c)) == c for c in model.monomials)
+
+    def test_row_keys_are_monomials(self, oracle_graphs):
+        """Every row key lies below base^nvars, so decoding reads all of it,
+        and decodes to a monomial of degree <= degree: a column of the model."""
+        for name, (g, _) in oracle_graphs.items():
+            for degree in (g.n, g.n + 1):
+                model = OrdinaryKModel(g, degree)
+                top = (degree + 1) ** len(model.survivors)
+                columns = set(model.monomials)
+                for row in model.rows:
+                    for e in row:
+                        assert 0 <= e < top and sum(decode(model, e)) <= degree, (name, e)
+                        assert e in columns, (name, e)
+
+    # rank, torsion, columns, rows and nonzeros of the degree-n model before
+    # its monomials were coded as ints
+    SIZES = {"bott7": (128, (), 3432, 5544, 45226),
+             "bott8": (256, (), 12870, 24024, 180972),
+             "cube9": (512, (), 48620, 102960, 102960),
+             "poly80": (80, (), 3160, 3080, 14861)}
+
+    def test_large_models_unchanged(self, perfbench_gen):
+        gen = perfbench_gen
+        graphs = generated_graphs(gen, {
+            "bott7": lambda: gen.bott(7, random.Random(7)),
+            "bott8": lambda: gen.bott(8, random.Random(8)),
+            "cube9": lambda: gen.cube(9),
+            "poly80": lambda: gen.polygon(80, random.Random(80))})
+        for name, (_, g, _) in graphs.items():
+            model = ordinary_rank(g)
+            assert (model.rank, model.torsion, len(model.monomials), len(model.rows),
+                    sum(map(len, model.rows))) == self.SIZES[name], name

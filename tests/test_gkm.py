@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasik import gkm
+from quasik.facering import interpolate
 from quasik.gkm import (
     FixedPointTuple,
     GkmEdge,
@@ -143,6 +145,31 @@ def restricted(g, a, face):
     image = substitute_monomial_map(a, g.restriction_map)
     return LaurentPoly(char_profile(len(face.facets), g.bott),
                        project_terms(image.terms, g.face_pick(face.facets)))
+
+
+class TestFacePicks:
+    """One coordinate getter per facet set, made on first use and kept in
+    the graph's picks, which in_w and interpolate's divisibility check
+    both read."""
+
+    def test_built_once_per_facet_set(self, monkeypatch, graphs, orders):
+        built = []
+        real = gkm.coordinate_getter
+        monkeypatch.setattr(gkm, "coordinate_getter", lambda idx: built.append(idx) or real(idx))
+        for name, g0 in graphs.items():
+            g = GkmGraph(g0.polytope, g0.lam, bott=g0.bott)
+            t = random_member_tuple(random.Random(name), g)
+            built.clear()
+            for _ in range(2):
+                assert in_w(g, t).member
+                interpolate(g, orders[name], t)
+            z = (g.d,) if g.bott else ()
+            want = {S: tuple(i - 1 for i in sorted(S)) + z for S in g.picks}
+            assert sorted(built) == sorted(want.values()), name
+            exps = tuple(range(g.face_profile.nvars))
+            for S, idx in want.items():
+                assert g.face_pick(S)(exps) == idx, (name, S)
+            assert len(built) == len(want), name
 
 
 class TestRestriction:
