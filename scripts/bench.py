@@ -12,19 +12,21 @@ commands run in process through quasik.cli.main: `proptest --cases 10`,
 the report shows), and `interpolate` and `membership` of one phi(P), with
 P a seeded random face element and phi(P) computed by perfbench/check.py,
 not by quasik.  Every command runs 3 times plain, for the end-to-end wall
-time, and 3 times with eleven layers wrapped, for their call counts and
+time, and 3 times with twelve layers wrapped, for their call counts and
 their self and total times: substitute_monomial_map, divides_one_minus,
-phi, in_w, interpolate, snf_diagonal, the dense snf it runs on the block
-its unit pivots leave, OrdinaryKModel.__init__, cli._render, which
-writes the --json report or, without --json, builds and returns the text
-report, SimplePolytope.minimal_nonfaces, the non-face search that
-facering runs once per polytope, and validate_characteristic, which
-finds every vertex's dual basis once per document.
+phi, in_w, interpolate, basis_certificate, snf_diagonal, the dense snf it
+runs on the block its unit pivots leave, OrdinaryKModel.__init__,
+cli._render, which writes the --json report or, without --json, builds
+and returns the text report, SimplePolytope.minimal_nonfaces, the
+non-face search that facering runs once per polytope, and
+validate_characteristic, which finds every vertex's dual basis once per
+document.
 cube7, bott7, poly40 (the densest ordinary-model rows), a cube3 cut at
 three vertices by gen.truncate and polygon6xcp2 (a gen.product of a
 hexagon and CP^2) follow, each command run once (marked as a single run),
 since the larger proptests take seconds.  cube9 (m = 512) and bott9, the
-scaling wall of the ordinary model, close the ladder with one single run of
+scaling wall of the ordinary model, and cp15, whose last basis element
+has 15 extra facets, close the ladder with one single run of
 `facering --ordinary --json` each; the other commands would take minutes
 there.  The file, written to the root of this checkout, holds the medians,
 every sample, a digest and the byte size of each command's output and the
@@ -85,6 +87,7 @@ TAIL = {
 WALL = {
     "cube9": lambda: gen.cube(9),
     "bott9": lambda: gen.bott(9, random.Random(9)),
+    "cp15": lambda: gen.cp(15),
 }
 RUNS = 3
 
@@ -104,6 +107,7 @@ LAYERS = {
     "phi": ("facering", "phi"),
     "in_w": ("gkm", "in_w"),
     "interpolate": ("facering", "interpolate"),
+    "basis_certificate": ("facering", "basis_certificate"),
     "snf_diagonal": ("lattice", "snf_diagonal"),
     "snf": ("lattice", "snf"),
     "OrdinaryKModel": ("facering", "OrdinaryKModel.__init__"),
@@ -272,8 +276,8 @@ def main(argv=None) -> int:
               "ladder": "perfbench/gen.py; with_height(M, Random(1)); "
                         "bott(6, Random(6)), bott(7, Random(7)), polygon(20, Random(20)), "
                         "polygon(40, Random(40)), cube3_cut3 = truncate(truncate("
-                        "truncate(cube(3), 0), 1), 2); cube9 and bott(9, Random(9)) "
-                        "run facering --ordinary --json only",
+                        "truncate(cube(3), 0), 1), 2); cube9, bott(9, Random(9)) and "
+                        "cp(15) run facering --ordinary --json only",
               "layers": "calls and self/total ms of each wrapped layer, median of the "
                         "wrapped runs; wall_ms is the median of the plain runs",
               "results": results}

@@ -12,12 +12,13 @@ order, it reads each entry once, at its vertex's step, and three checks
 certify each step and decide membership.  It and basis_certificate() read
 the faces F_v of the order they are given; nothing else here needs one.
 
-The non-face products, the basis elements omega_v = prod(1 - y_k) over
-S and their Euler-class values prod(1 - e^{mu_k(u)}) at a vertex u on
-every facet of S (0 at any other u) are products of 1 - x^a over
-independent exponents a, all written down term by term by one routine,
-so basis_certificate() decides vanishing from the facet sets and maps
-omega_v at v alone.  The CLI reports each product by its facet set only.
+The non-face products and the basis elements omega_v = prod(1 - y_k)
+are each fixed by a facet set S.  Only kernel_generators() writes them
+out, term by term.  basis_certificate() builds no omega_v: phi(omega_v)
+at a vertex u is prod(1 - e^{mu_k(u)}) over S when u lies on every facet
+of S and 0 otherwise, so vanishing is read from the facet sets, and the
+value at v from the |S| images of the y_k.  The CLI reports each product
+by its facet set only.
 
 ordinary_rank() returns the certified Z-module model of the ordinary
 quotient: kill the lattice relations by eliminating vertex 0's facet
@@ -44,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 from math import comb
-from operator import add
 
 from .gkm import FixedPointTuple, GkmGraph, _check_tuple
 from .lattice import SparseMat, dot, snf_diagonal
@@ -181,20 +181,14 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
 
 # -- kernel and basis certificate -------------------------------------------
 
-def _one_minus_product(profile, vectors) -> LaurentPoly:
-    """prod(1 - x^a) over linearly independent exponent vectors a, as the
-    sum over subsets T of (-1)^|T| x^{sum of a over T}.  Independent vectors
-    have 2^k distinct subset sums, so no two terms merge and none is zero."""
-    terms = {(0,) * profile.nvars: 1}
-    for a in vectors:
-        terms.update([(tuple(map(add, e, a)), -c) for e, c in terms.items()])
-    return _raw(profile, terms)
-
-
 def _nonface_product(profile, facets) -> LaurentPoly:
-    """prod(1 - y_k) over the facets: the unit vectors are independent."""
-    zero = (0,) * profile.nvars
-    return _one_minus_product(profile, (zero[:k - 1] + (1,) + zero[k:] for k in facets))
+    """prod(1 - y_k) over distinct facets, as the sum over subsets T of
+    (-1)^|T| prod of y_k over T.  Distinct unit vectors have distinct subset
+    sums, so no two terms merge and none is zero."""
+    terms = {(0,) * profile.nvars: 1}
+    for k in facets:
+        terms.update([(e[:k - 1] + (1,) + e[k:], -c) for e, c in terms.items()])
+    return _raw(profile, terms)
 
 
 def kernel_generators(g: GkmGraph) -> tuple[LaurentPoly, ...]:
@@ -205,11 +199,10 @@ def kernel_generators(g: GkmGraph) -> tuple[LaurentPoly, ...]:
 
 @dataclass(frozen=True)
 class CertificateEntry:
+    """omega_v is prod(1 - y_k) over extra_facets; the set names it."""
     position: int
     vertex: int
     extra_facets: tuple[int, ...]   # facets of v not on the incoming-edge face
-    omega: LaurentPoly
-    diagonal: LaurentPoly           # phi(omega) at v itself
 
 
 def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry, ...]:
@@ -223,10 +216,17 @@ def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry
     when u lies on every facet of S_t and 0 otherwise (y_i -> 1 off facet
     i); each mu_i(u) is a nonzero character and Z[M] is a domain, so it
     vanishes exactly off order.face[v_t]: the earlier check reads its
-    vertices' positions, and omega_t is mapped at v_t alone.  The mu_i(v_t)
-    are independent, so the expected value has 2^|S_t| terms, never zero.
-    Only this check can fail on a validated order, through a bug in the maps.
+    vertices' positions.  No omega_t is built.  phi_v is a monomial
+    substitution, so phi_v(omega_t) = prod(1 - phi_v(y_i)), and the diagonal
+    maps the |S_t|-term sum of the y_i and asks for exactly the terms
+    e^{mu_i(v_t)}, each with coefficient 1 (a repeated image reads 2).  As
+    the mu_i(v_t) are part of a lattice basis, each 1 - e^{mu_i(v_t)} is
+    irreducible and the product is nonzero, and by unique factorization no
+    other images of the y_i give it.  Only this check can fail on a
+    validated order, through a bug in the maps.
     """
+    zero = (0,) * g.face_profile.nvars
+    z = (0,) * g.bott
     entries = []
     for pos, v in enumerate(order.order):
         extra = tuple(sorted(order.extra[v]))
@@ -238,14 +238,13 @@ def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry
         if s < pos:
             raise CertificateFailure(
                 f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}", pos, s)
-        omega = _nonface_product(g.face_profile, extra)
-        diagonal = substitute_monomial_map(omega, g.phi_maps[v])
-        expected = _one_minus_product(g.char_profile, (g.mu[v][i] + (0,) * g.bott for i in extra))
-        if diagonal != expected:
+        y_sum = _raw(g.face_profile, {zero[:k - 1] + (1,) + zero[k:]: 1 for k in extra})
+        image = substitute_monomial_map(y_sum, g.phi_maps[v])
+        if image.terms != {g.mu[v][k] + z: 1 for k in extra}:
             raise CertificateFailure(
                 f"diagonal value at position {pos + 1} is not the Euler-class product",
                 pos, pos)
-        entries.append(CertificateEntry(pos, v, extra, omega, diagonal))
+        entries.append(CertificateEntry(pos, v, extra))
     return tuple(entries)
 
 

@@ -11,6 +11,7 @@ from quasik.cli import main
 from quasik.documents import build_polytope, load_document, read_text
 from quasik.facering import (
     OrdinaryKModel,
+    _nonface_product,
     basis_certificate,
     kernel_generators,
     ordinary_rank,
@@ -135,9 +136,9 @@ def test_criterion_7_basis_certificate(graphs, orders):
         for e in entries:
             if len(e.extra_facets) != vo.ind[e.vertex]:
                 failures.append(f"{name}: |S_{e.position + 1}| != ind")
-            if e.diagonal.is_zero:
+            img = phi(g, _nonface_product(g.face_profile, e.extra_facets))
+            if img[e.vertex].is_zero:
                 failures.append(f"{name}: zero diagonal at {e.position + 1}")
-            img = phi(g, e.omega)
             for s in range(e.position):
                 if not img[order[s]].is_zero:
                     failures.append(f"{name}: triangularity broken at "

@@ -1,4 +1,5 @@
 import random
+from copy import copy
 from dataclasses import replace
 from functools import partial
 from itertools import combinations, combinations_with_replacement
@@ -17,7 +18,6 @@ from quasik.facering import (
     OrdinaryRankFailure,
     ResidualNonzero,
     _nonface_product,
-    _one_minus_product,
     _shift,
     basis_certificate,
     constant_tuple,
@@ -53,7 +53,7 @@ from quasik.harness import (
     random_member_tuple,
 )
 from quasik.laurent import (
-    DimensionMismatch, LaurentPoly, ProfileMismatch, char_profile, face_profile,
+    DimensionMismatch, LaurentPoly, MonomialMap, ProfileMismatch, char_profile, face_profile,
     substitute_monomial_map)
 from quasik.polytope import SimplePolytope, fmt_facets, vertex_order_from_heights
 
@@ -409,11 +409,16 @@ def with_extra(P, order, changes):
     return replace(order, extra=tuple(extra), face=tuple(face))
 
 
+def omega(g, e):
+    """The certificate entry's basis element, from its facet set."""
+    return _nonface_product(g.face_profile, e.extra_facets)
+
+
 def omega_sum_image(g, order):
     """phi of the sum of the basis omegas, whose step at each v is omega_v != 0."""
-    cert = basis_certificate(g, order)
-    t = phi(g, sum((e.omega for e in cert), LaurentPoly.zero(g.face_profile)))
-    assert [s.poly for s in interpolate(g, order, t).steps] == [e.omega for e in cert]
+    omegas = [omega(g, e) for e in basis_certificate(g, order)]
+    t = phi(g, sum(omegas, LaurentPoly.zero(g.face_profile)))
+    assert [s.poly for s in interpolate(g, order, t).steps] == omegas
     return t
 
 
@@ -481,7 +486,7 @@ class TestCertificate:
             assert len(entries) == g.m
             for e in entries:
                 assert len(e.extra_facets) == ORDER[g].ind[e.vertex]
-                assert not e.diagonal.is_zero
+                assert not phi(g, omega(g, e))[e.vertex].is_zero
 
     def test_cp2_pattern(self):
         sizes = [len(e.extra_facets) for e in basis_certificate(CP2, ORDER[CP2])]
@@ -494,13 +499,13 @@ class TestCertificate:
     def test_first_entry_is_one(self):
         for g in (CP1, CP2, H1, CUBE):
             e0 = basis_certificate(g, ORDER[g])[0]
-            assert e0.omega == LaurentPoly.one(g.face_profile)
+            assert omega(g, e0) == LaurentPoly.one(g.face_profile)
 
     def test_strict_triangularity(self):
         for g in (CP1, CP2, H1, CUBE):
             order = ORDER[g].order
             for e in basis_certificate(g, ORDER[g]):
-                img = phi(g, e.omega)
+                img = phi(g, omega(g, e))
                 for s in range(e.position):
                     assert img[order[s]].is_zero
 
@@ -697,14 +702,12 @@ def reference_certificate(g, order):
                 raise CertificateFailure(
                     f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}",
                     pos, s)
-        expected = LaurentPoly.one(g.char_profile)
-        for i in extra:
-            expected = expected * (1 - mono(g, g.mu[v][i]))
+        expected = multiplied_euler_product(g, [g.mu[v][i] for i in extra])
         if img[v] != expected or img[v].is_zero:
             raise CertificateFailure(
                 f"diagonal value at position {pos + 1} is not the Euler-class product",
                 pos, pos)
-        entries.append(CertificateEntry(pos, v, extra, omega, img[v]))
+        entries.append(CertificateEntry(pos, v, extra))
     return tuple(entries)
 
 
@@ -782,6 +785,48 @@ def certificate_mutations(g, order):
         yield with_extra(P, order, {v: order.extra[w], w: order.extra[v]})
 
 
+def with_phi_map(g, v, A):
+    """A copy of g whose phi map at v is A, nothing rechecked."""
+    bad = copy(g)
+    bad.phi_maps = g.phi_maps[:v] + (A,) + g.phi_maps[v + 1:]
+    return bad
+
+
+def with_block(g, v, block):
+    """with_phi_map of v's own map with its block replaced."""
+    A = g.phi_maps[v]
+    return with_phi_map(g, v, MonomialMap(A.src, A.dst, A.source, A.target, block))
+
+
+def phi_map_faults(g, order):
+    """(kind, v, graph, fails) per fault of v's phi map, fails telling
+    whether it changes the multiset of images of the y_k over extra[v]: two
+    block columns swapped (it does when exactly one is in extra[v]), column
+    b copied onto column a (when a is in extra[v]; with b there too, an
+    image repeats), one column doubled (when it is in extra[v]), and the map
+    of an earlier neighbour w (always: v's facet off the edge is in
+    extra[v], and w's map sends it to 1).  A later neighbour's map is left
+    out: it can keep v's diagonal, and then only the reference's vanishing
+    checks, which read every map, see it."""
+    for v in range(g.m):
+        block, extra = g.phi_maps[v].block, order.extra[v]
+        facets = [i + 1 for i in g.phi_maps[v].source]
+        for a, b in combinations(range(len(facets)), 2):
+            swapped = [r[:a] + (r[b],) + r[a + 1:b] + (r[a],) + r[b + 1:] for r in block]
+            yield ("swap", v, with_block(g, v, swapped),
+                   (facets[a] in extra) != (facets[b] in extra))
+            for to, frm in ((a, b), (b, a)):
+                copied = [r[:to] + (r[frm],) + r[to + 1:] for r in block]
+                yield "copy", v, with_block(g, v, copied), facets[to] in extra
+        for c, i in enumerate(facets):
+            doubled = [r[:c] + (2 * r[c],) + r[c + 1:] for r in block]
+            yield "double", v, with_block(g, v, doubled), i in extra
+    for e in g.edges:
+        for v, w in ((e.v, e.w), (e.w, e.v)):
+            if order.position[w] < order.position[v]:
+                yield "neighbour", v, with_phi_map(g, v, g.phi_maps[w]), True
+
+
 class TestCertificateOracle:
     def test_matches_all_vertex_certificate(self, oracle_graphs):
         for name, (g, order) in oracle_graphs.items():
@@ -801,6 +846,12 @@ class TestCertificateOracle:
         assert kinds == {"size", "earlier"}
 
     def test_bad_phi_maps_fail_the_diagonal(self, oracle_graphs):
+        """Faulty phi maps give both certificates the same outcome: the
+        maps of -Lambda everywhere, and at each vertex in turn each fault of
+        phi_map_faults.  A fault that reaches the vertex's diagonal fails
+        both there; the others keep every diagonal and every vanishing
+        pattern, so both pass."""
+        failed = set()
         for name, (g, order) in oracle_graphs.items():
             if g.m < 2:
                 continue
@@ -812,6 +863,18 @@ class TestCertificateOracle:
             assert got == (CertificateFailure,
                            "diagonal value at position 2 is not the Euler-class product",
                            1, 1), name
+            good = basis_certificate(g, order)
+            for kind, v, bad, fails in phi_map_faults(g, order):
+                got = outcome(basis_certificate, bad, order)
+                assert got == outcome(reference_certificate, bad, order), (name, kind, v)
+                pos = order.position[v]
+                assert got == ((CertificateFailure, "diagonal value at position "
+                                f"{pos + 1} is not the Euler-class product", pos, pos)
+                               if fails else good), (name, kind, v)
+                if fails:
+                    failed.add((kind, g.bott))
+        assert failed == {(kind, bott) for kind in ("swap", "copy", "double", "neighbour")
+                          for bott in (0, 1)}
 
     def test_no_face_of_calls(self, oracle_graphs, face_of_calls):
         """interpolate and the certificate read the order's stored faces."""
@@ -827,6 +890,15 @@ class TestCertificateOracle:
             basis_certificate(g, order)
             assert len(substitutions) == g.m, name
 
+    def test_phi_substitutions_carry_one_term_per_extra_facet(self, oracle_graphs,
+                                                              substitutions):
+        """sum over v of |extra[v]| terms mapped, not 2^|extra[v]| per vertex."""
+        for name, (g, order) in oracle_graphs.items():
+            substitutions.clear()
+            basis_certificate(g, order)
+            assert sum(len(f.terms) for f, _ in substitutions) == \
+                sum(map(len, order.extra)), name
+
 
 class TestClosedForms:
     def test_nonface_product_matches_multiplied(self, oracle_graphs):
@@ -836,19 +908,6 @@ class TestClosedForms:
             for S in sets:
                 assert _nonface_product(g.face_profile, frozenset(S)) == \
                     multiplied_product(g.face_profile, S), (name, S)
-
-    def test_euler_product_matches_multiplied(self, oracle_graphs):
-        """On the characters mu_i(v) of every vertex, which are not unit
-        vectors, and on every subset of them, with and without z."""
-        for name, (g, _) in oracle_graphs.items():
-            z = (0,) * g.bott
-            for v, mu in enumerate(g.mu):
-                facets = sorted(mu)
-                for k in range(len(facets) + 1):
-                    for S in combinations(facets, k):
-                        chars = [mu[i] for i in S]
-                        assert _one_minus_product(g.char_profile, [u + z for u in chars]) \
-                            == multiplied_euler_product(g, chars), (name, v, S)
 
     def test_random_member_is_the_r_vector_combination(self, documents):
         """Same draws in the same order, and the same tuple as the r-vector
