@@ -25,12 +25,13 @@ cube7, bott7, poly40 (the densest ordinary-model rows), a cube3 cut at
 three vertices by gen.truncate and polygon6xcp2 (a gen.product of a
 hexagon and CP^2) follow, each command run once (marked as a single run),
 since the larger proptests take seconds.  cube9 (m = 512) and bott9, the
-scaling wall of the ordinary model, and cp15, whose last basis element
-has 15 extra facets, close the ladder with one single run of
-`facering --ordinary --json` each; the other commands would take minutes
-there.  The file, written to the root of this checkout, holds the medians,
-every sample, a digest and the byte size of each command's output and the
-machine facts.
+scaling wall of the ordinary model, cp15, whose last basis element has 15
+extra facets, and poly80 and poly160, whose reports list d restriction
+tuples over m = d vertices and whose models are mostly killed columns,
+close the ladder with one single run of `facering --ordinary --json`
+each; the other commands would take minutes there.  The file, written to
+the root of this checkout, holds the medians, every sample, a digest and
+the byte size of each command's output and the machine facts.
 
 Each sample writes the document to a new path first.  cli.main keeps
 the parsed, checked document of an input whose path and text it has seen
@@ -88,6 +89,8 @@ WALL = {
     "cube9": lambda: gen.cube(9),
     "bott9": lambda: gen.bott(9, random.Random(9)),
     "cp15": lambda: gen.cp(15),
+    "poly80": lambda: gen.polygon(80, random.Random(80)),
+    "poly160": lambda: gen.polygon(160, random.Random(160)),
 }
 RUNS = 3
 
@@ -276,8 +279,9 @@ def main(argv=None) -> int:
               "ladder": "perfbench/gen.py; with_height(M, Random(1)); "
                         "bott(6, Random(6)), bott(7, Random(7)), polygon(20, Random(20)), "
                         "polygon(40, Random(40)), cube3_cut3 = truncate(truncate("
-                        "truncate(cube(3), 0), 1), 2); cube9, bott(9, Random(9)) and "
-                        "cp(15) run facering --ordinary --json only",
+                        "truncate(cube(3), 0), 1), 2); cube9, bott(9, Random(9)), "
+                        "cp(15), polygon(80, Random(80)) and polygon(160, Random(160)) "
+                        "run facering --ordinary --json only",
               "layers": "calls and self/total ms of each wrapped layer, median of the "
                         "wrapped runs; wall_ms is the median of the plain runs",
               "results": results}

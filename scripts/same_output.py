@@ -45,7 +45,10 @@ relative name.  Stdout, stderr, exit code and DOT bytes are compared run
 by run; the script prints every run that differs, the number of runs,
 and a tally of the differing runs by command (the subcommand and its
 --options) and by the fields that differ, against which a declared
-output change can be checked.  It exits 1 if any run differs.
+output change can be checked.  A --json run whose stdout differs is also
+tallied by the report keys that differ: each top-level payload key as
+payload.<key>, and command, input or status by name.  It exits 1 if any
+run differs.
 """
 
 from __future__ import annotations
@@ -260,6 +263,20 @@ def run_tree(src: Path, argvs, workdir: Path) -> list[dict]:
     return json.loads(result.read_text())
 
 
+def report_keys(a: str, b: str):
+    """The keys that differ between two --json reports: payload.<key> for
+    each top-level payload key, and any other top-level key by name; None
+    when either text is not such a report."""
+    try:
+        x, y = json.loads(a), json.loads(b)
+        px, py = x.pop("payload"), y.pop("payload")
+        keys = [k for k in sorted(x.keys() | y.keys()) if x.get(k, KeyError) != y.get(k, KeyError)]
+        return keys + [f"payload.{k}" for k in sorted(px.keys() | py.keys())
+                       if px.get(k, KeyError) != py.get(k, KeyError)]
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True,
@@ -276,6 +293,10 @@ def main(argv=None) -> int:
     tally = Counter()
     for argv, x, y in zip(argvs, a, b):
         fields = [k for k in ("stdout", "stderr", "code", "dot") if x[k] != y[k]]
+        if "stdout" in fields and "--json" in argv:
+            keys = report_keys(x["stdout"], y["stdout"])
+            if keys is not None:
+                fields[0] = f"stdout [{' '.join(keys)}]"
         if fields:
             shown = " ".join(s.replace(tmp_prefix, "$TMP") for s in argv)
             print(f"DIFFERS ({', '.join(fields)}): quasik {shown}")

@@ -16,6 +16,11 @@ its report.  facering names each non-face product prod(1 - y_i), i in S,
 by its facet set S (minimal_nonfaces) and each certificate omega_v by its
 extra_facets, never writing their 2^|S| terms: the text report prints
 each once, factored, as (1 - y1)(1 - y2), and omega_v = 1 for no facets.
+Its --json r_vectors gives each restriction tuple r_i as the vertices on
+facet i, numbered from 1 in input order, and mu_i(v) at each, read from
+the dual bases; every entry left out is 1.  The text report prints each
+whole tuple.  ordinary_rank's stats count the model's monomials and every
+row, the killed ones (OrdinaryKModel) included.
 The argument parser is built once per process, when this module is
 imported; each main() call parses into a new namespace.
 
@@ -107,38 +112,47 @@ def _json_text(obj, indent="\n") -> str:
     built (its profile has at least one variable), and a list that holds
     only ints is joined directly.  An int past the 4300-digit conversion
     limit raises the ValueError of int.__repr__ and %d, as json.dumps
-    does.  indent is the newline and indentation before obj.
+    does.  indent is the newline and indentation before obj.  The exact
+    types dispatch first; None, bools and subclasses take the isinstance
+    chain, in json.dumps's order.
     """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
+    kind = type(obj)
+    if kind not in _EXACT:
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        kind = next((k for k in _EXACT if isinstance(obj, k)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if kind is int:
         return int.__repr__(obj)
-    if isinstance(obj, str):
+    if kind is str:
         return encode_basestring_ascii(obj)
     inner = indent + "  "
-    if isinstance(obj, LaurentPoly):
-        term = _term_template(indent, obj.profile.nvars)
-        body = ("," + inner).join([term % (c, *e) for e, c in obj.sorted_terms()])
-        return "[" + inner + body + indent + "]" if body else "[]"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if _all_ints(obj):
-            body = ("," + inner).join(map(int.__repr__, obj))
-        else:
-            body = ("," + inner).join([_json_text(x, inner) for x in obj])
-        return "[" + inner + body + indent + "]"
-    if isinstance(obj, dict):
+    if kind is dict:
         if not obj:
             return "{}"
         body = ("," + inner).join([encode_basestring_ascii(k) + ": " + _json_text(v, inner)
                                    for k, v in sorted(obj.items())])
         return "{" + inner + body + indent + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if kind is LaurentPoly:
+        term = _term_template(indent, obj.profile.nvars)
+        body = ("," + inner).join([term % (c, *e) for e, c in obj.sorted_terms()])
+        return "[" + inner + body + indent + "]" if body else "[]"
+    if not obj:
+        return "[]"
+    if _all_ints(obj):
+        body = ("," + inner).join(map(int.__repr__, obj))
+    else:
+        body = ("," + inner).join([_json_text(x, inner) for x in obj])
+    return "[" + inner + body + indent + "]"
+
+
+# the types _json_text writes, in the order of its isinstance chain
+_EXACT = (int, str, LaurentPoly, list, tuple, dict)
 
 
 @lru_cache(maxsize=64)
@@ -295,16 +309,27 @@ def _factored(facets) -> str:
     return "".join(f"(1 - y{k})" for k in facets) or "1"
 
 
+def _r_vectors(g) -> dict:
+    """{"y<i>": {"vertices": [...], "characters": [...]}}: the vertices on
+    facet i, numbered from 1 in input order, and mu_i at each, straight
+    from the dual bases; r_i is e^{mu_i(v)} there and 1 at every other
+    vertex."""
+    vertices = {i: [] for i in range(1, g.d + 1)}
+    characters = {i: [] for i in range(1, g.d + 1)}
+    for v, mu in enumerate(g.mu, 1):
+        for i, u in mu.items():
+            vertices[i].append(v)
+            characters[i].append(u)
+    return {f"y{i}": {"vertices": vertices[i], "characters": characters[i]}
+            for i in vertices}
+
+
 def cmd_facering(prep, args) -> Report:
     g = prep.graph()
     P = g.polytope
     order = prep.order()
     nonfaces = [sorted(S) for S in P.minimal_nonfaces()]
-    rvecs = [facering.r_vector(g, i) for i in range(1, g.d + 1)]
-    payload = {
-        "minimal_nonfaces": nonfaces,
-        "r_vectors": {f"y{i}": r.entries for i, r in enumerate(rvecs, 1)},
-    }
+    payload = {"minimal_nonfaces": nonfaces, "r_vectors": _r_vectors(g)}
     status_ok = True
     try:
         payload["certificate"] = [
@@ -327,7 +352,7 @@ def cmd_facering(prep, args) -> Report:
                                         "torsion_free": model.torsion_free,
                                         "degree": model.degree,
                                         "stats": {"monomials": len(model.monomials),
-                                                  "rows": len(model.rows)}}
+                                                  "rows": model.row_count}}
         except OrdinaryRankFailure as exc:
             status_ok = False
             payload["ordinary_rank"] = {"error": str(exc)}
@@ -337,7 +362,7 @@ def cmd_facering(prep, args) -> Report:
                  "ideal generators:"]
         lines.extend(f"  {_factored(S)}" for S in nonfaces)
         lines.append("restriction tuples:")
-        lines.extend(f"  y{i} -> {r.text()}" for i, r in enumerate(rvecs, 1))
+        lines.extend(f"  y{i} -> {facering.r_vector(g, i).text()}" for i in range(1, g.d + 1))
         cert = payload["certificate"]
         if isinstance(cert, dict):
             lines.append(f"basis certificate: FAIL ({cert['error']})")

@@ -18,7 +18,8 @@ out, term by term.  basis_certificate() builds no omega_v: phi(omega_v)
 at a vertex u is prod(1 - e^{mu_k(u)}) over S when u lies on every facet
 of S and 0 otherwise, so vanishing is read from the facet sets, and the
 value at v from the |S| images of the y_k.  The CLI reports each product
-by its facet set only.
+by its facet set only, and each r_i by the vertices on facet i with their
+characters mu_i(v) only, every other entry being 1.
 
 ordinary_rank() returns the certified Z-module model of the ordinary
 quotient: kill the lattice relations by eliminating vertex 0's facet
@@ -33,6 +34,12 @@ nonzero rows r * x^beta (those with |S| + |beta| <= n).  Each monomial
 is keyed by one int, sum of e_j * (n + 1)^j: every exponent is >= 0 and
 no kept product passes degree n, so each e_j is one digit and shifting
 by beta adds codes without a carry.
+A non-face S made only of survivors, the facets off vertex 0 whose
+variables remain, has prod(1 - y_s) = (-1)^|S| x^S, one monomial, so
+each of its rows is a unit on one column: a pivot whose only effect is to
+kill that column.  The model counts those rows and records the killed
+columns without building them, drops the killed columns from the other
+rows, and runs the Smith form on the columns left.
 Degree n is exact, because every x_i lies in the augmentation ideal of a
 2n-dimensional complex with only even cells, so by the Atiyah-Hirzebruch
 filtration any product of n+1 of them vanishes.
@@ -301,11 +308,20 @@ class OrdinaryKModel:
     y = 1 + x; monomials of total degree > degree are declared zero.  At
     degree n this is exact: each x_i is in the first Atiyah-Hirzebruch
     filtration of the 2n-dimensional even-cell complex, so any product of
-    n+1 of them is zero.  The relation matrix has one sparse row
-    {monomial: coeff} per nonzero product r * x^beta of a non-face product
-    r with a monomial beta, and one column per monomial; its Smith form
-    yields rank and torsion.  The non-faces are the polytope's own, and
-    each r is multiplied out of its truncated factors (_nonface_terms).
+    n+1 of them is zero.  The relation matrix has one row per nonzero
+    product r * x^beta of a non-face product r with a monomial beta, and
+    one column per monomial; its Smith form yields rank and torsion.  The
+    non-faces are the polytope's own.  For a non-face S of survivors only
+    (sharing no facet with vertex 0), r is (-1)^|S| x^S, so its rows are units on the
+    columns x^S * x^beta: those are recorded in killed, and each row is
+    only counted.  Every other r is multiplied out of its truncated factors
+    (_nonface_terms), and its rows r * x^beta, with the killed columns
+    dropped, are kept in rows as sparse {monomial: coeff}; a row whose beta
+    is killed has every column killed, since killed is closed under
+    multiplication within the degree.  A unit row splits off exactly,
+    SNF = 1 (+) SNF(rest), so rank is N - |killed| - (nonzero invariants of
+    rows), and the torsion is theirs.  row_count counts every row, the
+    killed ones included.
 
     Every monomial is keyed by one int, its code sum of e_j * base^j over
     the survivors j, with base = degree + 1.  Every exponent in the model
@@ -323,19 +339,43 @@ class OrdinaryKModel:
         layers = self._monomials(len(survivors), degree)
         self.monomials = tuple(chain.from_iterable(layers))
         self._factors = {}      # (k, cap) -> _factor(k, cap); facets recur across non-faces
+        nonfaces = g.polytope.minimal_nonfaces()
+        base0 = g.polytope.vertices[0]
+        unit = {s: self.base ** j for j, s in enumerate(survivors)}
+        killed = set()
+        count = 0
+        for S in nonfaces:
+            if len(S) <= degree and S.isdisjoint(base0):
+                # prod(1 - y_s) = (-1)^|S| x^S: each row is a unit on one column
+                code = sum(unit[s] for s in S)
+                for betas in layers[:degree - len(S) + 1]:
+                    killed.update([code + beta for beta in betas])
+                    count += len(betas)
+        # killed is closed under multiplication within the degree, so a row
+        # whose beta is killed has every column killed: only live betas shift
+        live = [[beta for beta in betas if beta not in killed] for betas in layers]
         rows = []
-        for S in g.polytope.minimal_nonfaces():
+        for S in nonfaces:
+            if S.isdisjoint(base0):
+                continue
             terms = self._nonface_terms(S)
-            for room, betas in zip(range(degree, -1, -1), layers):
+            for room, betas, shifts in zip(range(degree, -1, -1), layers, live):
                 kept = [(e, c) for e, deg, c in terms if deg <= room]
                 if not kept:
                     break       # room only shrinks from one layer to the next
+                count += len(betas)
                 # distinct terms of r stay distinct after the shift by beta
-                rows.extend({e + beta: c for e, c in kept} for beta in betas)
+                rows.extend({e + beta: c for e, c in kept} for beta in shifts)
+        if killed:      # drop the killed columns, and the rows they empty
+            rows = [row for row in (r if killed.isdisjoint(r) else
+                                    {e: c for e, c in r.items() if e not in killed}
+                                    for r in rows) if row]
+        self.killed = frozenset(killed)
         self.rows = tuple(rows)
-        diag = snf_diagonal(SparseMat(len(self.monomials), self.rows))
+        self.row_count = count
+        diag = snf_diagonal(SparseMat(len(self.monomials) - len(killed), self.rows))
         factors = sorted(d for d in diag if d != 0)
-        self.rank = len(self.monomials) - len(factors)
+        self.rank = len(self.monomials) - len(killed) - len(factors)
         self.torsion = tuple(d for d in factors if d != 1)
 
     @property

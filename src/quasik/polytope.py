@@ -5,13 +5,14 @@ recorded as the set of exactly n facets containing it.  Facet indices are
 1-based everywhere (input, output, witness messages); vertices are 0-based
 positions into the input list.
 
-Two facts are built once, lazily.  The ridge map (each (n-1)-subset of a
-vertex's facets -> the vertices holding it) gives validation's ridge
-checks and the edges.  The subset table (the facet bit mask of every
-subset S of a vertex's facet set -> L(S), the OR of the masks of the
-vertices on S) gives only the minimal non-faces; face_of and
-validate_order never build it, since a simplex has 2^n subsets at each
-of its n + 1 vertices.
+Three facts are built once, lazily.  The ridge map (each (n-1)-subset of
+a vertex's facets -> the vertices holding it) gives validation's ridge
+checks and the edges.  The facet masks (facet i -> the vertices on it,
+vertex v as bit 1 << v) give face_of, whose vertices are their AND.  The
+subset table (the facet bit mask of every subset S of a vertex's facet
+set -> L(S), the OR of the masks of the vertices on S) gives only the
+minimal non-faces; face_of and validate_order never build it, since a
+simplex has 2^n subsets at each of its n + 1 vertices.
 
 The dual bases mu(v) of the characteristic matrix are found by walking
 the edge graph: across an edge, w's block is v's with one row exchanged,
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -114,6 +116,7 @@ class SimplePolytope:
         self._adjacency = None
         self._links = None
         self._nonfaces = None
+        self._masks = None     # facet -> bit mask of the vertices on it
 
     @property
     def m(self) -> int:
@@ -149,13 +152,32 @@ class SimplePolytope:
         return self._adjacency
 
     def face_of(self, facet_set) -> Face:
-        """The face cut out by facet_set, with the facet set saturated."""
+        """The face cut out by facet_set, with the facet set saturated: its
+        vertices are the bits of the AND of the facets' vertex masks."""
         S = frozenset(facet_set)
-        verts = tuple(v for v, fs in enumerate(self.vertices) if S <= fs)
-        if not verts:
+        if self._masks is None:
+            masks = {}
+            bit = 1
+            for fs in self.vertices:
+                for i in fs:
+                    masks[i] = masks.get(i, 0) | bit
+                bit <<= 1
+            self._masks = masks
+        masks = self._masks
+        face = (1 << self.m) - 1
+        for i in S:
+            face &= masks.get(i, 0)
+        if not face:
             raise NotAFace(f"facets {fmt_facets(S)} have empty intersection")
-        sat = frozenset.intersection(*(self.vertices[v] for v in verts))
-        return Face(sat, verts)
+        verts = []
+        rest = face
+        while rest:
+            low = rest & -rest
+            verts.append(low.bit_length() - 1)
+            rest ^= low
+        # the facets through every vertex of the face are among the first one's
+        sat = frozenset([i for i in self.vertices[verts[0]] if masks[i] & face == face])
+        return Face(sat, tuple(verts))
 
     def _link_table(self):
         """{facet mask of S: L(S)} over every subset S of a vertex's facet
@@ -434,18 +456,27 @@ def validate_order(P: SimplePolytope, order: Sequence[int]) -> VertexOrder:
 def vertex_order_from_heights(P: SimplePolytope,
                               coords: Sequence[Sequence[Fraction]],
                               w: Sequence[Fraction]) -> VertexOrder:
-    """Order vertices by the height <coords(v), w>; ties on an edge are rejected."""
+    """Order vertices by the height <coords(v), w>; ties on an edge are rejected.
+
+    Every coordinate is scaled by L, the common denominator of the
+    coordinates, and w by its own, so each height is a sum of int products;
+    scaling by a positive number keeps order and ties, and a tie is
+    reported at its unscaled value.
+    """
     if len(coords) != P.m:
         raise ValueError(f"{len(coords)} coordinate rows for {P.m} vertices")
-    heights = []
-    for row in coords:
-        if len(row) != len(w):
-            raise ValueError("coordinate/height-vector length mismatch")
-        heights.append(sum(a * b for a, b in zip(row, w)))
+    if any(len(row) != len(w) for row in coords):
+        raise ValueError("coordinate/height-vector length mismatch")
+    L = lcm(*{x.denominator for row in coords for x in row})
+    Lw = lcm(*{x.denominator for x in w})
+    rows = coords if L == 1 else [[x.numerator * (L // x.denominator) for x in row]
+                                  for row in coords]
+    ws = w if Lw == 1 else [x.numerator * (Lw // x.denominator) for x in w]
+    heights = [sum(map(mul, row, ws)) for row in rows]
     for v, x, _ in P.edges():
         if heights[v] == heights[x]:
             raise NonGenericHeight(
                 f"height ties on the edge {fmt_facets(P.vertices[v])} -- "
-                f"{fmt_facets(P.vertices[x])} (value {heights[v]})")
+                f"{fmt_facets(P.vertices[x])} (value {Fraction(heights[v], L * Lw)})")
     order = sorted(range(P.m), key=lambda v: (heights[v], v))
     return validate_order(P, order)

@@ -114,7 +114,7 @@ def encode(model, exp):
 
 
 def decoded_rows(model):
-    """The model's rows keyed by exponent tuples."""
+    """The model's rows, killed columns dropped, keyed by exponent tuples."""
     return [{decode(model, e): c for e, c in row.items()} for row in model.rows]
 
 
@@ -138,12 +138,15 @@ def model_reduce(model, elem):
 
 def model_vanishes(model, elem) -> bool:
     """Does the element vanish in the model's truncated quotient?  Adding
-    its row, coded like the model's, leaves the nonzero Smith invariants as
-    they are."""
-    row = {encode(model, e): c for e, c in model_terms(model, elem).items()}
+    its row, coded like the model's and with the killed columns dropped (a
+    unit row clears its column from every other row), leaves the nonzero
+    Smith invariants of the model's rows as they are."""
+    row = {k: c for e, c in model_terms(model, elem).items()
+           if (k := encode(model, e)) not in model.killed}
 
     def invariants(rows):
-        return sorted(d for d in snf_diagonal(SparseMat(len(model.monomials), rows)) if d)
+        cols = len(model.monomials) - len(model.killed)
+        return sorted(d for d in snf_diagonal(SparseMat(cols, rows)) if d)
 
     return not row or invariants(model.rows + (row,)) == invariants(model.rows)
 

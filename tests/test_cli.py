@@ -178,17 +178,69 @@ class TestGkm:
             {"a": 1, "b": 2, "facets": [], "character": [1]}]
 
 
+# perfbench/gen.py manifolds that facering_input can write
+GENERATED = {
+    "cube4": lambda gen: gen.cube(4),
+    "bott4": lambda gen: gen.bott(4, random.Random(4)),
+    "polygon9": lambda gen: gen.polygon(9, random.Random(9)),
+    "polygon12": lambda gen: gen.polygon(12, random.Random(12)),
+    "cube3_cut3": lambda gen: gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2),
+}
+
+
 def facering_input(tmp_path, gen, name, bott):
-    """The path of a bundled input, or of perfbench/gen.py's cube3 cut at
-    three vertices, as a use_bott document when bott is set."""
-    if name == "cube3_cut3":
-        M = gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2)
-        doc = gen.with_height(M, random.Random(1)).document()
+    """The path of a bundled input, or of a GENERATED manifold given a
+    height by with_height(M, Random(1)), as a use_bott document when bott
+    is set."""
+    if name in GENERATED:
+        doc = gen.with_height(GENERATED[name](gen), random.Random(1)).document()
     else:
         doc = json.loads(input_path(name).read_text())
-    path = tmp_path / f"{name}.json"
+    path = tmp_path / f"{name}{'_bott' if bott else ''}.json"
     path.write_text(json.dumps(dict(doc, use_bott=bott)))
     return path
+
+
+def renumbered(path, rng):
+    """The document at path with its vertices listed in a random order (the
+    coordinates with them) and its facets renamed by a random permutation
+    (the lambda rows with them), written next to it; and the two maps, old
+    vertex index -> new, old facet -> new."""
+    doc = json.loads(path.read_text())
+    m, d = len(doc["vertices"]), doc["facets"]
+    order = rng.sample(range(m), m)             # new vertex k is old vertex order[k]
+    names = dict(zip(range(1, d + 1), rng.sample(range(1, d + 1), d)))
+    lam = [None] * d
+    for i, row in enumerate(doc["lambda"], 1):
+        lam[names[i] - 1] = row
+    new = dict(doc, vertices=[sorted(names[i] for i in doc["vertices"][v]) for v in order],
+               vertex_coords=[doc["vertex_coords"][v] for v in order], **{"lambda": lam})
+    out = path.with_name(f"renumbered-{path.name}")
+    out.write_text(json.dumps(new))
+    return out, {v: k for k, v in enumerate(order)}, names
+
+
+def graph_of(path):
+    doc = load_document(path, read_text(path))
+    return GkmGraph(build_polytope(doc), doc.lam, bott=doc.use_bott)
+
+
+def rebuilt_r_vectors(g, r_vectors):
+    """Each restriction tuple r_i rebuilt from the --json r_vectors: e^mu at
+    each listed vertex (numbered from 1), 1 at every vertex left out."""
+    assert set(r_vectors) == {f"y{i}" for i in range(1, g.d + 1)}
+    one = LaurentPoly.one(g.char_profile)
+    out = {}
+    for i in range(1, g.d + 1):
+        listed = r_vectors[f"y{i}"]
+        assert set(listed) == {"vertices", "characters"}
+        vertices, characters = listed["vertices"], listed["characters"]
+        assert vertices == sorted(set(vertices)) and len(vertices) == len(characters)
+        entries = [one] * g.m
+        for v, u in zip(vertices, characters):
+            entries[v - 1] = LaurentPoly.char_monomial(g.char_profile, u)
+        out[i] = FixedPointTuple(g.char_profile, entries)
+    return out
 
 
 class TestFacering:
@@ -204,6 +256,47 @@ class TestFacering:
         # J is named by minimal_nonfaces alone
         assert "j_generators" not in pres and "j_generators" not in payload
         assert len(pres["lattice_relations"]) == 2
+
+    @pytest.mark.parametrize("bott", [False, True])
+    @pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "square_h0", "square_h1",
+                                      "square_h2", "square_h3", "cube", *GENERATED])
+    def test_r_vectors_rebuild_the_tuples(self, capsys, tmp_path, perfbench_gen, name, bott):
+        """--json lists, per facet, the vertices on it and mu_i there; every
+        entry left out is 1, and the tuples rebuilt are r_vector's.  The
+        text report prints each whole tuple, as r_vector's text."""
+        path = facering_input(tmp_path, perfbench_gen, name, bott)
+        g = graph_of(path)
+        code, out, _ = run(capsys, "facering", path, "--json")
+        assert code == 0
+        rebuilt = rebuilt_r_vectors(g, json.loads(out)["payload"]["r_vectors"])
+        for i, r in rebuilt.items():
+            assert r == facering.r_vector(g, i), (name, i)
+        code, out, _ = run(capsys, "facering", path, "--ordinary")
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("restriction tuples:") + 1
+        assert lines[at:at + g.d] == [f"  y{i} -> {facering.r_vector(g, i).text()}"
+                                      for i in range(1, g.d + 1)]
+
+    @pytest.mark.parametrize("name", ["cube", "square_h1", "cube3_cut3"])
+    def test_r_vectors_follow_the_input_numbering(self, capsys, tmp_path, perfbench_gen, name):
+        """With the vertices listed in another order and the facets renamed,
+        r_vectors numbers both as the renumbered document does: its new y_j
+        at new vertex k is the old y_i at the old vertex listed there."""
+        path = facering_input(tmp_path, perfbench_gen, name, False)
+        other, vertex, facet = renumbered(path, random.Random(name))
+        tuples = []
+        for p in (path, other):
+            code, out, _ = run(capsys, "facering", p, "--json")
+            assert code == 0
+            g = graph_of(p)
+            tuples.append(rebuilt_r_vectors(g, json.loads(out)["payload"]["r_vectors"]))
+            assert tuples[-1] == {i: facering.r_vector(g, i) for i in range(1, g.d + 1)}
+        old, new = tuples
+        assert any(vertex[v] != v for v in vertex) and any(facet[i] != i for i in facet)
+        for i, r in old.items():
+            for v, entry in enumerate(r):
+                assert new[facet[i]][vertex[v]] == entry, (name, i, v)
 
     def test_failed_rank_certificate(self, capsys, short_rank):
         code, out, err = run(capsys, "facering", input_path("cp2"), "--ordinary")
@@ -459,6 +552,13 @@ JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
+class Counted(int):
+    """An int subclass with its own repr, which json.dumps does not use."""
+
+    def __repr__(self):
+        return f"Counted({int(self)})"
+
+
 class TestJsonText:
     """The --json renderer writes exactly what json.dumps(sort_keys=True,
     indent=2) writes, each polynomial as its reference term list."""
@@ -475,6 +575,11 @@ class TestJsonText:
     @example(LaurentPoly(char_profile(1), {(2,): -3, (-1,): 1}))
     @example({"a": [{"b": [LaurentPoly(face_profile(3), {(1, 0, -2): 5, (0, 0, 0): 1})]}],
               "c": LaurentPoly(char_profile(1), {(0,): 1})})
+    # bools and None among ints and lists, an int subclass (also a bool
+    # among ints, as a bool is one) and empty containers nested deep
+    @example([True, None, False, [None], [1, None], (False, 0)])
+    @example({"k": [Counted(3), Counted(-1)], "b": [Counted(0), True], "i": Counted(7)})
+    @example([[[], ()], [{}, [[{}]]], ({"a": []},), {"": ({},)}])
     def test_matches_json_dumps(self, value):
         assert _json_text(value) == json.dumps(reference(value), sort_keys=True, indent=2)
 
@@ -985,10 +1090,12 @@ class TestBottVariable:
                            "--ordinary", "--json")
         assert code == 0
         payload = json.loads(out)["payload"]
+        # each facet's vertices and mu_i there; z is carried by the report's
+        # polynomials, not by the characters
         assert payload["r_vectors"] == {
-            "y1": [entry((1, (1, 0, 0))), entry((1, (1, -1, 0))), entry((1, (0, 0, 0)))],
-            "y2": [entry((1, (0, 1, 0))), entry((1, (0, 0, 0))), entry((1, (-1, 1, 0)))],
-            "y3": [entry((1, (0, 0, 0))), entry((1, (0, -1, 0))), entry((1, (-1, 0, 0)))],
+            "y1": {"vertices": [1, 2], "characters": [[1, 0], [1, -1]]},
+            "y2": {"vertices": [1, 3], "characters": [[0, 1], [-1, 1]]},
+            "y3": {"vertices": [2, 3], "characters": [[0, -1], [-1, 0]]},
         }
         assert payload["ordinary_rank"] == {"rank": 3, "torsion_free": True, "degree": 2,
                                             "stats": {"monomials": 3, "rows": 0}}

@@ -45,6 +45,7 @@ from conftest import (
 )
 from quasik.documents import build_polytope
 from quasik.gkm import FixedPointTuple, GkmGraph, in_gamma, in_w
+from quasik.lattice import SparseMat, snf_diagonal
 from quasik.harness import (
     MAX_TERMS,
     perturb_one_entry,
@@ -722,8 +723,9 @@ def outcome(certify, g, order):
 
 
 def reference_rows(model):
-    """The model's rows built from the generic expansion of each multiplied
-    non-face product, every monomial beta tried, keyed by exponent tuples."""
+    """(S, row) for every row of the model, killed ones included, built from
+    the generic expansion of each multiplied non-face product S, every
+    monomial beta tried, keyed by exponent tuples."""
     g = model.graph
     rows = []
     for S in g.polytope.minimal_nonfaces():
@@ -733,12 +735,46 @@ def reference_rows(model):
             row = {tuple(a + b for a, b in zip(e, beta)): c
                    for e, c in r.items() if sum(e) <= room}
             if row:
-                rows.append(row)
+                rows.append((S, row))
     return rows
 
 
+def full_rows(model):
+    """(S, row) for every row r_S * x^beta of the model, killed ones
+    included, keyed by codes: each non-face product multiplied out of its
+    truncated factors (_nonface_terms), shifted by every monomial beta it
+    leaves a term for, and no column dropped."""
+    layers = OrdinaryKModel._monomials(len(model.survivors), model.degree)
+    rows = []
+    for S in model.graph.polytope.minimal_nonfaces():
+        terms = model._nonface_terms(S)
+        for room, betas in zip(range(model.degree, -1, -1), layers):
+            kept = [(e, c) for e, deg, c in terms if deg <= room]
+            rows.extend((S, {e + beta: c for e, c in kept}) for beta in betas if kept)
+    return rows
+
+
+def split_rows(model, rows):
+    """(killed, reduced) from a model's full rows: the rows of the non-faces
+    off vertex 0, each asserted to be the single entry (-1)^|S| that
+    prod(1 - y_s) = (-1)^|S| x^S gives, name the killed columns; every other
+    row with those columns dropped, and left out once empty, is reduced."""
+    base0 = model.graph.polytope.vertices[0]
+    killed = set()
+    for S, row in rows:
+        if S.isdisjoint(base0):
+            ((col, c),) = row.items()
+            assert c == (-1) ** len(S), (S, row)
+            killed.add(col)
+    reduced = [{e: c for e, c in row.items() if e not in killed}
+               for S, row in rows if not S.isdisjoint(base0)]
+    return killed, [row for row in reduced if row]
+
+
 def row_multiset(rows):
-    return sorted(sorted(row.items()) for row in rows)
+    """Rows as a sorted list of their sorted items; an (S, row) pair keeps S."""
+    return sorted((sorted(r[0]), sorted(r[1].items())) if type(r) is tuple else sorted(r.items())
+                  for r in rows)
 
 
 @pytest.fixture(scope="module")
@@ -943,11 +979,54 @@ class TestClosedForms:
                         (name, degree, S)
 
     def test_rows_match_generic_expansion(self, oracle_graphs):
+        """The full rows, one per non-face and beta with a term left, are
+        the generic expansion's; the unit rows of the non-faces off vertex
+        0 kill exactly model.killed, every other row is kept with the killed
+        columns dropped, and row_count counts every row."""
         for name, (g, _) in oracle_graphs.items():
             for degree in (g.n, g.n + 1):
                 model = OrdinaryKModel(g, degree)
-                assert row_multiset(decoded_rows(model)) == \
-                    row_multiset(reference_rows(model)), (name, degree)
+                ref = reference_rows(model)
+                full = [(S, {decode(model, e): c for e, c in row.items()})
+                        for S, row in full_rows(model)]
+                assert row_multiset(full) == row_multiset(ref), (name, degree)
+                killed, reduced = split_rows(model, ref)
+                assert {decode(model, e) for e in model.killed} == killed, (name, degree)
+                assert row_multiset(decoded_rows(model)) == row_multiset(reduced), \
+                    (name, degree)
+                assert model.row_count == len(ref), (name, degree)
+
+
+class TestKilledColumns:
+    """A non-face product of survivors only is one monomial, so its rows
+    are unit pivots that the model counts and records without building."""
+
+    MAKERS = {
+        "bott5": lambda gen: gen.bott(5, random.Random(5)),
+        "bott7": lambda gen: gen.bott(7, random.Random(7)),
+        "cube3_cut3": lambda gen: gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2),
+        "polygon11": lambda gen: gen.polygon(11, random.Random(11)),
+        "poly80": lambda gen: gen.polygon(80, random.Random(80)),
+        "cp6": lambda gen: gen.cp(6),
+    }
+
+    def test_same_answer_as_full_rows(self, perfbench_gen):
+        """The Smith form of every row gives the rank and torsion that the
+        killed columns and the Smith form of the rows left give; Bott
+        towers and CP^n kill nothing, and stats counts every row."""
+        gen = perfbench_gen
+        graphs = generated_graphs(gen, {k: partial(make, gen) for k, make in self.MAKERS.items()})
+        for name, (_, g, _) in graphs.items():
+            model = ordinary_rank(g)
+            rows = full_rows(model)
+            diag = snf_diagonal(SparseMat(len(model.monomials), [row for _, row in rows]))
+            factors = sorted(d for d in diag if d)
+            assert (model.rank, model.torsion) == \
+                (len(model.monomials) - len(factors), tuple(d for d in factors if d != 1)), name
+            killed, reduced = split_rows(model, rows)
+            assert model.killed == killed and len(model.rows) == len(reduced), name
+            assert bool(killed) == (name in ("cube3_cut3", "polygon11", "poly80")), name
+            assert model.row_count == len(rows), name
 
 
 class TestIntegerCodes:
@@ -970,23 +1049,26 @@ class TestIntegerCodes:
 
     def test_row_keys_are_monomials(self, oracle_graphs):
         """Every row key lies below base^nvars, so decoding reads all of it,
-        and decodes to a monomial of degree <= degree: a column of the model."""
+        and decodes to a monomial of degree <= degree: a column of the
+        model, and not a killed one, as are the killed columns' codes."""
         for name, (g, _) in oracle_graphs.items():
             for degree in (g.n, g.n + 1):
                 model = OrdinaryKModel(g, degree)
                 top = (degree + 1) ** len(model.survivors)
                 columns = set(model.monomials)
+                assert model.killed <= columns, (name, degree)
                 for row in model.rows:
                     for e in row:
                         assert 0 <= e < top and sum(decode(model, e)) <= degree, (name, e)
-                        assert e in columns, (name, e)
+                        assert e in columns and e not in model.killed, (name, e)
 
-    # rank, torsion, columns, rows and nonzeros of the degree-n model before
-    # its monomials were coded as ints
-    SIZES = {"bott7": (128, (), 3432, 5544, 45226),
-             "bott8": (256, (), 12870, 24024, 180972),
-             "cube9": (512, (), 48620, 102960, 102960),
-             "poly80": (80, (), 3160, 3080, 14861)}
+    # rank, torsion, columns and rows (every row counted) of the degree-n
+    # model before its monomials were coded as ints, then the killed
+    # columns and the rows and nonzeros left for the Smith form
+    SIZES = {"bott7": (128, (), 3432, 5544, 0, 5544, 45226),
+             "bott8": (256, (), 12870, 24024, 0, 24024, 180972),
+             "cube9": (512, (), 48620, 102960, 0, 102960, 102960),
+             "poly80": (80, (), 3160, 3080, 2926, 154, 457)}
 
     def test_large_models_unchanged(self, perfbench_gen):
         gen = perfbench_gen
@@ -997,5 +1079,6 @@ class TestIntegerCodes:
             "poly80": lambda: gen.polygon(80, random.Random(80))})
         for name, (_, g, _) in graphs.items():
             model = ordinary_rank(g)
-            assert (model.rank, model.torsion, len(model.monomials), len(model.rows),
-                    sum(map(len, model.rows))) == self.SIZES[name], name
+            assert (model.rank, model.torsion, len(model.monomials), model.row_count,
+                    len(model.killed), len(model.rows), sum(map(len, model.rows))) == \
+                self.SIZES[name], name
