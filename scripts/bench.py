@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -151,7 +152,7 @@ def install(clock):
                if m is not None and (k == "quasik" or k.startswith("quasik."))]
     undo = []
     for name, (mod, path) in LAYERS.items():
-        home = sys.modules[f"quasik.{mod}"]
+        home = importlib.import_module(f"quasik.{mod}")
         owner_name, _, attr = path.rpartition(".")
         if owner_name:
             owner = getattr(home, owner_name)

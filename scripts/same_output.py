@@ -21,7 +21,10 @@ Each --src is the src directory of one quasik tree.  The runs are:
 * on each document: validate, gkm (plain and with --dot), facering (plain
   and --ordinary), membership and interpolate of a member tuple and of a
   non-member, and proptest --cases 4, each in text and in --json;
-* a few usage errors and help texts;
+* a few usage errors and help texts, and square_h0 runs whose argv only
+  argparse reads (cli.plain_args declines them): options before the
+  positionals, an abbreviated --js, a repeated --json, '--', a positional
+  '-', gkm --dot=PATH and proptest --seed=3 --cases 2;
 * documents whose vertex blocks are not all unimodular: square_h1 with
   |det| = 2 at two vertices, with vertex 0 failing, and with {3,4}
   unimodular between two failing neighbours, and the cube with six
@@ -214,6 +217,11 @@ def runs(workdir: Path) -> list[list[str]]:
     docs, tuples = malformed()
     good_tuple = workdir / "malformed-good-tuple.json"
     good_tuple.write_text(json.dumps({"entries": [[ONE]] * 4}))
+    square, one = str(ROOT / "inputs" / "square_h0.json"), str(good_tuple)
+    out += [["membership", "--json", square, one], ["membership", square, one, "--js"],
+            ["membership", square, one, "--json", "--json"], ["validate", "--", square],
+            ["validate", "-"], ["gkm", square, f"--dot={DOT}"],
+            ["proptest", square, "--seed=3", "--cases", "2"]]
     for k, doc in enumerate(docs):
         path = workdir / f"malformed-doc{k}.json"
         path.write_text(json.dumps(doc))

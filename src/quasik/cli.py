@@ -21,8 +21,13 @@ facet i, numbered from 1 in input order, and mu_i(v) at each, read from
 the dual bases; every entry left out is 1.  The text report prints each
 whole tuple.  ordinary_rank's stats count the model's monomials and every
 row, the killed ones (OrdinaryKModel) included.
-The argument parser is built once per process, when this module is
-imported; each main() call parses into a new namespace.
+main() reads a plain argv itself (plain_args): a command, exactly its
+positionals, none empty or starting with '-', then each of its boolean
+flags at most once.  Any other argv goes to the argparse parser, which is
+imported and built on the first such call and kept (each call parses
+into a new namespace), so argparse writes every help and error text.
+facering and harness are imported by the commands that use them, so a
+validate, gkm or membership process loads neither them nor argparse.
 
 Every command is a function of (prep, args) that returns a Report, where
 prep is the input's Prepared document.  Its graph() checks the polytope
@@ -49,14 +54,13 @@ every call.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Callable
 
-from . import facering
 from .documents import (
     InputError,
     _all_ints,
@@ -66,9 +70,7 @@ from .documents import (
     read_text,
     resolve_order,
 )
-from .facering import OrdinaryRankFailure, ResidualNonzero
 from .gkm import GkmGraph, euler_coprimality_check, in_gamma, in_w
-from .harness import run_all
 from .laurent import LaurentPoly
 from .polytope import (
     InvalidOrder,
@@ -325,6 +327,7 @@ def _r_vectors(g) -> dict:
 
 
 def cmd_facering(prep, args) -> Report:
+    from . import facering
     g = prep.graph()
     P = g.polytope
     order = prep.order()
@@ -353,7 +356,7 @@ def cmd_facering(prep, args) -> Report:
                                         "degree": model.degree,
                                         "stats": {"monomials": len(model.monomials),
                                                   "rows": model.row_count}}
-        except OrdinaryRankFailure as exc:
+        except facering.OrdinaryRankFailure as exc:
             status_ok = False
             payload["ordinary_rank"] = {"error": str(exc)}
 
@@ -410,13 +413,14 @@ def cmd_membership(prep, args) -> Report:
 
 
 def cmd_interpolate(prep, args) -> Report:
+    from . import facering
     g = prep.graph()
     P = g.polytope
     order = prep.order()
     t = load_tuple(args.tuple_file, g.char_profile, g.m)
     try:
         res = facering.interpolate(g, order, t)
-    except ResidualNonzero as exc:
+    except facering.ResidualNonzero as exc:
         err = str(exc)
         return Report("fail", {"error": err}, lambda: f"not interpolable: {err}")
     payload = {"poly": res.poly,
@@ -435,6 +439,7 @@ def cmd_interpolate(prep, args) -> Report:
 
 
 def cmd_proptest(prep, args) -> Report:
+    from .harness import run_all
     if args.cases < 0:
         raise InputError(f"--cases {args.cases} is negative")
     g = prep.graph()
@@ -453,37 +458,78 @@ def cmd_proptest(prep, args) -> Report:
     return Report("pass" if ok else "fail", payload, human)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# per command: its help line, its positionals and its boolean flags, which
+# build_parser declares in this order, and the value of each of its other
+# options when it is not given; a plain argv (plain_args) holds exactly the
+# positionals, then each flag at most once
+COMMAND_ARGS = {
+    "validate": ("validate polytope, characteristic matrix and vertex order",
+                 ("input",), ("json",), {}),
+    "gkm": ("build the fixed-point graph and run the Euler-class checks",
+            ("input",), ("json",), {"dot": None}),
+    "facering": ("face-ring data: non-faces, generators, certificate",
+                 ("input",), ("json", "ordinary"), {}),
+    "membership": ("test a tuple against both membership predicates",
+                   ("input", "tuple_file"), ("json",), {}),
+    "interpolate": ("compute a face-ring preimage of a member tuple",
+                    ("input", "tuple_file"), ("json",), {}),
+    "proptest": ("run the seeded randomized invariant suites",
+                 ("input",), ("json",), {"seed": 1, "cases": 200}),
+}
+
+ARG_HELP = {
+    "input": "input JSON document",
+    "tuple_file": "fixed-point tuple JSON file",
+    "json": "machine-readable output",
+    "ordinary": "also compute the ordinary presentation and rank",
+}
+
+
+def build_parser():
+    """The argparse parser of every argv; argparse is imported here, so a
+    process whose argv are all plain never loads it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="quasik",
         description="Exact equivariant K-ring computations for quasitoric manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, tuple_arg=False):
+    for name, (help_, positionals, flags, defaults) in COMMAND_ARGS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("input", help="input JSON document")
-        if tuple_arg:
-            p.add_argument("tuple_file", help="fixed-point tuple JSON file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    add("validate", "validate polytope, characteristic matrix and vertex order")
-    p = add("gkm", "build the fixed-point graph and run the Euler-class checks")
-    p.add_argument("--dot", metavar="PATH", help="write the graph in DOT format")
-    p = add("facering", "face-ring data: non-faces, generators, certificate")
-    p.add_argument("--ordinary", action="store_true",
-                   help="also compute the ordinary presentation and rank")
-    add("membership", "test a tuple against both membership predicates", tuple_arg=True)
-    add("interpolate", "compute a face-ring preimage of a member tuple", tuple_arg=True)
-    p = add("proptest", "run the seeded randomized invariant suites")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cases", type=int, default=200)
+        for dest in positionals:
+            p.add_argument(dest, help=ARG_HELP[dest])
+        for dest in flags:
+            p.add_argument(f"--{dest}", action="store_true", help=ARG_HELP[dest])
+        p.set_defaults(**defaults)
+    sub.choices["gkm"].add_argument("--dot", metavar="PATH", help="write the graph in DOT format")
+    sub.choices["proptest"].add_argument("--seed", type=int)
+    sub.choices["proptest"].add_argument("--cases", type=int)
     return parser
 
 
-# built once: parse_args leaves the parser as it was and returns a new
-# Namespace, so no state carries from one main() call to the next
-PARSER = build_parser()
+# built on first need: parse_args leaves the parser as it was and returns a
+# new Namespace, so no state carries from one main() call to the next
+_parser = cache(build_parser)
+
+
+def plain_args(argv):
+    """The namespace argparse gives a plain argv: a known command, exactly
+    its positionals, none of them empty or starting with '-', then each of
+    its boolean flags at most once.  None for any other argv, which is left
+    to argparse (help, usage errors, abbreviations, '=' forms, '--', the
+    options that take a value, flags before positionals)."""
+    if not argv or type(argv[0]) is not str or argv[0] not in COMMAND_ARGS:
+        return None
+    _, positionals, flags, defaults = COMMAND_ARGS[argv[0]]
+    k = len(positionals)
+    given, rest = argv[1:k + 1], argv[k + 1:]
+    if len(given) < k or any(type(a) is not str or not a or a[0] == "-" for a in given):
+        return None
+    switches = [f"--{dest}" for dest in flags]
+    if any(type(a) is not str or a not in switches for a in rest) or len(set(rest)) < len(rest):
+        return None
+    return SimpleNamespace(command=argv[0], **dict(zip(positionals, given)),
+                           **{dest: f"--{dest}" in rest for dest in flags}, **defaults)
+
 
 COMMANDS = {
     "validate": cmd_validate,
@@ -496,7 +542,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = plain_args(argv) or _parser().parse_args(argv)
     name = str(args.input)
     try:
         prep = prepare(args.input)

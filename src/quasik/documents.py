@@ -14,6 +14,7 @@ of integer coordinates are integer sums.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -46,13 +47,21 @@ def _all_ints(row) -> bool:
     return True
 
 
+# a 'p/q' string of ASCII digits, at most a leading '-', over a nonzero q
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]*[1-9][0-9]*)")
+
+
 def _rational(value, where):
-    """value as an int, or as a Fraction when it is a 'p/q' string."""
+    """value as an int, or as a Fraction when it is a 'p/q' string: a plain
+    one (_PLAIN_RATIONAL) is read with int(), any other by Fraction(value)."""
     if isinstance(value, bool):
         raise InputError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if plain:
+            return Fraction(int(plain[1]), int(plain[2]))
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -66,9 +75,10 @@ def _int_matrix(value, where, rows=None, cols=None):
         _expect(len(value) == rows, f"{where}: {len(value)} rows, expected {rows}")
     out = []
     for i, row in enumerate(value):
-        _expect(isinstance(row, list), f"{where}[{i}]: expected a list")
-        if cols is not None:
-            _expect(len(row) == cols, f"{where}[{i}]: {len(row)} entries, expected {cols}")
+        if not isinstance(row, list):
+            raise InputError(f"{where}[{i}]: expected a list")
+        if cols is not None and len(row) != cols:
+            raise InputError(f"{where}[{i}]: {len(row)} entries, expected {cols}")
         out.append(tuple(row) if _all_ints(row) else
                    tuple(_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)))
     return tuple(out)
@@ -96,9 +106,11 @@ def document_from_dict(obj, where="input") -> InputDocument:
     known = {"name", "dim", "facets", "vertices", "lambda",
              "vertex_order", "vertex_coords", "height_vector", "use_bott"}
     for key in obj:
-        _expect(key in known, f"{where}: unknown field {key!r}")
+        if key not in known:
+            raise InputError(f"{where}: unknown field {key!r}")
     for key in ("name", "dim", "facets", "vertices", "lambda"):
-        _expect(key in obj, f"{where}: missing field {key!r}")
+        if key not in obj:
+            raise InputError(f"{where}: missing field {key!r}")
     name = obj["name"]
     _expect(isinstance(name, str), "field 'name': expected a string")
     n = _int(obj["dim"], "field 'dim'")
@@ -107,7 +119,8 @@ def document_from_dict(obj, where="input") -> InputDocument:
             "field 'vertices': expected a nonempty list")
     vertices = []
     for i, row in enumerate(obj["vertices"]):
-        _expect(isinstance(row, list), f"field 'vertices[{i}]': expected a list")
+        if not isinstance(row, list):
+            raise InputError(f"field 'vertices[{i}]': expected a list")
         facets = (tuple(row) if _all_ints(row) else
                   tuple(_int(x, f"field 'vertices[{i}][{j}]'") for j, x in enumerate(row)))
         if len(set(facets)) < len(facets):
@@ -137,7 +150,8 @@ def document_from_dict(obj, where="input") -> InputDocument:
                 f"field 'vertex_coords': expected {m} rows")
         coords = []
         for i, row in enumerate(vc):
-            _expect(isinstance(row, list), f"field 'vertex_coords[{i}]': expected a list")
+            if not isinstance(row, list):
+                raise InputError(f"field 'vertex_coords[{i}]': expected a list")
             coords.append(tuple(row) if _all_ints(row) else
                           tuple(_rational(x, f"field 'vertex_coords[{i}][{j}]'")
                                 for j, x in enumerate(row)))
@@ -148,9 +162,9 @@ def document_from_dict(obj, where="input") -> InputDocument:
                          tuple(_rational(x, f"field 'height_vector[{i}]'")
                                for i, x in enumerate(hv)))
         for i, row in enumerate(vertex_coords):
-            _expect(len(row) == len(height_vector),
-                    f"field 'vertex_coords[{i}]': {len(row)} entries, expected "
-                    f"{len(height_vector)} (the length of 'height_vector')")
+            if len(row) != len(height_vector):
+                raise InputError(f"field 'vertex_coords[{i}]': {len(row)} entries, expected "
+                                 f"{len(height_vector)} (the length of 'height_vector')")
 
     _expect(not (vertex_order is not None and vertex_coords is not None),
             "exactly one of 'vertex_order' and 'vertex_coords'+'height_vector' is allowed")
@@ -216,7 +230,8 @@ def load_tuple(path, profile: Profile, m: int) -> FixedPointTuple:
     nvars = profile.nvars
     polys = []
     for i, termlist in enumerate(entries):
-        _expect(isinstance(termlist, list), f"{path}: entries[{i}] must be a list of terms")
+        if not isinstance(termlist, list):
+            raise InputError(f"{path}: entries[{i}] must be a list of terms")
         terms = []
         for j, term in enumerate(termlist):
             if type(term) is dict and len(term) == 2:

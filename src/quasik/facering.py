@@ -14,10 +14,11 @@ the faces F_v of the order they are given; nothing else here needs one.
 
 The non-face products and the basis elements omega_v = prod(1 - y_k)
 are each fixed by a facet set S.  Only kernel_generators() writes them
-out, term by term.  basis_certificate() builds no omega_v: phi(omega_v)
-at a vertex u is prod(1 - e^{mu_k(u)}) over S when u lies on every facet
-of S and 0 otherwise, so vanishing is read from the facet sets, and the
-value at v from the |S| images of the y_k.  The CLI reports each product
+out, term by term.  basis_certificate() builds no omega_v: once each phi
+map is checked against its dual basis, phi(omega_v) at a vertex u is
+prod(1 - e^{mu_k(u)}) over S when u lies on every facet of S and 0
+otherwise, so vanishing is read from the facet sets and the value at v is
+the Euler-class product.  The CLI reports each product
 by its facet set only, and each r_i by the vertices on facet i with their
 characters mu_i(v) only, every other entry being 1.
 
@@ -219,21 +220,21 @@ def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry
     not contain the face spanned by the incoming edges.  Verified: |S_t|
     equals the number of incoming edges, phi(omega_t) vanishes at all
     earlier vertices, and its value at v_t is a nonzero product of Euler
-    classes.  At a vertex u, phi(omega_t) is prod(1 - e^{mu_i(u)}) over S_t
-    when u lies on every facet of S_t and 0 otherwise (y_i -> 1 off facet
-    i); each mu_i(u) is a nonzero character and Z[M] is a domain, so it
-    vanishes exactly off order.face[v_t]: the earlier check reads its
-    vertices' positions.  No omega_t is built.  phi_v is a monomial
-    substitution, so phi_v(omega_t) = prod(1 - phi_v(y_i)), and the diagonal
-    maps the |S_t|-term sum of the y_i and asks for exactly the terms
-    e^{mu_i(v_t)}, each with coefficient 1 (a repeated image reads 2).  As
-    the mu_i(v_t) are part of a lattice basis, each 1 - e^{mu_i(v_t)} is
-    irreducible and the product is nonzero, and by unique factorization no
-    other images of the y_i give it.  Only this check can fail on a
-    validated order, through a bug in the maps.
+    classes.  No omega_t is built: each phi map is compared once, at its
+    vertex v, with the dual basis, its source v's facets and its block
+    column for facet i mu_i(v), so phi_u sends y_i to e^{mu_i(u)} for each
+    facet i of u and to 1 off u.  Then at a vertex u, phi(omega_t) is
+    prod(1 - e^{mu_i(u)}) over S_t when u lies on every facet of S_t and 0
+    otherwise; each mu_i(u) is a nonzero character and Z[M] is a domain,
+    so it vanishes exactly off order.face[v_t], and the earlier check
+    reads its vertices' positions.  At v_t the value is the Euler-class
+    product exactly when v_t lies on every facet of S_t (else a factor is
+    1 - 1 = 0), and then it is nonzero, the mu_i(v_t) being part of a
+    lattice basis.  Only the map check can fail on a validated order,
+    through a bug in the maps; a map that keeps v_t's value but not the
+    vanishing pattern, such as a later neighbour's, fails it too.
     """
-    zero = (0,) * g.face_profile.nvars
-    z = (0,) * g.bott
+    target = tuple(range(g.n))
     entries = []
     for pos, v in enumerate(order.order):
         extra = tuple(sorted(order.extra[v]))
@@ -245,12 +246,16 @@ def basis_certificate(g: GkmGraph, order: VertexOrder) -> tuple[CertificateEntry
         if s < pos:
             raise CertificateFailure(
                 f"phi(omega_{pos + 1}) nonzero at earlier position {s + 1}", pos, s)
-        y_sum = _raw(g.face_profile, {zero[:k - 1] + (1,) + zero[k:]: 1 for k in extra})
-        image = substitute_monomial_map(y_sum, g.phi_maps[v])
-        if image.terms != {g.mu[v][k] + z: 1 for k in extra}:
+        if not order.extra[v] <= g.polytope.vertices[v]:
             raise CertificateFailure(
                 f"diagonal value at position {pos + 1} is not the Euler-class product",
                 pos, pos)
+        A, mu = g.phi_maps[v], g.mu[v]
+        facets = sorted(mu)
+        if (A.source != tuple(i - 1 for i in facets) or A.target != target
+                or list(zip(*A.block)) != [mu[i] for i in facets]):
+            raise CertificateFailure(
+                f"phi map at position {pos + 1} is not the dual basis of its vertex", pos, pos)
         entries.append(CertificateEntry(pos, v, extra))
     return tuple(entries)
 

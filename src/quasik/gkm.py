@@ -15,9 +15,9 @@ the exponents at v's n facets, since y_i -> 1 off them; the step map at v
 writes only those n exponents, <u, lambda_i> for each facet i of v.  A
 character restricts to a face by pairing it with lambda_i for each facet
 i of the face, so one restriction map, e^u -> prod over all d facets of
-y_i^{<u, lambda_i>} (its block is Lambda), serves every face: in_w
-projects its image onto the face's facets, and no face or vertex keeps a
-map of its own for it.  On e^u the same map is facering.theta.
+y_i^{<u, lambda_i>} (its block is Lambda), serves every face, and no
+face or vertex keeps a map of its own for it.  On e^u the same map is
+facering.theta.
 
 Two membership predicates cut out the image of the K-ring:
 
@@ -29,6 +29,12 @@ Two membership predicates cut out the image of the K-ring:
 
 The two predicates agree; in_w deliberately checks all pairs rather than
 reducing to edges so that the agreement stays independent evidence.
+Each costs one pass per edge or pair: in_gamma sums the coefficients of
+a_v and -a_w by coset of Zu (divides_one_minus's test, with its checks of
+u made once per edge) and builds a_v - a_w only for a witness; in_w
+pairs each entry's terms with the rows of Lambda at its vertex once, and
+sums both sides of a pair, projected through the graph's face_pick, into
+one map, building the two projections apart only for a witness.
 
 The graph holds no vertex order: (Q, Lambda) alone fix it and both
 predicates.  A height order enters only the constructive steps, so
@@ -41,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lattice import NotUnimodular, normalize_sign
 from .laurent import (
@@ -51,7 +57,7 @@ from .laurent import (
     ProfileMismatch,
     char_profile,
     coordinate_getter,
-    divides_one_minus,
+    coset_key,
     face_profile,
     project_terms,
     substitute_monomial_map,
@@ -64,8 +70,7 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True)
-class GkmEdge:
+class GkmEdge(NamedTuple):
     v: int
     w: int
     facets: frozenset[int]
@@ -80,7 +85,7 @@ class FixedPointTuple:
     def __init__(self, profile: Profile, entries: Sequence[LaurentPoly]):
         entries = tuple(entries)
         for a in entries:
-            if a.profile != profile:
+            if a.profile is not profile and a.profile != profile:
                 raise ProfileMismatch(f"{a.profile} != {profile}")
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "entries", entries)
@@ -276,11 +281,25 @@ def euler_coprimality_check(g: GkmGraph) -> ValidationReport:
 
 
 def in_gamma(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
-    """Edge-divisibility membership: (1 - e^{-u}) | a_v - a_w on every edge."""
+    """Edge-divisibility membership: (1 - e^{-u}) | a_v - a_w on every edge.
+
+    divides_one_minus's test, in one pass per edge: the checks of u run
+    once (coset_key), then the coefficients of a_v and of -a_w are summed
+    by coset of Zu; a_v - a_w itself is built only for a witness.
+    """
     _check_tuple(g, t)
+    n, entries = g.n, t.entries
     for e in g.edges:
-        diff = t[e.v] - t[e.w]
-        if not divides_one_minus(diff, e.character):
+        key = coset_key(e.character, n)
+        sums = {}
+        for exp, c in entries[e.v].terms.items():
+            x = key(exp)
+            sums[x] = sums.get(x, 0) + c
+        for exp, c in entries[e.w].terms.items():
+            x = key(exp)
+            sums[x] = sums.get(x, 0) - c
+        if any(sums.values()):
+            diff = entries[e.v] - entries[e.w]
             return MembershipReport(False, MembershipWitness(
                 "edge", e.v, e.w,
                 f"difference {diff.text()} not divisible by 1 - e^-{e.character}"))
@@ -291,24 +310,45 @@ def in_w(g: GkmGraph, t: FixedPointTuple) -> MembershipReport:
     """Face-agreement membership: restrictions agree at the join of every pair,
     the face of the facets S both share (a facet through all of that face
     passes through both), compared as projections onto S of each entry's
-    image under the restriction map, which is made once per entry; the
-    projection is the graph's face_pick, made once per facet set."""
+    image under the restriction map e^u -> prod y_i^{<u, lambda_i>}.  S lies
+    in F(v), so entry v's image is needed only at v's facets: its terms are
+    paired with those n rows of Lambda once, and every other coordinate is
+    left 0.  The projection is the graph's face_pick, made once per facet
+    set; each pair sums both projections into one map, +a_v and -a_w.  Only
+    a witness builds the two apart, through the restriction map itself."""
     _check_tuple(g, t)
     P = g.polytope
-    R = g.restriction_map
-    images = [substitute_monomial_map(a, R).terms for a in t]
+    lam, n, d = g.lam, g.n, g.d
+    verts, picks = P.vertices, g.picks
+    listed = []
+    for fv, a in zip(verts, t.entries):
+        rows = [(i - 1, lam[i - 1]) for i in fv]
+        image = []
+        for exp, c in a.terms.items():
+            img = [0] * d
+            for k, row in rows:
+                img[k] = sum(map(mul, row, exp))
+            image.append((tuple(img) + exp[n:], c))
+        listed.append(image)
     for v in range(g.m):
+        fv, image = verts[v], listed[v]
         for w in range(v + 1, g.m):
-            S = P.vertices[v] & P.vertices[w]
-            pick = g.face_pick(S)
-            a = project_terms(images[v], pick)
-            b = project_terms(images[w], pick)
-            if a != b:
+            S = fv & verts[w]
+            pick = picks.get(S) or g.face_pick(S)
+            diff = {}
+            for exp, c in image:
+                x = pick(exp)
+                diff[x] = diff.get(x, 0) + c
+            for exp, c in listed[w]:
+                x = pick(exp)
+                diff[x] = diff.get(x, 0) - c
+            if any(diff.values()):
                 profile = char_profile(len(S), g.bott)
+                R = g.restriction_map
+                a, b = (LaurentPoly(profile, project_terms(
+                    substitute_monomial_map(t.entries[k], R).terms, pick)).text() for k in (v, w))
                 return MembershipReport(False, MembershipWitness(
-                    "pair", v, w,
-                    f"restrictions to {P.face_of(S).label()} differ: "
-                    f"{LaurentPoly(profile, a).text()} vs {LaurentPoly(profile, b).text()}"))
+                    "pair", v, w, f"restrictions to {P.face_of(S).label()} differ: {a} vs {b}"))
     return MembershipReport(True)
 
 

@@ -31,10 +31,7 @@ class NotUnimodular(ValueError):
 
 
 def vec_gcd(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def is_primitive(v: Iterable[int]) -> bool:

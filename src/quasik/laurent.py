@@ -369,28 +369,33 @@ def divides_one_minus(f: LaurentPoly, u) -> bool:
 
     1 - e^{-u} is a unit times 1 - e^u, and Z[M]/(1 - e^u) is the group ring
     of M/Zu, so f is divisible exactly when its coefficients sum to 0 on
-    every coset a + Zu.  With p the first
-    nonzero coordinate of u, the coset of a is keyed by u_p*a - a_p*u, which
-    vanishes exactly on Zu because u is primitive; a Bott exponent is kept
-    as it is.
+    every coset a + Zu, keyed by coset_key.
     """
     prof = f.profile
     if prof.kind != CHAR:
         raise ProfileMismatch("binomial divisibility lives in the character profile")
-    u = tuple(int(x) for x in u)
-    if len(u) != prof.count:
-        raise DimensionMismatch(f"character length {len(u)} != {prof.count}")
+    return not project_terms(f.terms, coset_key(tuple(int(x) for x in u), prof.count))
+
+
+def coset_key(u: tuple, n: int):
+    """exp -> the key of its coset exp + Zu, for a primitive nonzero character
+    u of length n; a wrong length, u = 0 or a non-primitive u raises.
+
+    With p the first nonzero coordinate of u, the coset of a is keyed by
+    u_p*a - a_p*u, which vanishes exactly on Zu because u is primitive; an
+    exponent past the first n (a Bott exponent) is kept as it is.
+    """
+    if len(u) != n:
+        raise DimensionMismatch(f"character length {len(u)} != {n}")
     if not any(u):
         raise ZeroCharacter("character must be nonzero")
     g = vec_gcd(u)
     if g != 1:
         raise NotPrimitive(f"gcd of {u} is {g}")
-    n = prof.count
-    p = next(k for k, x in enumerate(u) if x)
-    up = u[p]
+    up = next(filter(None, u))
+    p = u.index(up)
 
-    def coset_key(exp):
+    def key(exp):
         ap = exp[p]
         return tuple([up * a - ap * b for a, b in zip(exp, u)]) + exp[n:]
-
-    return not project_terms(f.terms, coset_key)
+    return key

@@ -110,7 +110,7 @@ class SimplePolytope:
     def __init__(self, dim: int, facet_count: int, vertex_facets: Sequence[Sequence[int]]):
         self.dim = int(dim)
         self.facet_count = int(facet_count)
-        self.vertices = tuple(frozenset(int(i) for i in fs) for fs in vertex_facets)
+        self.vertices = tuple(frozenset(map(int, fs)) for fs in vertex_facets)
         self._ridges = None
         self._edges = None
         self._adjacency = None
@@ -227,8 +227,14 @@ class SimplePolytope:
 
 
 def _facets_of(mask: int) -> frozenset:
-    """The facets whose bits are set in mask."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """The facets whose bits are set in mask, read bit by set bit as face_of
+    reads its vertices."""
+    facets = []
+    while mask:
+        low = mask & -mask
+        facets.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(facets)
 
 
 def validate_simple(P: SimplePolytope) -> ValidationReport:
@@ -244,8 +250,9 @@ def validate_simple(P: SimplePolytope) -> ValidationReport:
     if fails:
         return ValidationReport(tuple(fails))
 
+    facets = frozenset(range(1, d + 1))
     for v, fs in enumerate(P.vertices):
-        if any(i < 1 or i > d for i in fs):
+        if not fs <= facets:
             fails.append(f"vertex #{v + 1} {fmt_facets(fs)}: facet index out of range 1..{d}")
         if len(fs) != n:
             fails.append(f"vertex #{v + 1} {fmt_facets(fs)}: {len(fs)} facets, expected {n}")
@@ -257,23 +264,24 @@ def validate_simple(P: SimplePolytope) -> ValidationReport:
     if fails:
         return ValidationReport(tuple(fails))
 
-    used = frozenset.union(*P.vertices)
-    for i in range(1, d + 1):
-        if i not in used:
-            fails.append(f"facet {i}: not on any vertex")
+    fails += [f"facet {i}: not on any vertex"
+              for i in sorted(facets - frozenset.union(*P.vertices))]
 
     # each ridge lies in at most 2 vertices, and each of the n ridges of a
-    # vertex is shared with exactly one other vertex
+    # vertex is shared with exactly one other vertex: every ridge of the map
+    # holds exactly 2, and the failures are listed only when one does not
     ridges = P._ridge_map()
-    for sub, vs in sorted(ridges.items()):
-        if len(vs) > 2:
-            fails.append(f"facet subset {fmt_facets(sub)}: contained in {len(vs)} vertices (max 2)")
-    for fs in P.vertices:
-        for sub in combinations(sorted(fs), n - 1):
-            if len(ridges[sub]) != 2:
+    if any(len(vs) != 2 for vs in ridges.values()):
+        for sub, vs in sorted(ridges.items()):
+            if len(vs) > 2:
                 fails.append(
-                    f"vertex {fmt_facets(fs)}: subset {fmt_facets(sub)} shared with "
-                    f"{len(ridges[sub]) - 1} other vertices (expected 1)")
+                    f"facet subset {fmt_facets(sub)}: contained in {len(vs)} vertices (max 2)")
+        for fs in P.vertices:
+            for sub in combinations(sorted(fs), n - 1):
+                if len(ridges[sub]) != 2:
+                    fails.append(
+                        f"vertex {fmt_facets(fs)}: subset {fmt_facets(sub)} shared with "
+                        f"{len(ridges[sub]) - 1} other vertices (expected 1)")
     if fails:
         return ValidationReport(tuple(fails))
 
@@ -326,10 +334,11 @@ def dual_bases(P: SimplePolytope, lam: Sequence[Sequence[int]]):
     verts = P.vertices
     mu = [None] * P.m
     bad = {}
+    facets = frozenset(range(1, d + 1))
     for v, fs in enumerate(verts):
         if len(fs) != n:
             bad[v] = f"{len(fs)} facets, expected {n}"
-        elif any(i < 1 or i > d for i in fs):
+        elif not fs <= facets:
             bad[v] = f"facet index out of range 1..{d}"
     adj = P.adjacency()
     for root in range(P.m):

@@ -21,6 +21,15 @@ INPUTS = ROOT / "inputs"
 GOOD_INPUTS = ["cp1", "cp2", "cp3", "square_h0", "square_h1",
                "square_h2", "square_h3", "cube"]
 
+# perfbench/gen.py manifolds, each made by GENERATED[name](gen)
+GENERATED = {
+    "cube4": lambda gen: gen.cube(4),
+    "bott4": lambda gen: gen.bott(4, random.Random(4)),
+    "polygon9": lambda gen: gen.polygon(9, random.Random(9)),
+    "polygon12": lambda gen: gen.polygon(12, random.Random(12)),
+    "cube3_cut3": lambda gen: gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2),
+}
+
 
 def dense_substitute(f, rows, profile):
     """Reference monomial substitution through a dense matrix given by its

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -14,7 +14,7 @@ from quasik.documents import build_polytope, load_document, load_tuple, read_tex
 from quasik.gkm import FixedPointTuple, GkmGraph, in_w
 from quasik.laurent import LaurentPoly, char_profile, face_profile
 
-from conftest import INPUTS, input_path, json_terms
+from conftest import GENERATED, INPUTS, input_path, json_terms
 
 
 def run(capsys, *argv):
@@ -176,16 +176,6 @@ class TestGkm:
         payload = json.loads(out)["payload"]
         assert payload["edges"] == [
             {"a": 1, "b": 2, "facets": [], "character": [1]}]
-
-
-# perfbench/gen.py manifolds that facering_input can write
-GENERATED = {
-    "cube4": lambda gen: gen.cube(4),
-    "bott4": lambda gen: gen.bott(4, random.Random(4)),
-    "polygon9": lambda gen: gen.polygon(9, random.Random(9)),
-    "polygon12": lambda gen: gen.polygon(12, random.Random(12)),
-    "cube3_cut3": lambda gen: gen.truncate(gen.truncate(gen.truncate(gen.cube(3), 0), 1), 2),
-}
 
 
 def facering_input(tmp_path, gen, name, bott):
@@ -681,8 +671,8 @@ class TestRenderOnce:
 
 
 class TestSharedParser:
-    """main() parses with one parser per process; no call sees the
-    arguments of an earlier one."""
+    """main() reads a plain argv itself and parses any other with one
+    parser per process; no call sees the arguments of an earlier one."""
 
     def test_no_state_between_calls(self, capsys, tmp_path):
         cp2 = input_path("cp2")
@@ -710,6 +700,70 @@ class TestSharedParser:
         assert (code, err) == (0, "")
         assert out == ("simple polytope: pass\ncharacteristic matrix: pass\n"
                        "vertex order: pass\n")
+
+
+# the tokens of the argv that TestPlainArgv tries
+ARGV_TOKENS = [*cli.COMMANDS, "frobnicate", "a.json", "b.json", "", "-", "-x", "--", "--json",
+               "--js", "--json=1", "--ordinary", "--dot", "p.dot", "--seed", "3"]
+
+
+class TestPlainArgv:
+    """plain_args reads a plain argv as argparse does, and declines any
+    other, which argparse then parses."""
+
+    def test_matches_argparse(self):
+        """Each argv of at most 4 ARGV_TOKENS is declined or read to the
+        vars() that argparse gives it, so none that argparse rejects is
+        accepted.  The plain ones are accepted: a command, then its
+        positionals (11 tokens neither empty nor starting with '-'), then
+        each of its flags at most once: 2 * 11 * 3 for validate, gkm and
+        proptest, 5 * 11 for facering, and 2 * 11 * 11 each for membership
+        and interpolate."""
+        parser = cli.build_parser()
+        accepted = 0
+        for k in range(5):
+            for argv in product(ARGV_TOKENS, repeat=k):
+                ns = cli.plain_args(list(argv))
+                if ns is not None:
+                    assert vars(ns) == vars(parser.parse_args(argv)), argv
+                    accepted += 1
+        assert accepted == 2 * 11 * 3 + 5 * 11 + 2 * 11 * 11 * 2
+
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--json", "a", "b"], ["validate", "a", "--js"],
+        ["validate", "a", "--json", "--json"], ["validate", "--", "a"], ["validate", "-"],
+        ["validate", ""], ["gkm", "x", "--dot=p.dot"], ["gkm", "x", "--dot", "p.dot"],
+        ["proptest", "x", "--seed=3", "--cases", "2"], ["facering", "x", "--ordinary=1"],
+        ["validate", "a", "--help"], ["membership", "a"], ["frobnicate", "a"], []])
+    def test_declines(self, argv):
+        assert cli.plain_args(argv) is None
+
+    @pytest.mark.parametrize("argv", [["validate", "CP2"], ["validate", "CP2", "--js"]])
+    def test_sys_argv(self, capsys, monkeypatch, argv):
+        """main() with no argv reads sys.argv[1:], on either path."""
+        argv = [str(input_path("cp2")) if a == "CP2" else a for a in argv]
+        monkeypatch.setattr(sys, "argv", ["quasik", *argv])
+        code = main()
+        out = capsys.readouterr()
+        want = run(capsys, *argv[:2], *(["--json"] if "--js" in argv else []))
+        assert (code, out.out, out.err) == want
+        assert code == 0 and out.out
+
+    def test_plain_process_loads_no_parser(self):
+        """validate, gkm and membership on plain argv import neither
+        argparse nor the face-ring and proptest modules."""
+        script = ("import sys\n"
+                  "from quasik.cli import main\n"
+                  "for argv in sys.argv[1:]:\n"
+                  "    main(argv.split())\n"
+                  "print(sorted(m for m in ('argparse', 'quasik.facering', 'quasik.harness')\n"
+                  "             if m in sys.modules))\n")
+        cp2 = input_path("cp2")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, f"validate {cp2}", f"gkm {cp2} --json",
+             f"membership {cp2} {cp2}"],
+            capture_output=True, text=True, cwd=str(INPUTS.parent))
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_module_entry_point():

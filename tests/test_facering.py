@@ -835,15 +835,16 @@ def with_block(g, v, block):
 
 
 def phi_map_faults(g, order):
-    """(kind, v, graph, fails) per fault of v's phi map, fails telling
-    whether it changes the multiset of images of the y_k over extra[v]: two
-    block columns swapped (it does when exactly one is in extra[v]), column
-    b copied onto column a (when a is in extra[v]; with b there too, an
-    image repeats), one column doubled (when it is in extra[v]), and the map
-    of an earlier neighbour w (always: v's facet off the edge is in
-    extra[v], and w's map sends it to 1).  A later neighbour's map is left
-    out: it can keep v's diagonal, and then only the reference's vanishing
-    checks, which read every map, see it."""
+    """(kind, v, graph, diagonal) per fault of v's phi map, diagonal telling
+    whether it changes the multiset of images of the y_k over extra[v],
+    which is all the certificate's diagonal reads: two block columns
+    swapped (it does when exactly one is in extra[v]), column b copied onto
+    column a (when a is in extra[v]; with b there too, an image repeats),
+    one column doubled (when it is in extra[v]), and the map of a
+    neighbour w, an earlier one (always: v's facet off the edge is in
+    extra[v], and w's map sends it to 1) or a later one (when w's map does
+    not send the y_k over extra[v] to the mu_k(v))."""
+    zero = (0,) * g.n
     for v in range(g.m):
         block, extra = g.phi_maps[v].block, order.extra[v]
         facets = [i + 1 for i in g.phi_maps[v].source]
@@ -859,8 +860,12 @@ def phi_map_faults(g, order):
             yield "double", v, with_block(g, v, doubled), i in extra
     for e in g.edges:
         for v, w in ((e.v, e.w), (e.w, e.v)):
+            bad = with_phi_map(g, v, g.phi_maps[w])
             if order.position[w] < order.position[v]:
-                yield "neighbour", v, with_phi_map(g, v, g.phi_maps[w]), True
+                yield "neighbour", v, bad, True
+            else:
+                images = sorted(g.mu[w].get(k, zero) for k in order.extra[v])
+                yield "later", v, bad, images != sorted(g.mu[v][k] for k in order.extra[v])
 
 
 class TestCertificateOracle:
@@ -870,23 +875,32 @@ class TestCertificateOracle:
 
     def test_mutated_orders_fail_alike(self, oracle_graphs):
         """Same exception, message, position and entry as the reference, on
-        mutations that reach both order checks (the diagonal one needs bad
-        phi maps, below)."""
+        mutations that reach the order checks.  Where an extra facet is off
+        its vertex, the reference cannot read mu_i there (KeyError), and the
+        certificate fails that vertex's diagonal from the facet sets."""
         kinds = set()
         for name, (g, order) in oracle_graphs.items():
             for bad in certificate_mutations(g, order):
                 got = outcome(basis_certificate, g, bad)
-                assert got == outcome(reference_certificate, g, bad), (name, bad)
+                want = outcome(reference_certificate, g, bad)
+                if want[0] is KeyError:
+                    pos = next(p for p, v in enumerate(bad.order)
+                               if not bad.extra[v] <= g.polytope.vertices[v])
+                    want = (CertificateFailure, f"diagonal value at position {pos + 1} is not "
+                            "the Euler-class product", pos, pos)
+                assert got == want, (name, bad)
                 if isinstance(got, tuple) and got[0] is CertificateFailure:
-                    kinds.add("earlier" if "earlier position" in got[1] else "size")
-        assert kinds == {"size", "earlier"}
+                    kinds.add(next(k for k in ("earlier", "diagonal", "extra") if k in got[1]))
+        assert kinds == {"extra", "earlier", "diagonal"}
 
-    def test_bad_phi_maps_fail_the_diagonal(self, oracle_graphs):
-        """Faulty phi maps give both certificates the same outcome: the
-        maps of -Lambda everywhere, and at each vertex in turn each fault of
-        phi_map_faults.  A fault that reaches the vertex's diagonal fails
-        both there; the others keep every diagonal and every vanishing
-        pattern, so both pass."""
+    def test_bad_phi_maps_fail(self, oracle_graphs):
+        """Every faulty phi map fails basis_certificate at its vertex, in the
+        check of the map against the dual basis: the maps of -Lambda
+        everywhere, and at each vertex in turn each fault of phi_map_faults.
+        The reference, which evaluates every map, fails each fault that
+        reaches the vertex's diagonal there, fails each later neighbour's
+        map at a vanishing check, and passes the others, which keep every
+        diagonal and vanishing pattern."""
         failed = set()
         for name, (g, order) in oracle_graphs.items():
             if g.m < 2:
@@ -894,23 +908,44 @@ class TestCertificateOracle:
             bad = GkmGraph(g.polytope, g.lam, bott=g.bott)
             bad.phi_maps = GkmGraph(g.polytope, [[-x for x in row] for row in g.lam],
                                     bott=g.bott).phi_maps
-            got = outcome(basis_certificate, bad, order)
-            assert got == outcome(reference_certificate, bad, order), name
-            assert got == (CertificateFailure,
-                           "diagonal value at position 2 is not the Euler-class product",
-                           1, 1), name
+            assert outcome(basis_certificate, bad, order) == (
+                CertificateFailure, "phi map at position 1 is not the dual basis of its vertex",
+                0, 0), name
+            assert outcome(reference_certificate, bad, order) == (
+                CertificateFailure, "diagonal value at position 2 is not the Euler-class product",
+                1, 1), name
             good = basis_certificate(g, order)
-            for kind, v, bad, fails in phi_map_faults(g, order):
-                got = outcome(basis_certificate, bad, order)
-                assert got == outcome(reference_certificate, bad, order), (name, kind, v)
+            for kind, v, bad, diagonal in phi_map_faults(g, order):
                 pos = order.position[v]
-                assert got == ((CertificateFailure, "diagonal value at position "
-                                f"{pos + 1} is not the Euler-class product", pos, pos)
-                               if fails else good), (name, kind, v)
-                if fails:
-                    failed.add((kind, g.bott))
-        assert failed == {(kind, bott) for kind in ("swap", "copy", "double", "neighbour")
-                          for bott in (0, 1)}
+                assert outcome(basis_certificate, bad, order) == (
+                    CertificateFailure, f"phi map at position {pos + 1} is not the dual basis "
+                    "of its vertex", pos, pos), (name, kind, v)
+                ref = outcome(reference_certificate, bad, order)
+                if diagonal:
+                    assert ref == (CertificateFailure, f"diagonal value at position {pos + 1} "
+                                   "is not the Euler-class product", pos, pos), (name, kind, v)
+                elif kind == "later":
+                    assert ref[0] is CertificateFailure and "earlier position" in ref[1]
+                else:
+                    assert ref == good, (name, kind, v)
+                failed.add((kind, diagonal, g.bott))
+        assert failed == {(kind, diagonal, bott) for bott in (0, 1)
+                          for kind, diagonal in [("neighbour", True)] + [
+                              (kind, diagonal) for kind in ("swap", "copy", "double", "later")
+                              for diagonal in (True, False)]}
+
+    def test_cube_later_neighbour_maps_fail(self, oracle_graphs):
+        """The cube's 12 later-neighbour maps keep their vertex's diagonal;
+        each fails both certificates, basis_certificate at the map check."""
+        g, order = oracle_graphs["cube"]
+        later = [(v, bad) for kind, v, bad, diagonal in phi_map_faults(g, order)
+                 if kind == "later" and not diagonal]
+        assert len(later) == 12
+        for v, bad in later:
+            pos = order.position[v]
+            assert outcome(basis_certificate, bad, order)[1:] == (
+                f"phi map at position {pos + 1} is not the dual basis of its vertex", pos, pos)
+            assert outcome(reference_certificate, bad, order)[0] is CertificateFailure
 
     def test_no_face_of_calls(self, oracle_graphs, face_of_calls):
         """interpolate and the certificate read the order's stored faces."""
@@ -920,20 +955,12 @@ class TestCertificateOracle:
             interpolate(g, order, t)
         assert face_of_calls == []
 
-    def test_phi_substitutions_are_one_per_vertex(self, oracle_graphs, substitutions):
+    def test_maps_nothing(self, oracle_graphs, substitutions):
+        """The certificate reads the maps' blocks and the facet sets; it
+        substitutes no polynomial."""
         for name, (g, order) in oracle_graphs.items():
-            substitutions.clear()
             basis_certificate(g, order)
-            assert len(substitutions) == g.m, name
-
-    def test_phi_substitutions_carry_one_term_per_extra_facet(self, oracle_graphs,
-                                                              substitutions):
-        """sum over v of |extra[v]| terms mapped, not 2^|extra[v]| per vertex."""
-        for name, (g, order) in oracle_graphs.items():
-            substitutions.clear()
-            basis_certificate(g, order)
-            assert sum(len(f.terms) for f, _ in substitutions) == \
-                sum(map(len, order.extra)), name
+        assert substitutions == []
 
 
 class TestClosedForms:

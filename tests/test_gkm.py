@@ -18,10 +18,11 @@ from quasik.documents import build_polytope
 from quasik.harness import perturb_one_entry, random_member_tuple
 from quasik.lattice import normalize_sign, vec_gcd
 from quasik.laurent import (
-    LaurentPoly, ProfileMismatch, char_profile, project_terms, substitute_monomial_map)
+    LaurentPoly, ProfileMismatch, char_profile, divides_one_minus, project_terms,
+    substitute_monomial_map)
 from quasik.polytope import SimplePolytope, fmt_facets
 
-from conftest import faces_by_definition, join
+from conftest import GENERATED, faces_by_definition, join
 
 INTERVAL = SimplePolytope(1, 2, [[1], [2]])
 TRIANGLE = SimplePolytope(2, 3, [[1, 2], [1, 3], [2, 3]])
@@ -417,3 +418,95 @@ class TestInWReference:
         assert (rep.member, rep.witness and rep.witness.text(g.polytope)) == \
             reference_in_w(g, t)
         assert rep.member == member
+
+
+def loop_in_gamma(g, t):
+    """in_gamma as a loop of divides_one_minus over the edges, each on the
+    difference polynomial: (member, witness text or None)."""
+    P = g.polytope
+    for e in g.edges:
+        diff = t[e.v] - t[e.w]
+        if not divides_one_minus(diff, e.character):
+            return False, (f"edge {fmt_facets(P.vertices[e.v])} -- {fmt_facets(P.vertices[e.w])}: "
+                           f"difference {diff.text()} not divisible by 1 - e^-{e.character}")
+    return True, None
+
+
+def loop_in_w(g, t):
+    """in_w as a loop over the pairs that projects each side's image under
+    the restriction map onto the shared facets with project_terms:
+    (member, witness text or None)."""
+    P = g.polytope
+    images = [substitute_monomial_map(a, g.restriction_map).terms for a in t]
+    for v in range(g.m):
+        for w in range(v + 1, g.m):
+            S = P.vertices[v] & P.vertices[w]
+            pick = g.face_pick(S)
+            a, b = project_terms(images[v], pick), project_terms(images[w], pick)
+            if a != b:
+                profile = char_profile(len(S), g.bott)
+                return False, (f"pair {fmt_facets(P.vertices[v])} -- {fmt_facets(P.vertices[w])}: "
+                               f"restrictions to {P.face_of(S).label()} differ: "
+                               f"{LaurentPoly(profile, a).text()} vs {LaurentPoly(profile, b).text()}")
+    return True, None
+
+
+@pytest.fixture(scope="module")
+def predicate_graphs(graphs, perfbench_gen):
+    """{(name, bott): graph}: the bundled inputs, the GENERATED manifolds
+    and a polygon with 24 facets, each with and without z."""
+    gen = perfbench_gen
+    made = {name: make(gen) for name, make in GENERATED.items()}
+    made["polygon24"] = gen.polygon(24, random.Random(24))
+    bases = {name: (g.polytope, g.lam) for name, g in graphs.items()}
+    bases.update({name: (SimplePolytope(M.dim, M.facets, M.vertices), M.lam)
+                  for name, M in made.items()})
+    return {(name, bott): GkmGraph(P, lam, bott=bott)
+            for name, (P, lam) in bases.items() for bott in (False, True)}
+
+
+class TestPredicatesMatchLoops:
+    """in_gamma and in_w give the member verdict and the witness text of
+    the per-edge divides_one_minus loop and the per-pair project_terms loop
+    they replace, on members and on one-entry perturbations."""
+
+    CASES = 6
+
+    def tuples(self, name, g):
+        rng = random.Random(f"loops:{name}")
+        for _ in range(self.CASES):
+            member = random_member_tuple(rng, g)
+            yield True, member
+            yield False, perturb_one_entry(rng, g, member)
+
+    def check(self, predicate_graphs, fn, loop):
+        verdicts = set()
+        for name, g in predicate_graphs.items():
+            for member, t in self.tuples(name, g):
+                rep = fn(g, t)
+                got = rep.member, rep.witness and rep.witness.text(g.polytope)
+                assert got == loop(g, t), (name, member)
+                assert rep.member == member, name
+                verdicts.add(member)
+        assert verdicts == {True, False}
+
+    def test_in_gamma(self, predicate_graphs):
+        self.check(predicate_graphs, in_gamma, loop_in_gamma)
+
+    def test_in_w(self, predicate_graphs):
+        self.check(predicate_graphs, in_w, loop_in_w)
+
+    def test_in_gamma_checks_each_character(self):
+        """A zero, non-primitive or short edge character raises as it does in
+        divides_one_minus."""
+        g = GkmGraph(TRIANGLE, [[1, 0], [0, 1], [-1, -1]])
+        one = LaurentPoly.one(g.char_profile)
+        t = FixedPointTuple.constant(g.char_profile, g.m, one)
+        saved = g.edges
+        for u in [(0, 0), (2, 0), (1,)]:
+            g.edges = tuple(GkmEdge(e.v, e.w, e.facets, u) for e in saved)
+            with pytest.raises(Exception) as got:
+                in_gamma(g, t)
+            with pytest.raises(Exception) as want:
+                divides_one_minus(t[0], u)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
