@@ -6,16 +6,21 @@ Usage, from the root of a checkout:
     python3 scripts/bench.py --label NAME [--src DIR]
 
 The ladder comes from perfbench/gen.py: cube6, bott6, cp10 and poly20,
-each given a height by with_height(M, Random(1)).  On each rung five
+each given a height by with_height(M, Random(1)).  On each rung six
 commands run in process through quasik.cli.main: `proptest --cases 10`,
 `facering --ordinary`, the same with `--json` (so the cost of rendering
-the report shows), and `interpolate` and `membership` of one phi(P), with
-P a seeded random face element and phi(P) computed by perfbench/check.py,
-not by quasik.  Every command runs 3 times plain, for the end-to-end wall
-time, and 3 times with twelve layers wrapped, for their call counts and
-their self and total times: substitute_monomial_map, divides_one_minus,
-phi, in_w, interpolate, basis_certificate, snf_diagonal, the dense snf it
-runs on the block its unit pivots leave, OrdinaryKModel.__init__,
+the report shows), `interpolate` in text and with `--json`, and
+`membership`; the last three read one phi(P), with P a seeded random
+face element and phi(P) computed by perfbench/check.py, not by quasik.
+A seventh row, `interpolate --json, kept`, times a second call on a path
+that one untimed call has just read, so the document is kept: the
+repeated-document cost that the interp_roundtrip workload measures, next
+to the one-shot cost of the row before it.  Every command runs 3 times
+plain, for the end-to-end wall time, and 3 times with twelve layers
+wrapped, for their call counts and their self and total times:
+substitute_monomial_map, divides_one_minus, phi, in_w, interpolate,
+basis_certificate, snf_diagonal, the dense snf it runs on the block its
+unit pivots leave, OrdinaryKModel.__init__,
 cli._render, which writes the --json report or, without --json, builds
 and returns the text report, SimplePolytope.minimal_nonfaces, the
 non-face search that facering runs once per polytope, and
@@ -36,8 +41,9 @@ the byte size of each command's output and the machine facts.
 Each sample writes the document to a new path first.  cli.main keeps
 the parsed, checked document of an input whose path and text it has seen
 (at most 16), so a second run on one path would skip that work; with a
-new path every sample, each command on each rung is timed as a first
-sight of its document, as in the files of earlier commits.
+new path every sample, each command on each rung but the kept row is
+timed as a first sight of its document, as in the files of earlier
+commits.
 
 --src points at the src directory of the quasik to measure (default:
 this checkout's), so one copy of this script can time another commit.
@@ -100,8 +106,12 @@ COMMANDS = {
     "facering --ordinary": lambda doc, tup: ["facering", doc, "--ordinary"],
     "facering --ordinary --json": lambda doc, tup: ["facering", doc, "--ordinary", "--json"],
     "interpolate": lambda doc, tup: ["interpolate", doc, tup],
+    "interpolate --json": lambda doc, tup: ["interpolate", doc, tup, "--json"],
+    "interpolate --json, kept": lambda doc, tup: ["interpolate", doc, tup, "--json"],
     "membership": lambda doc, tup: ["membership", doc, tup],
 }
+# rows whose every sample follows an untimed call on the same path
+KEPT = {"interpolate --json, kept"}
 WALL_COMMANDS = {label: COMMANDS[label] for label in ["facering --ordinary --json"]}
 
 # (module, attribute path) of each timed layer
@@ -227,16 +237,19 @@ def bench(cli, rungs, runs, workdir: Path, commands=COMMANDS):
         tup = workdir / f"{name}-tuple.json"
         tup.write_text(json.dumps(check.tuple_json(check.phi(M, check.dual_bases(M), P))))
 
-        def first_sight(argv_of):
+        def sample(label, argv_of):
             """argv_of's arguments, with the document written to a path
-            that no earlier run read."""
+            that no earlier run read, which a KEPT row reads once untimed."""
             doc = next(paths)
             doc.write_text(text)
-            return [str(a) for a in argv_of(doc, tup)]
+            argv = [str(a) for a in argv_of(doc, tup)]
+            if label in KEPT:
+                run_once(cli, argv)
+            return argv
         for label, argv_of in commands.items():
             walls, codes, digests, sizes = [], set(), set(), set()
             for _ in range(runs):
-                spent, code, out = run_once(cli, first_sight(argv_of))
+                spent, code, out = run_once(cli, sample(label, argv_of))
                 walls.append(spent)
                 codes.add(code)
                 digests.add(hashlib.sha256(out.encode()).hexdigest())
@@ -244,7 +257,7 @@ def bench(cli, rungs, runs, workdir: Path, commands=COMMANDS):
             layer_runs = []
             for _ in range(runs):
                 clock = LayerClock()
-                run_once(cli, first_sight(argv_of), clock)
+                run_once(cli, sample(label, argv_of), clock)
                 layer_runs.append(clock)
             layers = {
                 layer: {"calls": statistics.median(c.calls[layer] for c in layer_runs),

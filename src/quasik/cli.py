@@ -19,7 +19,9 @@ each once, factored, as (1 - y1)(1 - y2), and omega_v = 1 for no facets.
 Its --json r_vectors gives each restriction tuple r_i as the vertices on
 facet i, numbered from 1 in input order, and mu_i(v) at each, read from
 the dual bases; every entry left out is 1.  The text report prints each
-whole tuple.  ordinary_rank's stats count the model's monomials and every
+whole tuple.  interpolate --json writes P in full but each step as its
+position, vertex and number of terms; the text report prints every step
+polynomial.  ordinary_rank's stats count the model's monomials and every
 row, the killed ones (OrdinaryKModel) included.
 main() reads a plain argv itself (plain_args): a command, exactly its
 positionals, none empty or starting with '-', then each of its boolean
@@ -426,13 +428,13 @@ def cmd_interpolate(prep, args) -> Report:
     payload = {"poly": res.poly,
                "steps": [{"position": s.position + 1,
                           "vertex": sorted(P.vertices[s.vertex]),
-                          "poly": s.poly} for s in res.steps],
+                          "terms": len(s.poly.terms)} for s in res.steps],
                "verified": True}
 
     def human():
         lines = [f"P = {res.poly.text()}", "steps:"]
-        lines.extend(f"  {s['position']}: vertex {fmt_facets(s['vertex'])}  "
-                     f"p = {s['poly'].text()}" for s in payload["steps"])
+        lines.extend(f"  {s.position + 1}: vertex {fmt_facets(P.vertices[s.vertex])}  "
+                     f"p = {s.poly.text()}" for s in res.steps)
         lines.append("verification phi(P) == tuple: pass")
         return "\n".join(lines)
     return Report("pass", payload, human)

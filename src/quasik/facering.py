@@ -53,17 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 from math import comb
+from operator import mul
 
 from .gkm import FixedPointTuple, GkmGraph, _check_tuple
 from .lattice import SparseMat, dot, snf_diagonal
-from .laurent import (
-    LaurentPoly,
-    _raw,
-    add_terms,
-    keep_terms,
-    project_terms,
-    substitute_monomial_map,
-)
+from .laurent import LaurentPoly, _raw, add_terms, project_terms, substitute_monomial_map
 from .polytope import VertexOrder, fmt_facets
 
 
@@ -138,53 +132,74 @@ def interpolate(g: GkmGraph, order: VertexOrder, t: FixedPointTuple) -> Interpol
 
     Only the tuple's shape is checked up front (ValueError for the wrong
     length, ProfileMismatch for the wrong profile); the steps decide
-    membership.  owed[v] is the sum of the step polynomials p_u of the
-    earlier u whose face F_u = order.face[u] holds v.  Step v
-    takes s = step_v(t[v]) and p_v = s - pi_v(owed[v]), where pi_v keeps the
-    exponents that phi_v reads (v's facets and z) and zeroes the rest; then
-    it adds p_v to owed[j] for the other vertices j of F_v.  This is the
-    step polynomial of the residual t[v] - phi_v(owed[v]) without forming
-    it, since step_v(phi_v(q)) = pi_v(q) (mu(v) is dual to lambda at v).
+    membership.  Step v works in v's local exponents (v's facets,
+    ascending, then z; gkm.GkmGraph.vertex_steps): each term e^u of t[v]
+    maps to <u, lambda_i> for the facets i of v, and owed[v] holds the
+    local projection pi_v of the step polynomials p_u of the earlier u
+    whose face F_u = order.face[u] holds v.  p_v is the difference,
+    s - pi_v(owed), where s is t[v] so mapped; this is the step polynomial
+    of the residual t[v] - phi_v(owed) without forming it, since
+    phi_v(q) depends only on pi_v(q) and phi_v undoes the rows.  Each term
+    of p_v is widened to full length once; that form is P's, the step's,
+    and what is projected into owed[j] for the other vertices j of F_v.
     Each step raises ResidualNonzero unless
 
-    * phi_v(s) == t[v] ("residual at v nonzero"),
+    * phi_v undoes the lambda rows at v, so phi_v(s) == t[v] ("residual
+      at v nonzero", a fact of the graph, so it fails whatever t[v] is),
     * p_v with y_i = 1 vanishes for each i in extra[v] (omega_v divides
       p_v, so phi_w(p_v) = 0 at every w off F_v), and
     * v comes first in F_v (so p_v adds nothing at an earlier vertex).
 
     Together they give phi(P) == t: by the second and third, phi_v(P) is
     phi_v(owed[v]) + phi_v(p_v), and phi_v(pi_v(q)) = phi_v(q) makes that
-    phi_v(s), which the first check compares with t[v].  So a successful
-    return is a certified preimage.  On an order from validate_order only
-    a non-member (the second check) or a bug in the maps (the first) fails;
+    phi_v(s), which the first check makes t[v].  So a successful return
+    is a certified preimage.  On an order from validate_order only a
+    non-member (the second check) or a bug in the maps (the first) fails;
     the third is validate_order's own check, reached only by orders that
-    skip it.
+    skip it.  No monomial substitution is made.
     """
     _check_tuple(g, t)
-    nvars = g.face_profile.nvars
-    z = (g.d,) if g.bott else ()
+    n, profile = g.n, g.face_profile
+    local = g.vertex_steps
+    verts, face_pick = g.polytope.vertices, g.face_pick
     owed = {}
     total = {}
     steps = []
     for pos, v in enumerate(order.order):
-        s = substitute_monomial_map(t.entries[v], g.step_maps[v])
-        if substitute_monomial_map(s, g.phi_maps[v]) != t.entries[v]:
+        rows, undone, _, widen = local[v]
+        if not undone:
             raise ResidualNonzero(pos, "residual at v nonzero")
-        owed_v = keep_terms(owed.pop(v, {}), g.phi_maps[v].source + z, nvars)
-        terms = add_terms(dict(s.terms), owed_v.items(), -1)
+        acc = {x: -c for x, c in owed.pop(v, {}).items()}
+        for exp, c in t.entries[v].terms.items():
+            x = tuple([sum(map(mul, r, exp)) for r in rows]) + exp[n:]
+            c += acc.get(x, 0)
+            if c:
+                acc[x] = c
+            else:
+                del acc[x]
+        # distinct local exponents widen to distinct face exponents
+        terms = {widen(x + (0,)): c for x, c in acc.items()}
         if terms:
-            facets = g.polytope.vertices[v]
-            if any(project_terms(terms, g.face_pick(facets - {i})) for i in order.extra[v]):
+            facets = verts[v]
+            if any(project_terms(terms, face_pick(facets - {i})) for i in order.extra[v]):
                 raise ResidualNonzero(pos, "step polynomial not divisible by omega_v")
             face = order.face[v]
             if any(order.position[j] < pos for j in face.vertices):
                 raise ResidualNonzero(pos, "face above v has an earlier vertex")
             for j in face.vertices:
                 if j != v:
-                    add_terms(owed.setdefault(j, {}), terms.items())
+                    pick = local[j].pick
+                    due = owed.setdefault(j, {})
+                    for e, c in terms.items():
+                        x = pick(e)
+                        c += due.get(x, 0)
+                        if c:
+                            due[x] = c
+                        else:
+                            del due[x]
             add_terms(total, terms.items())
-        steps.append(InterpolationStep(pos, v, _raw(g.face_profile, terms)))
-    return InterpolationResult(_raw(g.face_profile, total), tuple(steps))
+        steps.append(InterpolationStep(pos, v, _raw(profile, terms)))
+    return InterpolationResult(_raw(profile, total), tuple(steps))
 
 
 # -- kernel and basis certificate -------------------------------------------

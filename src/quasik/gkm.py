@@ -11,13 +11,15 @@ FixedPointTuples: one Laurent polynomial in the character variables per
 fixed point.
 
 Every exponent map here is a sparse MonomialMap.  phi at v reads only
-the exponents at v's n facets, since y_i -> 1 off them; the step map at v
-writes only those n exponents, <u, lambda_i> for each facet i of v.  A
-character restricts to a face by pairing it with lambda_i for each facet
-i of the face, so one restriction map, e^u -> prod over all d facets of
-y_i^{<u, lambda_i>} (its block is Lambda), serves every face, and no
-face or vertex keeps a map of its own for it.  On e^u the same map is
-facering.theta.
+the exponents at v's n facets, since y_i -> 1 off them: those n
+exponents, ascending, then z, are v's local exponents.  Interpolation
+writes e^u at v as the local exponents <u, lambda_i>, one per facet i of
+v, through vertex_steps, which checks once per graph that each phi block
+undoes them.  A character restricts to a face by pairing it with
+lambda_i for each facet i of the face, so one restriction map, e^u ->
+prod over all d facets of y_i^{<u, lambda_i>} (its block is Lambda),
+serves every face, and no face or vertex keeps a map of its own for it.
+On e^u the same map is facering.theta.
 
 Two membership predicates cut out the image of the K-ring:
 
@@ -46,8 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import add, mul, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .lattice import NotUnimodular, normalize_sign
 from .laurent import (
@@ -75,6 +78,15 @@ class GkmEdge(NamedTuple):
     w: int
     facets: frozenset[int]
     character: tuple[int, ...]  # primitive, first nonzero coordinate positive
+
+
+class VertexStep(NamedTuple):
+    """Interpolation's data at a vertex v, in v's local exponents: the
+    facets of v's phi map source, in its order, then z."""
+    rows: tuple             # lambda_i per source facet i, a zero row for one off v
+    undone: bool            # phi_v undoes the rows: its block times them is I
+    pick: Callable          # face exponents -> local ones, the phi map's own
+    widen: Callable         # local exponents + (0,) -> face exponents, 0 off the source
 
 
 class FixedPointTuple:
@@ -165,7 +177,12 @@ class MembershipReport:
 
 
 class GkmGraph:
-    """Vertex/edge character data attached to a validated (polytope, lambda) pair."""
+    """Vertex/edge character data attached to a validated (polytope, lambda) pair.
+
+    The edges are built with the graph; the per-vertex phi maps, the
+    vertex steps that interpolation reads (each built from its vertex's
+    phi map and lambda rows) and the restriction map are built on first
+    use and kept, and each face_pick on first use of its facet set."""
 
     def __init__(self, polytope: SimplePolytope, lam, bott: bool = False, mu=None):
         """mu is the per-vertex dual basis that validate_characteristic found
@@ -239,22 +256,48 @@ class GkmGraph:
     def restriction_map(self) -> MonomialMap:
         """e^u -> prod of y_i^{<u, lambda_i>} over all d facets: its block is
         Lambda.  On e^u it is theta; projected onto the facets of a face it
-        is the restriction to that face; onto the facets of a vertex, that
-        vertex's step map."""
+        is the restriction to that face."""
         return MonomialMap(self.char_profile, self.face_profile,
                            range(self.n), range(self.d), self.lam)
 
     @cached_property
-    def step_maps(self) -> tuple[MonomialMap, ...]:
-        """Per vertex: e^u -> prod of y_i^{<u, lambda_i>} over the facets i at the
-        vertex, a right inverse of that vertex's phi map.  It writes only the
-        exponents at v's facets, one row lambda_i each."""
-        maps = []
-        for fs in self.polytope.vertices:
-            facets = sorted(fs)
-            maps.append(MonomialMap(self.char_profile, self.face_profile, range(self.n),
-                                    [i - 1 for i in facets], [self.lam_row(i) for i in facets]))
-        return tuple(maps)
+    def vertex_steps(self) -> tuple[VertexStep, ...]:
+        """Per vertex v: the lambda rows that write e^u as v's local
+        exponents <u, lambda_i>, one per facet i of v's phi map source (a
+        source facet off v gets a zero row, as a step writes nothing
+        there), whether phi_v undoes them, and the getters that take face
+        exponents to local ones (the phi map's pick) and back.
+
+        phi_v(e^{rows u}) = e^{C u}, with C the phi block times the rows
+        written at the map's target, and undone is the exact test C == I,
+        made on one character U = (1, B, ..., B^(n-1)): (C U)_r is
+        sum_k C_rk B^k, which equals U_r = B^r exactly when row r of C is
+        e_r, since B exceeds every |C_rk - [r == k]|.  So each vertex
+        costs one pairing per lambda row and per block row, the pairings
+        <lambda_i, U> made once per facet.  Built once per graph from the
+        phi maps."""
+        n, d, lam, maps = self.n, self.d, self.lam, self.phi_maps
+        widest = max(len(A.source) for A in maps)
+        B = 2 + widest * max(map(abs, chain.from_iterable(lam))) * max(
+            map(abs, chain.from_iterable(chain.from_iterable(A.block for A in maps))), default=0)
+        U = [B ** k for k in range(n)]
+        paired = [sum(map(mul, row, U)) for row in lam]     # <lambda_i, U>
+        zero_row = (0,) * n
+        steps = []
+        for A, fv in zip(maps, self.polytope.vertices):
+            on = [i + 1 in fv for i in A.source]
+            rows = tuple(lam[i] if at else zero_row for i, at in zip(A.source, on))
+            x = [paired[i] if at else 0 for i, at in zip(A.source, on)]
+            CU = [0] * A.dst.count
+            for r, brow in zip(A.target, A.block):
+                CU[r] = sum(map(mul, brow, x))
+            width = len(A.source)
+            idx = [width + 1 if self.bott else width] * d   # the (0,) after the local exponents
+            for c, i in enumerate(A.source):
+                idx[i] = c
+            widen = coordinate_getter(tuple(idx) + ((width,) if self.bott else ()))
+            steps.append(VertexStep(rows, CU == U, A._pick, widen))
+        return tuple(steps)
 
 
 def euler_coprimality_check(g: GkmGraph) -> ValidationReport:

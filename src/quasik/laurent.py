@@ -9,10 +9,11 @@ substitution is a MonomialMap, which carries its source and target
 profiles and stores only the coordinates it reads and writes.
 
 add_terms is the one in-place sum of sparse terms: the constructor, +, -
-and *, interpolation's face sums and the tuple loader all go through it.
-Three hot kernels keep their own merge loops: project_terms,
-substitute_monomial_map and the ordinary model's truncated non-face
-products (facering.OrdinaryKModel._nonface_terms).
+and *, interpolation's sum P and the tuple loader all go through it.
+Four hot kernels keep their own merge loops: project_terms,
+substitute_monomial_map, interpolation's steps and owed sums in each
+vertex's local exponents (facering.interpolate) and the ordinary model's
+truncated non-face products (facering.OrdinaryKModel._nonface_terms).
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ class LaurentPoly:
 def add_terms(acc: dict, terms, sign: int = 1) -> dict:
     """Add sign * c at e into acc for each (e, c) in terms, in place, keeping
     no zero coefficient; returns acc.  project_terms,
-    substitute_monomial_map and OrdinaryKModel._nonface_terms inline this
-    loop, since they are the hot kernels."""
+    substitute_monomial_map, interpolate and OrdinaryKModel._nonface_terms
+    inline this loop, since they are the hot kernels."""
     for e, c in terms:
         x = acc.get(e, 0) + sign * c
         if x:
@@ -350,18 +351,6 @@ def project_terms(terms: dict, pick) -> dict:
         else:
             del proj[x]             # c != 0, so x was there
     return proj
-
-
-def keep_terms(terms: dict, keep: tuple, nvars: int) -> dict:
-    """project_terms onto the coordinates keep, written back at full length:
-    {exp with every coordinate off keep set to 0: summed coefficient}."""
-    out = {}
-    for x, c in project_terms(terms, coordinate_getter(keep)).items():
-        e = [0] * nvars
-        for i, a in zip(keep, x):
-            e[i] = a
-        out[tuple(e)] = c
-    return out
 
 
 def divides_one_minus(f: LaurentPoly, u) -> bool:

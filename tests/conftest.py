@@ -12,7 +12,8 @@ from quasik.documents import (
     build_polytope, document_from_dict, load_document, read_text, resolve_order)
 from quasik.gkm import GkmGraph, _check_tuple
 from quasik.lattice import SparseMat, snf_diagonal
-from quasik.laurent import LaurentPoly, face_profile, project_terms, substitute_monomial_map
+from quasik.laurent import (
+    LaurentPoly, MonomialMap, face_profile, project_terms, substitute_monomial_map)
 from quasik.polytope import Face, SimplePolytope
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,17 +161,27 @@ def model_vanishes(model, elem) -> bool:
     return not row or invariants(model.rows + (row,)) == invariants(model.rows)
 
 
+def step_map(g, v):
+    """e^u -> prod of y_i^{<u, lambda_i>} over the facets i of vertex v, a
+    right inverse of v's phi map: it writes only the exponents at v's
+    facets, one row lambda_i each."""
+    facets = sorted(g.polytope.vertices[v])
+    return MonomialMap(g.char_profile, g.face_profile, range(g.n),
+                       [i - 1 for i in facets], [g.lam_row(i) for i in facets])
+
+
 def push_interpolate(g, order, t):
     """Reference interpolate in push form, with the same three checks: step
-    v maps residual[v] through step_v and subtracts phi(p) from the residual
-    at every vertex of F_v = face_of(order.extra[v]), so it makes
-    sum |F_v| + m substitutions where interpolate makes 2m."""
+    v maps residual[v] through step_map(g, v) and subtracts phi(p) from the
+    residual at every vertex of F_v = face_of(order.extra[v]), checking
+    that v's own residual is then zero, so a map that undoes no step
+    fails only where an entry is left over."""
     _check_tuple(g, t)
     residual = list(t.entries)
     total = LaurentPoly.zero(g.face_profile)
     steps = []
     for pos, v in enumerate(order.order):
-        p = substitute_monomial_map(residual[v], g.step_maps[v])
+        p = substitute_monomial_map(residual[v], step_map(g, v))
         if not p.is_zero:
             facets = g.polytope.vertices[v]
             if any(project_terms(p.terms, g.face_pick(facets - {i})) for i in order.extra[v]):

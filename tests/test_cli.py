@@ -12,6 +12,7 @@ from quasik import cli, facering
 from quasik.cli import _json_text, main
 from quasik.documents import build_polytope, load_document, load_tuple, read_text, resolve_order
 from quasik.gkm import FixedPointTuple, GkmGraph, in_w
+from quasik.harness import random_face_element
 from quasik.laurent import LaurentPoly, char_profile, face_profile
 
 from conftest import GENERATED, INPUTS, input_path, json_terms
@@ -450,6 +451,27 @@ class TestInterpolate:
         assert code == 1
         doc = json.loads(out)
         assert (doc["status"], doc["payload"]) == ("fail", {"error": err})
+
+    @pytest.mark.parametrize("bott", [False, True])
+    @pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "square_h0", "square_h1",
+                                      "square_h2", "square_h3", "cube", *GENERATED])
+    def test_json_steps_are_term_counts(self, capsys, tmp_path, perfbench_gen, name, bott):
+        """--json writes P in full and each step as its position, vertex and
+        number of terms, those of the library's result."""
+        path = facering_input(tmp_path, perfbench_gen, name, bott)
+        doc = load_document(path, read_text(path))
+        g = GkmGraph(build_polytope(doc), doc.lam, bott=doc.use_bott)
+        t = facering.phi(g, random_face_element(random.Random(f"json:{name}"), g))
+        member = write_tuple(tmp_path, "member.json", [json_terms(a) for a in t.entries])
+        res = facering.interpolate(g, resolve_order(doc, g.polytope), t)
+        code, out, _ = run(capsys, "interpolate", path, member, "--json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["poly"] == json_terms(res.poly) and payload["verified"] is True
+        assert payload["steps"] == [
+            {"position": s.position + 1, "vertex": sorted(g.polytope.vertices[s.vertex]),
+             "terms": len(s.poly.terms)} for s in res.steps]
+        assert any(s.poly.terms for s in res.steps), name
 
     def test_member_runs_no_membership_test(self, capsys, tmp_path, monkeypatch):
         """The interpolation steps decide membership: in_w is not called."""

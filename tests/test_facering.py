@@ -30,6 +30,7 @@ from quasik.facering import (
     theta,
 )
 from conftest import (
+    GENERATED,
     decode,
     decoded_rows,
     dense_substitute,
@@ -390,14 +391,67 @@ class TestInterpolatePushForm:
         assert checks == {"step polynomial not divisible by omega_v",
                           "face above v has an earlier vertex"}
 
-    def test_substitutions_are_two_per_vertex(self, generated, substitutions):
-        """One step map and one phi map per vertex, none per vertex of F_v."""
+    def test_makes_no_substitution(self, generated, substitutions):
+        """Each step works in its vertex's local exponents: no monomial map
+        is applied to any polynomial."""
         for name in ("cube4", "bott4"):
             _, g, order = generated[name]
             t = phi(g, random_face_element(random.Random(name), g))
             substitutions.clear()
-            interpolate(g, order, t)
-            assert len(substitutions) <= 2 * g.m, (name, len(substitutions))
+            assert interpolate(g, order, t) == push_interpolate(g, order, t), name
+            assert substitutions == [], name
+
+
+@pytest.fixture(scope="module")
+def kernel_graphs(graphs, orders, perfbench_gen):
+    """{name: (graph, order)}: the bundled inputs, the GENERATED manifolds and
+    a polygon with 22 facets, each also with z."""
+    gen = perfbench_gen
+    made = generated_graphs(gen, {**{name: partial(make, gen) for name, make in GENERATED.items()},
+                                  "polygon22": lambda: gen.polygon(22, random.Random(22))})
+    bases = {name: (g, orders[name]) for name, g in graphs.items()}
+    bases.update({name: (g, order) for name, (_, g, order) in made.items()})
+    out = {}
+    for name, (g, order) in bases.items():
+        for bott in (False, True):
+            out[name + "+z" * bott] = (GkmGraph(g.polytope, g.lam, bott=bott, mu=g.mu), order)
+    return out
+
+
+class TestInterpolateLocalExponents:
+    """interpolate, in each vertex's local exponents, against the reference
+    forms that substitute through monomial maps: push_interpolate (with the
+    same three checks) and reference_interpolate (subtracting phi(p) at
+    every vertex)."""
+
+    def test_members(self, kernel_graphs):
+        for name, (g, order) in kernel_graphs.items():
+            for seed in range(3):
+                t = phi(g, random_face_element(random.Random(f"local:{name}:{seed}"), g))
+                got = interpolate(g, order, t)
+                assert got == push_interpolate(g, order, t), (name, seed)
+                assert got == reference_interpolate(g, order, t), (name, seed)
+
+    def test_non_members(self, kernel_graphs):
+        for name, (g, order) in kernel_graphs.items():
+            rng = random.Random(f"local:{name}")
+            for seed in range(4):
+                t = perturb_one_entry(rng, g, phi(g, random_face_element(rng, g)))
+                got = interpolation_outcome(interpolate, g, order, t)
+                assert isinstance(got, tuple), (name, seed)
+                assert got == interpolation_outcome(push_interpolate, g, order, t), (name, seed)
+
+    def test_mutated_orders(self, kernel_graphs):
+        checks = set()
+        for name, (g, order) in kernel_graphs.items():
+            t = phi(g, random_face_element(random.Random(f"mutated:{name}"), g))
+            for bad in certificate_mutations(g, order):
+                got = interpolation_outcome(interpolate, g, bad, t)
+                assert got == interpolation_outcome(push_interpolate, g, bad, t), name
+                if isinstance(got, tuple):
+                    checks.add(got[1])
+        assert checks == {"step polynomial not divisible by omega_v",
+                          "face above v has an earlier vertex"}
 
 
 def with_extra(P, order, changes):
@@ -456,15 +510,35 @@ class TestInterpolateCertificate:
                                           "step polynomial not divisible by omega_v")
 
     def test_phi_maps_not_inverse_to_step_maps(self, g):
-        """phi maps of -Lambda undo no step: the entry at the second vertex
-        stays nonzero while the other two checks pass."""
+        """phi maps of -Lambda undo no vertex's lambda rows: the first step
+        fails, though the other two checks would pass."""
         order = ORDER[g]
         t = omega_sum_image(g, order)
         bad = GkmGraph(g.polytope, g.lam)
         bad.phi_maps = GkmGraph(g.polytope, [[-x for x in row] for row in g.lam]).phi_maps
         with pytest.raises(ResidualNonzero) as exc:
             interpolate(bad, order, t)
-        assert str(exc.value) == "step 2: residual at v nonzero"
+        assert str(exc.value) == "step 1: residual at v nonzero"
+
+    def test_faulty_phi_map_fails_at_a_zero_entry(self, g):
+        """Every fault of phi_map_faults fails the first check at its vertex's
+        step, though the entry there is 0; checking only the entry, as
+        push_interpolate does, lets each of them through."""
+        order = ORDER[g]
+        last = basis_certificate(g, order)[-1]
+        t = phi(g, omega(g, last))      # 0 at every vertex but the last
+        faults = 0
+        for kind, v, bad, _ in phi_map_faults(g, order):
+            if v == last.vertex:
+                continue
+            assert t[v].is_zero
+            with pytest.raises(ResidualNonzero) as exc:
+                interpolate(bad, order, t)
+            assert (exc.value.step, exc.value.check) == \
+                (order.position[v], "residual at v nonzero"), (kind, v)
+            assert push_interpolate(bad, order, t) == interpolate(g, order, t), (kind, v)
+            faults += 1
+        assert faults
 
 
 class TestKernel:
@@ -822,8 +896,10 @@ def certificate_mutations(g, order):
 
 
 def with_phi_map(g, v, A):
-    """A copy of g whose phi map at v is A, nothing rechecked."""
+    """A copy of g whose phi map at v is A, nothing rechecked; the copy
+    drops the vertex steps built from g's phi maps and builds its own."""
     bad = copy(g)
+    vars(bad).pop("vertex_steps", None)
     bad.phi_maps = g.phi_maps[:v] + (A,) + g.phi_maps[v + 1:]
     return bad
 

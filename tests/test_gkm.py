@@ -151,7 +151,8 @@ def restricted(g, a, face):
 class TestFacePicks:
     """One coordinate getter per facet set, made on first use and kept in
     the graph's picks, which in_w and interpolate's divisibility check
-    both read."""
+    both read; and apart from them one getter per vertex, interpolate's
+    widening of local exponents, made once per graph."""
 
     def test_built_once_per_facet_set(self, monkeypatch, graphs, orders):
         built = []
@@ -165,12 +166,24 @@ class TestFacePicks:
                 assert in_w(g, t).member
                 interpolate(g, orders[name], t)
             z = (g.d,) if g.bott else ()
+            nvars = g.face_profile.nvars
             want = {S: tuple(i - 1 for i in sorted(S)) + z for S in g.picks}
-            assert sorted(built) == sorted(want.values()), name
-            exps = tuple(range(g.face_profile.nvars))
+            # a pick reads at most n facets and z, a widening writes all of them
+            picks = [idx for idx in built if len(idx) < nvars]
+            assert sorted(picks) == sorted(want.values()), name
+            exps = tuple(range(nvars))
             for S, idx in want.items():
                 assert g.face_pick(S)(exps) == idx, (name, S)
-            assert len(built) == len(want), name
+            assert len(picks) == len(want), name
+            assert len(built) - len(picks) == g.m, name
+            for v, step in enumerate(g.vertex_steps):
+                source = g.phi_maps[v].source
+                local = tuple(range(1, len(source) + 1)) + ((-1,) if g.bott else ())
+                full = [0] * g.d
+                for c, i in enumerate(source):
+                    full[i] = c + 1
+                assert step.widen(local + (0,)) == tuple(full) + local[len(source):], (name, v)
+                assert step.pick(step.widen(local + (0,))) == local, (name, v)
 
 
 class TestRestriction:
@@ -367,7 +380,7 @@ class TestWitnessTexts:
         g = GkmGraph(SQUARE, H1.lam)
         one = LaurentPoly.one(g.char_profile)
         assert in_w(g, FixedPointTuple.constant(g.char_profile, g.m, one)).member
-        assert "step_maps" not in vars(g)
+        assert "vertex_steps" not in vars(g) and "phi_maps" not in vars(g)
 
 
 def reference_in_w(g, t):

@@ -20,7 +20,6 @@ from quasik.laurent import (
     coordinate_getter,
     divides_one_minus,
     face_profile,
-    keep_terms,
     project_terms,
     substitute_monomial_map,
 )
@@ -292,17 +291,6 @@ class TestMonomialMap:
         assert project_terms(f.terms, coordinate_getter((2,))) == {(1,): 2}
         divisible = f * (1 - LaurentPoly.variable(y, 1))
         assert project_terms(divisible.terms, coordinate_getter((0, 2, 3))) == {}
-
-    def test_keep_terms_zeroes_left_out_coordinates(self):
-        y = face_profile(3, bott=True)
-        f = poly(y, ((1, 2, 0, 1), 1), ((1, -1, 0, 1), -1), ((0, 0, 1, 0), 2))
-        assert keep_terms(f.terms, (0, 3), 4) == {(0, 0, 0, 0): 2}
-        assert keep_terms(f.terms, (2,), 4) == {(0, 0, 1, 0): 2}
-        assert keep_terms(f.terms, (), 4) == {(0, 0, 0, 0): 2}
-        # a map reads only its source, so it cannot tell f from f kept there
-        A = MonomialMap(y, char_profile(2, bott=True), [2, 0], [1], [[3, 1]])
-        kept = LaurentPoly(y, keep_terms(f.terms, A.source + (3,), 4))
-        assert substitute_monomial_map(kept, A) == substitute_monomial_map(f, A)
 
     def test_empty_source(self):
         y = face_profile(2, bott=True)
